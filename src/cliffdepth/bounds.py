@@ -324,13 +324,15 @@ def emit_comparison_csv(family: str, lo: int, hi: int) -> str:
     """CSV rows (n, prior, closed_form, construction) for a family."""
     if family not in (CZ, CNOT, CLIFFORD, CZ_BASIC):
         raise ValueError(f"unknown family {family!r}")
+    if not 2 <= lo <= hi <= N_MAX:
+        raise ValueError(f"range must satisfy 2 <= from <= to <= {N_MAX}, got {lo}..{hi}")
     formula = FORMULAS[family]
     depth = construction_depth(family, max(hi, formula.lo))
     lines = ["n,prior,closed_form,construction"]
     if family == CLIFFORD:
         lines.insert(0, "# prior column reconstructs a baseline from prior CZ/CNOT bounds applied per stage; no directly published prior Clifford depth curve is used")
     for n in range(lo, hi + 1):
-        prior = prior_art_bound(family if family != CZ_BASIC else CZ, n) if n >= 2 else ""
+        prior = prior_art_bound(family if family != CZ_BASIC else CZ, n)
         cf = formula.value(n) if formula.lo <= n <= formula.hi else ""
         lines.append(f"{n},{prior},{cf},{int(depth[n])}")
     return "\n".join(lines) + "\n"

@@ -137,27 +137,45 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_ints(no: int, ln: str, count: int | None = None) -> list[int]:
+    """The integer fields after the keyword of one text line."""
+    fields = ln.split()[1:]
+    if count is not None and len(fields) != count:
+        raise ValueError(f"line {no}: expected {count} integer field(s) in {ln!r}")
+    try:
+        return [int(t) for t in fields]
+    except ValueError:
+        raise ValueError(f"line {no}: non-integer field in {ln!r}") from None
+
+
 def from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
+    """Parse the ``to_text`` form; malformed input raises ValueError naming its line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split()[0] != "qubits":
         raise ValueError("circuit file must start with 'qubits n'")
-    n = int(lines[0].split()[1])
+    (n,) = _line_ints(*lines[0], 1)
+    if n < 0:
+        raise ValueError(f"line {lines[0][0]}: negative qubit count")
     perm = None
     body = lines[1:]
-    if body and body[0].startswith("perm "):
-        perm = Permutation([int(t) for t in body[0].split()[1:]])
+    if body and body[0][1].split()[0] == "perm":
+        no, ln = body[0]
+        try:
+            perm = Permutation(_line_ints(no, ln))
+        except (ValueError, OverflowError) as e:
+            raise ValueError(f"line {no}: {e}") from None
         body = body[1:]
     gates: list[Gate] = []
-    for ln in body:
-        parts = ln.split()
-        kind = parts[0]
+    for no, ln in body:
+        kind = ln.split()[0]
         if kind in TWO_QUBIT:
-            a, b = int(parts[1]), int(parts[2])
+            a, b = _line_ints(no, ln, 2)
             gates.append(cz(a, b) if kind == "CZ" else cnot(a, b))
         elif kind in ONE_QUBIT:
-            gates.append(Gate(kind, int(parts[1])))
+            (a,) = _line_ints(no, ln, 1)
+            gates.append(Gate(kind, a))
         else:
-            raise ValueError(f"unknown gate line: {ln!r}")
+            raise ValueError(f"line {no}: unknown gate line: {ln!r}")
     return Circuit(n, gates, perm=perm)
 
 

@@ -120,14 +120,28 @@ class CliffordTableau:
 
     @classmethod
     def from_text(cls, text: str) -> "CliffordTableau":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        n = int(lines[0])
+        """Parse n, 2n rows of 2n bits and a phase row of 2n bits.
+
+        Blank lines are skipped; malformed input raises ValueError naming
+        its line.
+        """
+        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError("empty tableau file")
+        no, head = lines[0]
+        try:
+            n = int(head)
+        except ValueError:
+            raise ValueError(f"line {no}: expected the qubit count, got {head!r}") from None
+        if n < 1:
+            raise ValueError(f"line {no}: qubit count must be positive")
         if len(lines) != 2 * n + 2:
             raise ValueError("tableau file must hold 2n bit rows plus a phase row")
-        s = np.array([[int(c) for c in ln] for ln in lines[1:2 * n + 1]], dtype=np.uint8)
-        phases = np.array([int(c) for c in lines[2 * n + 1]], dtype=np.uint8)
-        if s.shape != (2 * n, 2 * n) or phases.shape != (2 * n,):
-            raise ValueError("malformed tableau dimensions")
+        for no, ln in lines[1:]:
+            if len(ln) != 2 * n or set(ln) - {"0", "1"}:
+                raise ValueError(f"line {no}: expected {2 * n} bits, got {ln!r}")
+        s = np.array([[int(c) for c in ln] for _, ln in lines[1:-1]], dtype=np.uint8)
+        phases = np.array([int(c) for c in lines[-1][1]], dtype=np.uint8)
         return cls.from_dense(s, phases)
 
 

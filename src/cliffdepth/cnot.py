@@ -48,16 +48,14 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     Either schedule the commuting CNOTs (control in B, target in A)
     directly via edge coloring, or conjugate a CZ-pattern circuit for C by
     Hadamards on A and strip them again.  The second is asymptotically
-    shallower but loses on small or sparse blocks, so both are built and
-    the shallower one (measured, ties to the direct form) is kept.
+    shallower but loses on small or sparse blocks.  The direct form is one
+    matching per color class, so its two-qubit depth is exactly the max
+    degree of C; only the Hadamard form is built and measured, and C is
+    colored only when the direct form is no deeper (ties go to it).
     """
     if not c.any():
         return []
     p = M01Pattern.from_dense(c)
-    direct: list[Gate] = []
-    for cl in bipartite_edge_color(p):
-        direct += [cnot(b[j], a[i]) for (i, j) in cl]
-
     r1, r2, classes = m01_parts(a, b, p)
     via_cz: list[Gate] = [h(q) for q in a]
     via_cz += r1.trees + r2.trees + r1.middle + r2.middle
@@ -67,9 +65,10 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     via_cz += [h(q) for q in a]
 
     n = max(max(a), max(b)) + 1
-    d_direct = Circuit(n, direct).two_qubit_depth()
-    d_via = Circuit(n, via_cz).two_qubit_depth()
-    return direct if d_direct <= d_via else via_cz
+    d_direct = int(max(p.bits.sum(axis=0).max(), p.bits.sum(axis=1).max()))
+    if d_direct > Circuit(n, via_cz).two_qubit_depth():
+        return via_cz
+    return [cnot(b[j], a[i]) for cl in bipartite_edge_color(p) for (i, j) in cl]
 
 
 def _tri_gates(qubits: list[int], r: np.ndarray) -> list[Gate]:

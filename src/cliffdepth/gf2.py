@@ -72,17 +72,26 @@ class BitMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        r, c = (int(t) for t in lines[0].split())
+        """Parse ``rows cols`` followed by one 0/1 string per row.
+
+        Blank lines are skipped; malformed input raises ValueError naming
+        its line.
+        """
+        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError("empty matrix file")
+        no, head = lines[0]
+        try:
+            r, c = (int(t) for t in head.split())
+        except ValueError:
+            raise ValueError(f"line {no}: expected 'rows cols', got {head!r}") from None
         if len(lines) - 1 != r:
             raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
-        dense = np.zeros((r, c), dtype=np.uint8)
-        for i, ln in enumerate(lines[1:]):
-            row = ln.strip()
+        for i, (no, row) in enumerate(lines[1:]):
             if len(row) != c or set(row) - {"0", "1"}:
-                raise ValueError(f"bad matrix row {i}: {row!r}")
-            dense[i] = [int(ch) for ch in row]
-        return cls.from_dense(dense)
+                raise ValueError(f"line {no}: bad matrix row {i}: {row!r}")
+        dense = np.array([[int(ch) for ch in row] for _, row in lines[1:]], dtype=np.uint8)
+        return cls.from_dense(dense.reshape(r, c))
 
     # -- access ------------------------------------------------------------
 
@@ -154,8 +163,8 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def mat_vec(a: BitMatrix, v: np.ndarray) -> np.ndarray:
     """a @ v over GF(2) for a 0/1 vector v."""
-    vv = np.asarray(v, dtype=np.uint8) & 1
-    return ((a.to_dense().astype(np.int64) @ vv.astype(np.int64)) & 1).astype(np.uint8)
+    col = BitMatrix.from_dense(np.asarray(v, dtype=np.uint8).reshape(-1, 1))
+    return mat_mul(a, col).to_dense()[:, 0]
 
 
 class SingularMatrixError(ValueError):
@@ -324,10 +333,12 @@ def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:
 
 
 def random_invertible(rng: np.random.Generator, n: int) -> BitMatrix:
-    """Random invertible matrix as L @ P @ U (unitriangular L, U; random P)."""
+    """Random invertible matrix as L @ P @ U (unitriangular L, U; random P).
+
+    P maps column c to row perm[c], so L @ P is L with its columns
+    permuted; the product with U is the packed GF(2) ``mat_mul``.
+    """
     low = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), -1) + np.eye(n, dtype=np.uint8)
     up = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1) + np.eye(n, dtype=np.uint8)
-    p = np.zeros((n, n), dtype=np.uint8)
-    p[rng.permutation(n), np.arange(n)] = 1
-    prod = (low.astype(np.int64) @ p.astype(np.int64) @ up.astype(np.int64)) & 1
-    return BitMatrix.from_dense(prod.astype(np.uint8))
+    perm = rng.permutation(n)
+    return mat_mul(BitMatrix.from_dense(low[:, perm]), BitMatrix.from_dense(up))

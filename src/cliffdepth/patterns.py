@@ -52,9 +52,10 @@ class HalvingResult:
 def halve_weights(p: M01Pattern) -> HalvingResult:
     """Greedy line complementing until all weights are at most half.
 
-    Cycles rows 0..k-1 then columns 0..m-1; a line is flipped only when
-    that strictly reduces the number of ones, which bounds the number of
-    flips by the initial weight and guarantees termination.
+    Alternates a pass over the rows with a pass over the columns; a line
+    is flipped only when that strictly reduces the number of ones, which
+    bounds the number of flips by the initial weight and guarantees
+    termination.
     """
     k, m = p.k, p.m
     bits = p.bits.copy()
@@ -64,22 +65,18 @@ def halve_weights(p: M01Pattern) -> HalvingResult:
     guard = k * m * (k + m) + k + m + 1
     passes = 0
     while changed:
-        changed = False
         passes += 1
         if passes > guard:  # pragma: no cover - termination is proven
             raise RuntimeError("halving failed to terminate")
-        for i in range(k):
-            w = int(bits[i].sum())
-            if m - w < w:
-                bits[i] ^= 1
-                rowflip[i] ^= 1
-                changed = True
-        for j in range(m):
-            w = int(bits[:, j].sum())
-            if k - w < w:
-                bits[:, j] ^= 1
-                colflip[j] ^= 1
-                changed = True
+        # flipping one line leaves every parallel line's weight unchanged,
+        # so each pass flips all of its heavy lines at once
+        rows = 2 * bits.sum(axis=1) > m
+        bits[rows] ^= 1
+        rowflip[rows] ^= 1
+        cols = 2 * bits.sum(axis=0) > k
+        bits[:, cols] ^= 1
+        colflip[cols] ^= 1
+        changed = bool(rows.any() or cols.any())
     assert bits.sum(axis=1).max(initial=0) <= m // 2
     assert bits.sum(axis=0).max(initial=0) <= k // 2
     return HalvingResult(
@@ -96,7 +93,9 @@ def bipartite_edge_color(
 
     Kempe-chain coloring: when the first free colors at the two endpoints
     differ, swap them along the maximal alternating path starting at the
-    column endpoint, which frees a common color.
+    column endpoint, which frees a common color.  Each vertex keeps a
+    color -> neighbour list (-1 where free) and a bitmask of its used
+    colors, so its first free color is the lowest clear bit of the mask.
 
     Args:
         p: bipartite pattern (rows vs columns).
@@ -109,53 +108,46 @@ def bipartite_edge_color(
         return []
     if max_colors is not None and delta > max_colors:
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
-    at_row: list[dict[int, int]] = [dict() for _ in range(p.k)]  # color -> col
-    at_col: list[dict[int, int]] = [dict() for _ in range(p.m)]  # color -> row
+    at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
+    at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
+    used_row = [0] * p.k
+    used_col = [0] * p.m
 
-    def first_free(used: dict[int, int]) -> int:
-        c = 0
-        while c in used:
-            c += 1
-        return c
-
-    for i in range(p.k):
-        for j in np.nonzero(p.bits[i])[0]:
-            j = int(j)
-            fi = first_free(at_row[i])
-            fj = first_free(at_col[j])
-            if fi != fj:
-                # swap colors fi/fj along the alternating path from column j;
-                # rows on the path are always entered by fi-edges, so row i
-                # (where fi is free) is never reached and the swap is safe
-                path: list[tuple[int, int]] = []
-                on_col, v, want = True, j, fi
-                while True:
-                    table = at_col[v] if on_col else at_row[v]
-                    if want not in table:
-                        break
-                    u = table[want]
-                    path.append((u, v) if on_col else (v, u))
-                    on_col, v, want = not on_col, u, fj if want == fi else fi
-                # swap atomically: consecutive path edges share vertices, so
-                # edge-by-edge reassignment would clobber neighbouring entries
-                olds = [
-                    next(c for c, other in at_row[ri].items() if other == cj)
-                    for (ri, cj) in path
-                ]
-                for (ri, cj), old in zip(path, olds):
-                    del at_row[ri][old]
-                    del at_col[cj][old]
-                for (ri, cj), old in zip(path, olds):
-                    new = fj if old == fi else fi
-                    at_row[ri][new] = cj
-                    at_col[cj][new] = ri
-            at_row[i][fi] = j
-            at_col[j][fi] = i
+    rows, cols = np.nonzero(p.bits)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        u = used_row[i]
+        fi = ((u + 1) & ~u).bit_length() - 1
+        u = used_col[j]
+        fj = ((u + 1) & ~u).bit_length() - 1
+        if fi != fj and at_col[j][fi] >= 0:
+            # swap colors fi/fj along the alternating path from column j;
+            # rows on the path are always entered by fi-edges, so row i
+            # (where fi is free) is never reached.  The path enters each
+            # vertex by one color and leaves by the other, so exchanging
+            # the vertex's two entries recolors both of its path edges;
+            # only the two end vertices change which colors they use.
+            tables, v, want, other = at_col, j, fi, fj
+            while True:
+                entry = tables[v]
+                nxt = entry[want]
+                entry[want], entry[other] = entry[other], nxt
+                if nxt < 0:
+                    break
+                tables = at_row if tables is at_col else at_col
+                v, want, other = nxt, other, want
+            flip = (1 << fi) | (1 << fj)
+            used_col[j] ^= flip
+            (used_row if tables is at_row else used_col)[v] ^= flip
+        at_row[i][fi] = j
+        at_col[j][fi] = i
+        used_row[i] |= 1 << fi
+        used_col[j] |= 1 << fi
 
     classes: list[list[tuple[int, int]]] = [[] for _ in range(delta)]
-    for i in range(p.k):
-        for color, j in at_row[i].items():
-            classes[color].append((i, j))
+    for i, entry in enumerate(at_row):
+        for color, j in enumerate(entry):
+            if j >= 0:
+                classes[color].append((i, j))
     return [cl for cl in classes if cl]
 
 

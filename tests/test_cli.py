@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliffdepth.circuit import from_text
 from cliffdepth.cli import main
+from cliffdepth.clifford import CliffordTableau
+from cliffdepth.gf2 import BitMatrix
 
 
 def run(capsys, *argv):
@@ -143,3 +148,71 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
 def test_bad_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "synth-cz", "--nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("cmd, suffix, text, where", [
+    ("synth-cz", ".mat", "", "empty"),
+    ("synth-cz", ".mat", "\n  \n", "empty"),
+    ("synth-cz", ".mat", "2 2\n01\n1x\n", "line 3"),
+    ("synth-cz", ".mat", "two 2\n01\n10\n", "line 1"),
+    ("synth-cnot", ".mat", "", "empty"),
+    ("synth-clifford", ".tab", "", "empty"),
+    ("synth-clifford", ".tab", "1\n10\n0\n00\n", "line 3"),
+    ("synth-clifford", ".tab", "x\n", "line 1"),
+])
+def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, where):
+    path = tmp_path / f"in{suffix}"
+    path.write_text(text)
+    code, _, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2
+    assert where in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "qubits"),
+    ("qubits 2\nCZ 0\n", "line 2"),
+    ("qubits 2\nH\n", "line 2"),
+    ("qubits 2\n\nCNOT 0 one\n", "line 3"),
+    ("qubits\nH 0\n", "line 1"),
+    ("qubits 2\nperm 0 99999999999999999999\n", "line 2"),
+])
+def test_malformed_circuit_is_usage_error(capsys, tmp_path, text, where):
+    mat = tmp_path / "m.mat"
+    mat.write_text("2 2\n10\n11\n")
+    circ = tmp_path / "c.circ"
+    circ.write_text(text)
+    code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
+    assert code == 2
+    assert where in err
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ("0", None), ("1", None), ("1345001", None), ("10", "1345001"), ("10", "9"),
+])
+def test_bounds_range_is_checked(capsys, tmp_path, lo, hi):
+    argv = ["bounds", "--family", "cz", "--from", lo, "--csv", str(tmp_path / "b.csv")]
+    if hi is not None:
+        argv += ["--to", hi]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "1345000" in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bounds_range_edges_accepted(capsys, tmp_path):
+    for lo in ("2", "1345000"):
+        out_path = tmp_path / f"b{lo}.csv"
+        code, _, _ = run(capsys, "bounds", "--family", "cz", "--from", lo,
+                         "--csv", str(out_path))
+        assert code == 0
+        assert out_path.read_text().splitlines()[-1].startswith(f"{lo},")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789 -\nqubitspermCZHNOT", max_size=60))
+def test_parsers_raise_only_value_error(text):
+    for parse in (BitMatrix.from_text, from_text, CliffordTableau.from_text):
+        try:
+            parse(text)
+        except ValueError:
+            pass

@@ -1,16 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cliffdepth import bounds
+from cliffdepth.circuit import Circuit, cnot, cz, h
 from cliffdepth.cnot import (
     EXACT,
     REORDER,
+    _block_add_gates,
     remove_hadamards,
     synth_linear,
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
+from cliffdepth.patterns import M01Pattern, bipartite_edge_color, m01_parts
 from cliffdepth.verify import linear_action
+
+blocks = st.integers(1, 24).flatmap(
+    lambda k: st.integers(1, 24).flatmap(
+        lambda m: arrays(np.uint8, (k, m), elements=st.integers(0, 1))
+    )
+)
+
+
+def direct_gates(a, b, c):
+    classes = bipartite_edge_color(M01Pattern.from_dense(c))
+    return [cnot(b[j], a[i]) for cl in classes for (i, j) in cl]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks)
+def test_direct_block_depth_is_max_degree(c):
+    k, m = c.shape
+    a, b = list(range(k)), list(range(k, k + m))
+    delta = int(max(c.sum(axis=0).max(), c.sum(axis=1).max()))
+    assert Circuit(k + m, direct_gates(a, b, c)).two_qubit_depth() == delta
+
+
+def test_block_add_keeps_measured_shallower_candidate():
+    # reference: build and measure both stagings, ties to the direct form
+    rng = np.random.default_rng(5)
+    kept = set()
+    for _ in range(300):
+        k, m = (int(v) for v in rng.integers(1, 25, size=2))
+        c = (rng.random((k, m)) < rng.random()).astype(np.uint8)
+        a, b = list(range(k)), list(range(k, k + m))
+        if not c.any():
+            assert _block_add_gates(a, b, c) == []
+            continue
+        direct = direct_gates(a, b, c)
+        r1, r2, classes = m01_parts(a, b, M01Pattern.from_dense(c))
+        via_cz = [h(q) for q in a] + r1.trees + r2.trees + r1.middle + r2.middle
+        via_cz += r1.uncompute + r2.uncompute
+        via_cz += [cz(a[i], b[j]) for cl in classes for (i, j) in cl]
+        via_cz += [h(q) for q in a]
+        d_direct = Circuit(k + m, direct).two_qubit_depth()
+        d_via = Circuit(k + m, via_cz).two_qubit_depth()
+        kept.add("direct" if d_direct <= d_via else "via_cz")
+        assert _block_add_gates(a, b, c) == (direct if d_direct <= d_via else via_cz)
+    assert kept == {"direct", "via_cz"}
 
 
 def random_unitriangular(rng, n):

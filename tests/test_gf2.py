@@ -56,9 +56,14 @@ def test_mat_mul_against_dense():
 
 def test_mat_vec():
     rng = np.random.default_rng(3)
-    a = random_matrix(rng, 9, 17)
-    v = rng.integers(0, 2, 17, dtype=np.uint8)
-    assert np.array_equal(mat_vec(a, v), dense_mul(a.to_dense(), v.reshape(-1, 1)).ravel())
+    for r, c in ((9, 17), (1, 1), (3, 64), (70, 65), (5, 130)):
+        a = random_matrix(rng, r, c)
+        v = rng.integers(0, 2, c, dtype=np.uint8)
+        got = mat_vec(a, v)
+        assert got.shape == (r,) and got.dtype == np.uint8
+        assert np.array_equal(got, dense_mul(a.to_dense(), v.reshape(-1, 1)).ravel())
+    with pytest.raises(ValueError):
+        mat_vec(random_matrix(rng, 3, 4), np.ones(5, dtype=np.uint8))
 
 
 def test_inverse():
@@ -113,6 +118,22 @@ def test_lu_reconstruction():
             assert np.array_equal(prod[i], rd[int(perm.map[i])])
         assert low.is_lower_triangular()
         assert up.is_upper_triangular()
+
+
+def test_random_invertible_matches_dense_formula():
+    # the dense L @ P @ U product on the same RNG draws, in the same order
+    for n in (1, 2, 5, 17, 64, 65, 130):
+        ref_rng = np.random.default_rng(n)
+        low = np.tril(ref_rng.integers(0, 2, size=(n, n), dtype=np.uint8), -1)
+        up = np.triu(ref_rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+        p = np.zeros((n, n), dtype=np.uint8)
+        p[ref_rng.permutation(n), np.arange(n)] = 1
+        eye = np.eye(n, dtype=np.uint8)
+        want = dense_mul(dense_mul(low + eye, p), up + eye)
+        rng = np.random.default_rng(n)
+        assert np.array_equal(random_invertible(rng, n).to_dense(), want)
+        # both consumed the same number of draws
+        assert rng.integers(0, 1 << 30) == ref_rng.integers(0, 1 << 30)
 
 
 def test_random_invertible_is_invertible():

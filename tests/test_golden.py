@@ -1,0 +1,67 @@
+"""Golden outputs: fixed-seed circuits and colorings stay byte-identical.
+
+Each test pins the SHA-256 of a fixed-seed output. The hashes were
+recorded with the dict-based Kempe-chain coloring, the loop-based weight
+halving and the dense-matmul ``random_invertible`` that preceded the
+bitmask coloring, the vectorized halving and the packed product, before
+any of them was written. A speed-up of any layer on these paths must
+reproduce them exactly: the same gates, in the same order.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cliffdepth.circuit import to_text
+from cliffdepth.clifford import random_tableau, synth_clifford
+from cliffdepth.cnot import EXACT, REORDER, synth_linear
+from cliffdepth.cz import CzSpec, synth_cz
+from cliffdepth.gf2 import random_invertible
+from cliffdepth.patterns import M01Pattern, bipartite_edge_color
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# synth_cz picks the two-step branch at n = 64 and n = 100 (coloring at the
+# inner sizes); the forced one-step case covers the remaining branch.
+@pytest.mark.parametrize("n, seed, strategy, digest", [
+    (64, 11, "auto", "a48126e7d49756852ac979d85aba4c24daf77a314942e938c13f69d2d969b0ce"),
+    (100, 12, "auto", "95a1ead73f2a0a36aa5635e7245a3dc7cba35bbb088e115b4f04efb762bbc6cc"),
+    (64, 13, "onestep", "7bc50d122f01d36a0ca87384ff97b196b7881fdf8dff7b5510b9bda4ed42dc01"),
+])
+def test_synth_cz_golden(n, seed, strategy, digest):
+    spec = CzSpec.random(np.random.default_rng(seed), n)
+    assert sha(to_text(synth_cz(spec, strategy=strategy))) == digest
+
+
+@pytest.mark.parametrize("mode, digest", [
+    (EXACT, "419e21e806ac811376588eafd3fa75873c1fc1e3216803d01257b3964b7582b6"),
+    (REORDER, "fc0eea126ea16cd23d519f75c89ec788226d0487ef62be3d3eae16694cc38f89"),
+])
+def test_synth_linear_golden(mode, digest):
+    r = random_invertible(np.random.default_rng(21), 64)
+    assert sha(r.to_text()) == (
+        "0e1a01c5d15c3495e1db42ed880dfa148a0927a3364e581744cf8f8a713ae6c9")
+    assert sha(to_text(synth_linear(r, mode))) == digest
+
+
+def test_synth_clifford_golden():
+    t = random_tableau(np.random.default_rng(31), 32)
+    assert sha(to_text(synth_clifford(t))) == (
+        "64fd216730ded625a8eac22ca11005871e601b00fcbbd9e5f0dbed5675b4a922")
+
+
+def test_edge_color_classes_golden():
+    """Color classes, in order, of 300 random patterns from 1x1 to 40x40."""
+    rng = np.random.default_rng(41)
+    h = hashlib.sha256()
+    for _ in range(300):
+        k, m = (int(v) for v in rng.integers(1, 41, size=2))
+        density = float(rng.random())
+        bits = (rng.random((k, m)) < density).astype(np.uint8)
+        h.update(repr(bipartite_edge_color(M01Pattern.from_dense(bits))).encode())
+    assert h.hexdigest() == (
+        "715a712daa313a89e7e38687057ebbefb09271515905f76de12799c0629b956a")
