@@ -1,6 +1,5 @@
 """Depth-optimized synthesis of CZ, CNOT, and Clifford circuits."""
 
-from ._kernels import active_backend
 from .bounds import (
     BoundFormula,
     CLIFFORD_BOUND,
@@ -60,3 +59,8 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the kernel backend; plain numpy is the only one."""
+    return "numpy"

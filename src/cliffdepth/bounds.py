@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from . import _kernels
-
 N_MAX = 1_345_000
 
 CZ = "cz"
@@ -24,13 +22,82 @@ CNOT = "cnot"
 CNOT_FIRST = "cnot-first-branch"
 CLIFFORD = "clifford"
 
+COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
+# CZ branches in tie-break order; argmin arrays hold indices into this
+BRANCHES = (COLORING, ONESTEP, TWOSTEP)
+
 _tables: dict[str, np.ndarray] = {}
+_cz_argmin: dict[str, np.ndarray] = {}  # per CZ family, as long as its table
 
 
-def ceil_log2(n: int) -> int:
+def ceil_log2(n):
+    """Exact ceil(log2 n) of a positive int or int64 array.
+
+    The array form reads the binary exponent of n - 1, which is exact
+    while n - 1 < 2**53.
+    """
+    if isinstance(n, np.ndarray):
+        if (n < 1).any():
+            raise ValueError("n must be positive")
+        return np.frexp(n - 1)[1].astype(np.int64)
     if n < 1:
         raise ValueError("n must be positive")
     return (n - 1).bit_length()
+
+
+def _cz_branch_values(n, d: np.ndarray):
+    """Coloring, one-step and two-step CZ depths at size n.
+
+    n is a positive int or int64 array; d is the CZ table filled up to
+    ceil(n / 2).  Below n = 4 only the coloring value is a construction.
+    """
+    h = (n + 1) // 2
+    q = (h + 1) // 2
+    coloring = n - 1 + n % 2
+    onestep = d[h] + h // 2 + 2 * (ceil_log2(n) - 1)
+    twostep = d[q] + h // 2 + q // 2 + 2 * ceil_log2(q) + 6
+    return coloring, onestep, twostep
+
+
+def _blocks(n_max: int):
+    """(lo, n) for runs n = lo, lo + 1, ... covering 4..n_max in order.
+
+    Each run holds at most 2**16 sizes and lies inside one block (m, 2m]
+    with m = 3, 6, 12, ...; every ceil(n / 2) in it is at most m, so a
+    bottom-up fill evaluates the whole run at once.  Short runs keep the
+    temporaries of that evaluation small.
+    """
+    run = 1 << 16
+    m = 3
+    while m < n_max:
+        hi = min(n_max, 2 * m)
+        for lo in range(m + 1, hi + 1, run):
+            yield lo, np.arange(lo, min(hi + 1, lo + run), dtype=np.int64)
+        m = hi
+
+
+def _fill_cz(n_max: int, with_twostep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CZ depth table and argmin branch per size (coloring below 4)."""
+    d = np.zeros(max(n_max, 3) + 1, dtype=np.int64)
+    d[2], d[3] = 1, 3
+    argmin = np.zeros(len(d), dtype=np.int8)
+    for lo, n in _blocks(n_max):
+        values = _cz_branch_values(n, d)[: 3 if with_twostep else 2]
+        best = np.minimum.reduce(values)
+        d[lo: lo + len(n)] = best
+        # np.select takes the first match, so ties go to the earlier branch
+        argmin[lo: lo + len(n)] = np.select([v == best for v in values], range(len(values)))
+    return d[: n_max + 1], argmin[: n_max + 1]
+
+
+def _fill_cnot(n_max: int, first_branch_only: bool) -> np.ndarray:
+    d = np.zeros(max(n_max, 3) + 1, dtype=np.int64)
+    d[2], d[3] = 1, 2
+    for lo, n in _blocks(n_max):
+        h = (n + 1) // 2
+        cost = h if first_branch_only else np.minimum(h, h // 2 + 2 * ceil_log2(h))
+        d[lo: lo + len(n)] = d[h] + cost
+    return d[: n_max + 1]
 
 
 def get_table(family: str, n_max: int = N_MAX) -> np.ndarray:
@@ -38,14 +105,10 @@ def get_table(family: str, n_max: int = N_MAX) -> np.ndarray:
     cached = _tables.get(family)
     if cached is not None and len(cached) > n_max:
         return cached
-    if family == CZ:
-        t = _kernels.fill_cz_table(n_max, with_twostep=True)
-    elif family == CZ_BASIC:
-        t = _kernels.fill_cz_table(n_max, with_twostep=False)
-    elif family == CNOT:
-        t = _kernels.fill_cnot_table(n_max, first_branch_only=False)
-    elif family == CNOT_FIRST:
-        t = _kernels.fill_cnot_table(n_max, first_branch_only=True)
+    if family in (CZ, CZ_BASIC):
+        t, _cz_argmin[family] = _fill_cz(n_max, with_twostep=family == CZ)
+    elif family in (CNOT, CNOT_FIRST):
+        t = _fill_cnot(n_max, first_branch_only=family == CNOT_FIRST)
     elif family == CLIFFORD:
         t = _clifford_composed(n_max)
     else:
@@ -54,97 +117,58 @@ def get_table(family: str, n_max: int = N_MAX) -> np.ndarray:
     return t
 
 
-@dataclass
-class DepthTable:
-    family: str
-    values: np.ndarray
+def cz_argmin(n_max: int = N_MAX) -> np.ndarray:
+    """Index into BRANCHES of the CZ branch chosen at each size 0..n_max."""
+    get_table(CZ, n_max)
+    return _cz_argmin[CZ]
 
 
 def cz_branches(n: int) -> tuple[int, int | None, int | None]:
     """The three Eq-style branch values for the CZ recursion at size n."""
     if n < 2:
         raise ValueError("branches defined for n >= 2")
-    d = get_table(CZ)
-    b1 = n - 1 if n % 2 == 0 else n
+    b1, b2, b3 = _cz_branch_values(n, get_table(CZ, n))
     if n < 4:
         return b1, None, None
-    h = (n + 1) // 2
-    b2 = int(d[h]) + h // 2 + 2 * (ceil_log2(n) - 1)
-    q = (h + 1) // 2
-    b3 = int(d[q]) + h // 2 + q // 2 + 2 * ceil_log2(q) + 6
-    return b1, b2, b3
-
-
-COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
+    return b1, int(b2), int(b3)
 
 
 def cz_choice(n: int) -> str:
     """Argmin branch at size n; ties break coloring, then onestep."""
-    b1, b2, b3 = cz_branches(n)
-    best = min(v for v in (b1, b2, b3) if v is not None)
-    if b1 == best:
-        return COLORING
-    if b2 is not None and b2 == best:
-        return ONESTEP
-    return TWOSTEP
+    if n < 2:
+        raise ValueError("branches defined for n >= 2")
+    return BRANCHES[cz_argmin(n)[n]]
+
+
+def _merge_saving(n, argmin):
+    """Depth saved by folding the top CZ stage's leading trees into -CX-.
+
+    n is an int or an int64 array, argmin the matching branch indices.
+    One-step opens with trees of depth ceil(log2(n/2)) - 1, two-step with
+    trees of depth ceil(log2 q) over its quarters.
+    """
+    q = ((n + 1) // 2 + 1) // 2
+    # 1 and 2 index ONESTEP and TWOSTEP in BRANCHES
+    return (argmin == 1) * (ceil_log2(n) - 2) + (argmin == 2) * ceil_log2(q)
 
 
 def merge_saving(n: int) -> int:
     """Depth saved by folding the top CZ stage's leading trees into -CX-."""
     if n < 4:
         return 0
-    choice = cz_choice(n)
-    if choice == ONESTEP:
-        return max(0, ceil_log2(n) - 2)  # ceil(log2(n/2)) - 1
-    if choice == TWOSTEP:
-        h = (n + 1) // 2
-        return ceil_log2((h + 1) // 2)
-    return 0
-
-
-def _merge_saving_arr(n: np.ndarray, d: np.ndarray) -> np.ndarray:
-    cl = np.zeros_like(n)
-    nz = n > 1
-    cl[nz] = np.ceil(np.log2(n[nz].astype(np.float64))).astype(np.int64)
-    fix = (1 << np.maximum(cl - 1, 0)) >= n
-    cl[fix & (cl > 0)] -= 1
-    fix = (1 << cl) < n
-    cl[fix] += 1
-
-    h = (n + 1) // 2
-    q = (h + 1) // 2
-    clq = np.zeros_like(q)
-    nzq = q > 1
-    clq[nzq] = np.ceil(np.log2(q[nzq].astype(np.float64))).astype(np.int64)
-    fix = (1 << np.maximum(clq - 1, 0)) >= q
-    clq[fix & (clq > 0)] -= 1
-    fix = (1 << clq) < q
-    clq[fix] += 1
-
-    b1 = np.where(n % 2 == 0, n - 1, n)
-    b2 = d[h] + h // 2 + 2 * (cl - 1)
-    b3 = d[q] + h // 2 + q // 2 + 2 * clq + 6
-    small = n < 4
-    b2 = np.where(small, b1, b2)
-    b3 = np.where(small, b1, b3)
-    best = np.minimum(b1, np.minimum(b2, b3))
-    saving = np.zeros_like(n)
-    onestep = (b1 != best) & (b2 == best)
-    twostep = (b1 != best) & (b2 != best)
-    saving[onestep] = np.maximum(cl[onestep] - 2, 0)
-    saving[twostep] = clq[twostep]
-    saving[small] = 0
-    return saving
+    return int(_merge_saving(n, int(cz_argmin(n)[n])))
 
 
 def _clifford_composed(n_max: int) -> np.ndarray:
     """Composed 11-stage depth: 2*cz + (2*cnot + 6) - merge saving."""
-    dcz = get_table(CZ, n_max)
-    dcx = get_table(CNOT, n_max)
-    n = np.arange(n_max + 1, dtype=np.int64)
-    saving = np.zeros(n_max + 1, dtype=np.int64)
-    saving[2:] = _merge_saving_arr(n[2:], dcz)
-    out = 2 * dcz + 2 * dcx + 6 - saving
+    dcz = get_table(CZ, n_max)[: n_max + 1]
+    dcx = get_table(CNOT, n_max)[: n_max + 1]
+    argmin = cz_argmin(n_max)
+    out = dcz + dcx
+    out *= 2
+    out += 6
+    for lo, n in _blocks(n_max):  # the saving is 0 below 4
+        out[lo: lo + len(n)] -= _merge_saving(n, argmin[lo: lo + len(n)])
     out[0] = 0
     if n_max >= 1:
         out[1] = 2 * int(dcz[1]) + 2 * int(dcx[1])
@@ -291,15 +315,7 @@ def crossover_scan() -> dict:
     """Crossover points between our constructions and prior art."""
     d = get_table(CNOT)
     n = np.arange(2, N_MAX + 1, dtype=np.int64)
-    cl = np.array([ceil_log2(int(v)) for v in range(2, 130)], dtype=np.int64)
-    # vectorized ceil_log2
-    clv = np.zeros_like(n)
-    clv[:] = np.ceil(np.log2(n.astype(np.float64))).astype(np.int64)
-    fix = (1 << np.maximum(clv - 1, 0)) >= n
-    clv[fix & (clv > 0)] -= 1
-    clv[(1 << clv) < n] += 1
-    assert np.array_equal(clv[:128], cl)
-
+    clv = ceil_log2(n)
     prior = np.minimum(2 * n, (4 * n) // 3 + 8 * clv)
     ours = 2 * d[2:] + 6
     # crossover = first size from which the improvement is permanent

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .gf2 import Permutation
 
 
@@ -78,30 +75,16 @@ class Circuit:
     def __repr__(self) -> str:
         return f"Circuit(n={self.n}, gates={len(self.gates)})"
 
-    def append(self, g: Gate) -> None:
-        self.gates.append(g)
-
-    def extend(self, gs: Iterable[Gate]) -> None:
-        self.gates.extend(gs)
-
     def count_two_qubit(self) -> int:
         return sum(1 for g in self.gates if g.kind in TWO_QUBIT)
 
-    def two_qubit_pairs(self) -> np.ndarray:
-        pairs = [(g.a, g.b) for g in self.gates if g.kind in TWO_QUBIT]
-        return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-
     def two_qubit_depth(self) -> int:
-        return _kernels.asap_depth(self.two_qubit_pairs(), self.n)
-
-    def encode(self) -> np.ndarray:
-        """(G, 3) int64 gate array for the tableau kernel."""
-        out = np.empty((len(self.gates), 3), dtype=np.int64)
-        for i, g in enumerate(self.gates):
-            out[i, 0] = _kernels.GATE_CODES[g.kind]
-            out[i, 1] = g.a
-            out[i, 2] = g.b
-        return out
+        """ASAP schedule length of the two-qubit gates."""
+        d = [0] * self.n
+        for kind, a, b in self.gates:
+            if kind in TWO_QUBIT:
+                d[a] = d[b] = max(d[a], d[b]) + 1
+        return max(d, default=0)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -168,14 +151,17 @@ def from_text(text: str) -> Circuit:
     gates: list[Gate] = []
     for no, ln in body:
         kind = ln.split()[0]
-        if kind in TWO_QUBIT:
-            a, b = _line_ints(no, ln, 2)
-            gates.append(cz(a, b) if kind == "CZ" else cnot(a, b))
-        elif kind in ONE_QUBIT:
-            (a,) = _line_ints(no, ln, 1)
-            gates.append(Gate(kind, a))
-        else:
+        if kind not in TWO_QUBIT and kind not in ONE_QUBIT:
             raise ValueError(f"line {no}: unknown gate line: {ln!r}")
+        qs = _line_ints(no, ln, 2 if kind in TWO_QUBIT else 1)
+        if not all(0 <= q < n for q in qs):
+            raise ValueError(f"line {no}: qubit out of range for {n} qubits in {ln!r}")
+        if len(set(qs)) < len(qs):
+            raise ValueError(f"line {no}: {kind} needs two distinct qubits in {ln!r}")
+        if kind in TWO_QUBIT:
+            gates.append(cz(*qs) if kind == "CZ" else cnot(*qs))
+        else:
+            gates.append(Gate(kind, qs[0]))
     return Circuit(n, gates, perm=perm)
 
 

@@ -22,26 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
 from .cnot import EXACT, synth_linear
 from .cz import CzSpec, synth_cz
-from .gf2 import BitMatrix, mat_inverse, mat_mul, rank_and_pivots, solve_right
-
-
-def _pack_rows(dense: np.ndarray, bits: int) -> np.ndarray:
-    words = (bits + 63) // 64
-    packed = np.packbits(dense, axis=-1, bitorder="little")
-    pad = words * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(dense.shape[:-1] + (words,))
-
-def _unpack_rows(words: np.ndarray, bits: int) -> np.ndarray:
-    flat = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(flat, axis=-1, bitorder="little")[..., :bits]
+from .gf2 import BitMatrix, _pack, _unpack, mat_inverse, mat_mul, rank_and_pivots, solve_right
 
 
 class CliffordTableau:
@@ -57,22 +41,51 @@ class CliffordTableau:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xd = np.zeros((n, 2 * n), dtype=np.uint8)
-        zd = np.zeros((n, 2 * n), dtype=np.uint8)
-        for q in range(n):
-            xd[q, q] = 1
-            zd[q, n + q] = 1
-        w = (2 * n + 63) // 64
-        return cls(n, _pack_rows(xd, 2 * n), _pack_rows(zd, 2 * n),
-                   np.zeros(w, dtype=np.uint64))
+        xd = np.eye(n, 2 * n, dtype=np.uint8)
+        zd = np.eye(n, 2 * n, k=n, dtype=np.uint8)
+        return cls(n, _pack(xd), _pack(zd), _pack(np.zeros(2 * n, dtype=np.uint8)))
 
     def copy(self) -> "CliffordTableau":
         return CliffordTableau(self.n, self.X.copy(), self.Z.copy(), self.ph.copy())
 
     def apply(self, c: Circuit) -> None:
+        """Append the circuit's gates to the tableau, in place."""
         if c.n != self.n:
             raise ValueError("qubit counts differ")
-        _kernels.tableau_run(c.encode(), self.X, self.Z, self.ph)
+        X, Z, ph = self.X, self.Z, self.ph
+        for kind, a, b in c.gates:
+            if kind == "CNOT":
+                xa = X[a]
+                za = Z[a]
+                ph ^= xa & Z[b] & ~(X[b] ^ za)
+                X[b] ^= xa
+                Z[a] ^= Z[b]
+            elif kind == "CZ":  # H(b) CNOT(a, b) H(b)
+                xa = X[a]
+                za = Z[a]
+                xb = X[b].copy()
+                zb = Z[b].copy()
+                ph ^= xb & zb
+                xb, zb = zb, xb
+                ph ^= xa & zb & ~(xb ^ za)
+                xb ^= xa
+                za ^= zb
+                ph ^= xb & zb
+                X[b] = zb
+                Z[b] = xb
+                Z[a] = za
+            elif kind == "H":
+                xa = X[a].copy()
+                ph ^= xa & Z[a]
+                X[a] = Z[a]
+                Z[a] = xa
+            elif kind == "P":
+                ph ^= X[a] & Z[a]
+                Z[a] ^= X[a]
+            elif kind == "X":
+                ph ^= Z[a]
+            else:  # Z
+                ph ^= X[a]
 
     def __eq__(self, other) -> bool:
         return (
@@ -87,18 +100,18 @@ class CliffordTableau:
         """(2n, 2n) symplectic matrix (rows act as (x|z)) and sign bits."""
         n = self.n
         s = np.empty((2 * n, 2 * n), dtype=np.uint8)
-        s[:, :n] = _unpack_rows(self.X, 2 * n).T
-        s[:, n:] = _unpack_rows(self.Z, 2 * n).T
-        return s, _unpack_rows(self.ph, 2 * n)
+        s[:, :n] = _unpack(self.X, 2 * n).T
+        s[:, n:] = _unpack(self.Z, 2 * n).T
+        return s, _unpack(self.ph, 2 * n)
 
     @classmethod
     def from_dense(cls, s: np.ndarray, phases: np.ndarray) -> "CliffordTableau":
         n = s.shape[0] // 2
         return cls(
             n,
-            _pack_rows(np.ascontiguousarray(s[:, :n].T), 2 * n),
-            _pack_rows(np.ascontiguousarray(s[:, n:].T), 2 * n),
-            _pack_rows(np.asarray(phases, dtype=np.uint8), 2 * n),
+            _pack(s[:, :n].T),
+            _pack(s[:, n:].T),
+            _pack(np.asarray(phases, dtype=np.uint8)),
         )
 
     def is_symplectic(self) -> bool:
@@ -362,7 +375,7 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     # leading X/Z masks flip row signs linearly; match them against the
     # sign-free recomposition
     t0 = tableau_of_circuit(recompose_layers(layers))
-    delta_ph = _unpack_rows(t.ph ^ t0.ph, 2 * n)
+    delta_ph = _unpack(t.ph ^ t0.ph, 2 * n)
     layers.z_mask = delta_ph[:n].astype(np.uint8)
     layers.x_mask = delta_ph[n:].astype(np.uint8)
     return layers

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bounds
 from .circuit import Circuit, Gate, cnot, h
-from .gf2 import BitMatrix, Permutation, lu_decompose, perm_to_transposition_layers
-from .patterns import M01Pattern, bipartite_edge_color, m01_parts
-from .circuit import cz as _cz
+from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers
+from .patterns import M01Pattern, bipartite_edge_color, m01_gates
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -56,13 +54,7 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     if not c.any():
         return []
     p = M01Pattern.from_dense(c)
-    r1, r2, classes = m01_parts(a, b, p)
-    via_cz: list[Gate] = [h(q) for q in a]
-    via_cz += r1.trees + r2.trees + r1.middle + r2.middle
-    via_cz += r1.uncompute + r2.uncompute
-    for cl in classes:
-        via_cz += [_cz(a[i], b[j]) for (i, j) in cl]
-    via_cz += [h(q) for q in a]
+    via_cz = [h(q) for q in a] + m01_gates(a, b, p) + [h(q) for q in a]
 
     n = max(max(a), max(b)) + 1
     d_direct = int(max(p.bits.sum(axis=0).max(), p.bits.sum(axis=1).max()))

@@ -12,8 +12,10 @@ instance size, the cheapest of three constructions:
 * ``twostep``   - two nested halvings whose correction rectangles share
   one pool of parity trees, then recurse on the four quarters.
 
-The realized two-qubit depth never exceeds the recursion table value for
-the register size.
+The cheapest is coloring for n <= 38 and two-step for every larger n, so
+one-step runs only when forced; it is the construction behind the
+cz-basic bound.  The realized two-qubit depth never exceeds the
+recursion table value for the register size.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import bounds
 from .circuit import Circuit, Gate, cz
 from .gf2 import BitMatrix
-from .patterns import M01Pattern, bipartite_edge_color, halve_weights
+from .patterns import M01Pattern, complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
 from .rectangles import tree_layers
 
 
@@ -111,10 +113,7 @@ def _coloring_classes(n: int) -> list[list[tuple[int, int]]]:
 
 def synth_cz_coloring(spec: CzSpec) -> Circuit:
     """Direct scheduling of the pattern pairs into matching layers."""
-    gates: list[Gate] = []
-    for cl in _coloring_classes(spec.n):
-        gates += [cz(i, j) for (i, j) in cl if spec.bits[i, j]]
-    return Circuit(spec.n, gates)
+    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.bits))
 
 
 def _coloring_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
@@ -144,8 +143,6 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[Gate]:
     Emitting round by round keeps the ASAP depth at max(|left|, |right|)
     instead of |left| + |right| - 1.
     """
-    from .patterns import complete_bipartite_rounds
-
     out: list[Gate] = []
     for rnd in complete_bipartite_rounds(len(left), len(right)):
         out += [cz(left[i], right[j]) for (i, j) in rnd]
@@ -153,27 +150,10 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[Gate]:
 
 
 def _onestep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
-    k = len(qubits)
-    h = (k + 1) // 2
-    a_idx, b_idx = list(range(h)), list(range(h, k))
-    hr = halve_weights(M01Pattern.from_dense(bits[:h, h:]))
-    in_a1 = set(hr.row_flips)
-    in_b1 = {h + j for j in hr.col_flips}
-    a1 = [qubits[i] for i in a_idx if i in in_a1]
-    a2 = [qubits[i] for i in a_idx if i not in in_a1]
-    b1 = [qubits[j] for j in b_idx if j in in_b1]
-    b2 = [qubits[j] for j in b_idx if j not in in_b1]
-
-    from .rectangles import RectangleParts, rectangle_parts
-
-    r1 = rectangle_parts(a1, b2) if a1 and b2 else RectangleParts()
-    r2 = rectangle_parts(a2, b1) if a2 and b1 else RectangleParts()
-    gates = r1.trees + r2.trees + r1.middle + r2.middle + r1.uncompute + r2.uncompute
-    cap = max(h // 2, (k - h) // 2)
-    for cl in bipartite_edge_color(hr.reduced, max_colors=cap if cap else None):
-        gates += [cz(qubits[i], qubits[h + j]) for (i, j) in cl]
-    gates += _synth_gates([qubits[i] for i in a_idx], bits[:h, :h])
-    gates += _synth_gates([qubits[j] for j in b_idx], bits[h:, h:])
+    h = (len(qubits) + 1) // 2
+    gates = m01_gates(qubits[:h], qubits[h:], M01Pattern.from_dense(bits[:h, h:]))
+    gates += _synth_gates(qubits[:h], bits[:h, :h])
+    gates += _synth_gates(qubits[h:], bits[h:, h:])
     return gates
 
 
@@ -232,14 +212,10 @@ def _twostep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
     gates += [Gate(g.kind, g.a, g.b) for g in reversed(trees)]
 
     # reduced patterns as colored matching layers on the actual qubits
-    cap1 = max(h // 2, m // 2)
-    for cl in bipartite_edge_color(hr1.reduced, max_colors=cap1 if cap1 else None):
-        gates += [cz(qubits[i], qubits[h + j]) for (i, j) in cl]
+    gates += cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2))
     cap2 = max(qa // 2, (h - qa) // 2, qb // 2, (m - qb) // 2)
-    for cl in bipartite_edge_color(hr2a.reduced, max_colors=cap2 if cap2 else None):
-        gates += [cz(qubits[i], qubits[qa + j]) for (i, j) in cl]
-    for cl in bipartite_edge_color(hr2b.reduced, max_colors=cap2 if cap2 else None):
-        gates += [cz(qubits[h + i], qubits[h + qb + j]) for (i, j) in cl]
+    gates += cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced, cap2)
+    gates += cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced, cap2)
 
     # recurse on the four quarters in parallel
     gates += _synth_gates(qubits[:qa], bits[:qa, :qa])

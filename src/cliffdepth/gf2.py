@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-
 WORD = 64
 
 
@@ -20,20 +18,17 @@ def _nwords(cols: int) -> int:
 
 
 def _pack(dense: np.ndarray) -> np.ndarray:
-    """Pack a (r, c) 0/1 array into (r, ceil(c/64)) uint64 words."""
-    r, c = dense.shape
-    w = _nwords(c)
-    padded = np.zeros((r, w * WORD), dtype=np.uint8)
-    padded[:, :c] = dense & 1
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(r, w)
+    """Pack 0/1 bits along the last axis into uint64 words, bit j at word j // 64."""
+    packed = np.packbits(dense, axis=-1, bitorder="little")
+    out = np.zeros(packed.shape[:-1] + (_nwords(dense.shape[-1]) * 8,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(np.uint64)
 
 
 def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
-    r, w = words.shape
-    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(r, w * 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :cols]
+    """Inverse of ``_pack``: the first ``cols`` bits of each word row."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :cols]
 
 
 class BitMatrix:
@@ -95,20 +90,6 @@ class BitMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, v: int) -> None:
-        bit = np.uint64(1) << np.uint64(j & 63)
-        if v:
-            self.words[i, j >> 6] |= bit
-        else:
-            self.words[i, j >> 6] &= ~bit
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j as a 0/1 uint8 vector."""
-        return ((self.words[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
-
     def to_dense(self) -> np.ndarray:
         return _unpack(self.words, self.cols)
 
@@ -140,10 +121,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
 
-    def is_symmetric(self) -> bool:
-        d = self.to_dense()
-        return self.rows == self.cols and bool(np.array_equal(d, d.T))
-
     def is_upper_triangular(self) -> bool:
         d = self.to_dense()
         return bool(np.array_equal(np.triu(d), d))
@@ -157,8 +134,16 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) matrix product."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    bt = b.transpose()
-    return BitMatrix.from_dense(_kernels.matmul_words(a.words, bt.words))
+    bt = b.transpose().words
+    r, c = a.rows, b.cols
+    out = np.empty((r, c), dtype=np.uint8)
+    # out[i, j] = parity of popcount(a row i & b column j); rows go in
+    # chunks so the (chunk, c, words) intermediate stays small
+    step = max(1, (1 << 22) // max(1, c * a.words.shape[1]))
+    for lo in range(0, r, step):
+        anded = a.words[lo: lo + step, None, :] & bt[None, :, :]
+        out[lo: lo + step] = np.bitwise_count(anded).sum(axis=2) & 1
+    return BitMatrix.from_dense(out)
 
 
 def mat_vec(a: BitMatrix, v: np.ndarray) -> np.ndarray:
@@ -236,10 +221,6 @@ class Permutation:
             raise ValueError("not a permutation")
         self.map = arr
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, dtype=np.int64))
-
     def __len__(self) -> int:
         return len(self.map)
 
@@ -251,18 +232,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.map, np.arange(len(self.map))))
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(len(self.map))
-        return Permutation(inv)
-
-    def matrix(self) -> BitMatrix:
-        """Q with Q[map[i], i] = 1, i.e. (Q x)[map[i]] = x[i]."""
-        n = len(self.map)
-        dense = np.zeros((n, n), dtype=np.uint8)
-        dense[self.map, np.arange(n)] = 1
-        return BitMatrix.from_dense(dense)
 
 
 def lu_decompose(r: BitMatrix) -> tuple[Permutation, BitMatrix, BitMatrix]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cz
-from .gf2 import BitMatrix
 from .rectangles import RectangleParts, check_qubit_set, rectangle_parts
 
 
@@ -29,10 +28,6 @@ class M01Pattern:
     def from_dense(cls, bits: np.ndarray) -> "M01Pattern":
         bits = np.asarray(bits, dtype=np.uint8) & 1
         return cls(bits.shape[0], bits.shape[1], bits)
-
-    @classmethod
-    def from_bitmatrix(cls, mat: BitMatrix) -> "M01Pattern":
-        return cls.from_dense(mat.to_dense())
 
     @classmethod
     def random(cls, rng: np.random.Generator, k: int, m: int) -> "M01Pattern":
@@ -151,20 +146,35 @@ def bipartite_edge_color(
     return [cl for cl in classes if cl]
 
 
-def m01_parts(
-    a: list[int], b: list[int], p: M01Pattern
-) -> tuple[RectangleParts, RectangleParts, list[list[tuple[int, int]]]]:
-    """Halve, and return the two correction rectangles plus color classes."""
+def cz_layers(
+    a: list[int], b: list[int], p: M01Pattern, cap: int | None = None
+) -> list[Gate]:
+    """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
+
+    A nonzero cap bounds the number of colors (see bipartite_edge_color).
+    """
+    classes = bipartite_edge_color(p, max_colors=cap or None)
+    return [cz(a[i], b[j]) for cl in classes for (i, j) in cl]
+
+
+def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
+    """Gates applying exactly the CZs marked in p between rows a and columns b.
+
+    Halve the weights, undo the flips with two rectangles (flipped rows x
+    unflipped columns and unflipped rows x flipped columns), then color
+    the reduced pattern.  The rectangles run side by side: both trees,
+    both middles, both uncomputes, then the colored CZ layers.
+    """
     hr = halve_weights(p)
+    flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
     a1 = [a[i] for i in hr.row_flips]
-    a2 = [q for i, q in enumerate(a) if i not in set(hr.row_flips)]
+    a2 = [q for i, q in enumerate(a) if i not in flip_a]
     b1 = [b[j] for j in hr.col_flips]
-    b2 = [q for j, q in enumerate(b) if j not in set(hr.col_flips)]
+    b2 = [q for j, q in enumerate(b) if j not in flip_b]
     r1 = rectangle_parts(a1, b2) if a1 and b2 else RectangleParts()
     r2 = rectangle_parts(a2, b1) if a2 and b1 else RectangleParts()
-    cap = max(p.m // 2, p.k // 2)
-    classes = bipartite_edge_color(hr.reduced, max_colors=cap if cap else None)
-    return r1, r2, classes
+    gates = r1.trees + r2.trees + r1.middle + r2.middle + r1.uncompute + r2.uncompute
+    return gates + cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))
 
 
 def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -> Circuit:
@@ -177,14 +187,7 @@ def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -
         raise ValueError("pattern dimensions do not match qubit sets")
     if n is None:
         n = max(max(a), max(b)) + 1
-    r1, r2, classes = m01_parts(a, b, p)
-    gates: list[Gate] = []
-    gates += r1.trees + r2.trees
-    gates += r1.middle + r2.middle
-    gates += r1.uncompute + r2.uncompute
-    for cl in classes:
-        gates += [cz(a[i], b[j]) for (i, j) in cl]
-    return Circuit(n, gates)
+    return Circuit(n, m01_gates(a, b, p))
 
 
 def complete_bipartite_rounds(s: int, t: int) -> list[list[tuple[int, int]]]:

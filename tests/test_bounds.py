@@ -12,6 +12,17 @@ def test_ceil_log2():
         assert bounds.ceil_log2(n) == math.ceil(math.log2(n))
     with pytest.raises(ValueError):
         bounds.ceil_log2(0)
+    # the array form agrees with the int form on 1..5000 and around every
+    # power of two up to N_MAX
+    n = np.arange(1, 5001, dtype=np.int64)
+    edges = [v for k in range(1, bounds.N_MAX.bit_length())
+             for v in (2 ** k - 1, 2 ** k, 2 ** k + 1) if 2 ** k <= bounds.N_MAX]
+    for arr in (n, np.array(edges, dtype=np.int64)):
+        got = bounds.ceil_log2(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == [bounds.ceil_log2(int(v)) for v in arr]
+    with pytest.raises(ValueError):
+        bounds.ceil_log2(np.array([4, 0], dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -70,11 +81,12 @@ def test_merge_saving_formula():
 
 
 def test_merge_saving_arr_agrees_with_scalar():
-    d = bounds.get_table(bounds.CZ)
-    n = np.arange(2, 5000, dtype=np.int64)
-    arr = bounds._merge_saving_arr(n, d)
-    for i in range(0, len(n), 37):
-        assert arr[i] == bounds.merge_saving(int(n[i]))
+    # the Clifford table takes its merge saving from the cached argmin array
+    dcz = bounds.get_table(bounds.CZ)
+    dcx = bounds.get_table(bounds.CNOT)
+    dcl = bounds.get_table(bounds.CLIFFORD)
+    for n in range(2, 5000, 37):
+        assert dcl[n] == 2 * dcz[n] + 2 * dcx[n] + 6 - bounds.merge_saving(n)
 
 
 def test_clifford_table_composition():

@@ -175,6 +175,8 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, whe
     ("qubits 2\n\nCNOT 0 one\n", "line 3"),
     ("qubits\nH 0\n", "line 1"),
     ("qubits 2\nperm 0 99999999999999999999\n", "line 2"),
+    ("qubits 2\nH 0\nCZ 0 5\n", "line 3"),
+    ("qubits 2\nCNOT 1 1\n", "line 2"),
 ])
 def test_malformed_circuit_is_usage_error(capsys, tmp_path, text, where):
     mat = tmp_path / "m.mat"

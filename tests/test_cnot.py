@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffdepth import bounds
-from cliffdepth.circuit import Circuit, cnot, cz, h
+from cliffdepth.circuit import Circuit, cnot, h
 from cliffdepth.cnot import (
     EXACT,
     REORDER,
@@ -15,7 +15,7 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import M01Pattern, bipartite_edge_color, m01_parts
+from cliffdepth.patterns import M01Pattern, bipartite_edge_color, m01_gates
 from cliffdepth.verify import linear_action
 
 blocks = st.integers(1, 24).flatmap(
@@ -51,11 +51,7 @@ def test_block_add_keeps_measured_shallower_candidate():
             assert _block_add_gates(a, b, c) == []
             continue
         direct = direct_gates(a, b, c)
-        r1, r2, classes = m01_parts(a, b, M01Pattern.from_dense(c))
-        via_cz = [h(q) for q in a] + r1.trees + r2.trees + r1.middle + r2.middle
-        via_cz += r1.uncompute + r2.uncompute
-        via_cz += [cz(a[i], b[j]) for cl in classes for (i, j) in cl]
-        via_cz += [h(q) for q in a]
+        via_cz = [h(q) for q in a] + m01_gates(a, b, M01Pattern.from_dense(c)) + [h(q) for q in a]
         d_direct = Circuit(k + m, direct).two_qubit_depth()
         d_via = Circuit(k + m, via_cz).two_qubit_depth()
         kept.add("direct" if d_direct <= d_via else "via_cz")

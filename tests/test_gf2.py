@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cliffdepth
 from cliffdepth.gf2 import (
     BitMatrix,
     Permutation,
@@ -11,6 +12,8 @@ from cliffdepth.gf2 import (
     mat_vec,
     perm_to_transposition_layers,
     random_invertible,
+    _pack,
+    _unpack,
     random_matrix,
     rank_and_pivots,
     solve_right,
@@ -28,6 +31,17 @@ def test_pack_roundtrip():
         c = int(rng.integers(1, 200))
         d = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
         assert np.array_equal(BitMatrix.from_dense(d).to_dense(), d)
+    # vectors (tableau phase columns) pack with bit j at bit j % 64 of word j // 64
+    for c in (1, 63, 64, 65, 130):
+        v = rng.integers(0, 2, size=c, dtype=np.uint8)
+        words = _pack(v)
+        assert words.shape == ((c + 63) // 64,)
+        assert [int(words[j // 64]) >> (j % 64) & 1 for j in range(c)] == v.tolist()
+        assert np.array_equal(_unpack(words, c), v)
+
+
+def test_active_backend_is_numpy():
+    assert cliffdepth.active_backend() == "numpy"
 
 
 def test_text_roundtrip():
@@ -190,15 +204,6 @@ def test_perm_transposition_layers():
         for pos, val in enumerate(wires):
             ends[val] = pos
         assert ends == list(p.map)
-
-
-def test_permutation_matrix():
-    p = Permutation([2, 0, 1])
-    q = p.matrix().to_dense()
-    for i in range(3):
-        v = np.zeros(3, dtype=np.uint8)
-        v[i] = 1
-        assert np.argmax(dense_mul(q, v.reshape(-1, 1)).ravel()) == p.map[i]
 
 
 def test_permutation_validation():

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cliffdepth import bounds
 from cliffdepth.circuit import to_text
 from cliffdepth.clifford import random_tableau, synth_clifford
 from cliffdepth.cnot import EXACT, REORDER, synth_linear
@@ -65,3 +66,34 @@ def test_edge_color_classes_golden():
         h.update(repr(bipartite_edge_color(M01Pattern.from_dense(bits))).encode())
     assert h.hexdigest() == (
         "715a712daa313a89e7e38687057ebbefb09271515905f76de12799c0629b956a")
+
+
+@pytest.mark.parametrize("family, digest", [
+    (bounds.CZ, "657e11f0bb4be7e23debbe36fe3976fa5cf4a21164807d1386b2ef647099508f"),
+    (bounds.CZ_BASIC, "d5d847fd4522126e2d80fc3f24b8a13782f6485166fa80edca6dd9625f5d8552"),
+    (bounds.CNOT, "f040dc9c08584eda7939ac24daa154670c392bb7b8b65ca3a6d6b6944c5b0600"),
+    (bounds.CNOT_FIRST, "6fa51c52d99bff24ed063cbceefb51e38b0f7fa3c612e39c2a34ab3318767493"),
+    (bounds.CLIFFORD, "8fd4dac3cdfb90eaeeec8fe5d2b23525d1fee6e49cc868bb648830b9b580eb69"),
+])
+def test_depth_table_golden(family, digest):
+    """Each depth table over 0..N_MAX, as little-endian int64 bytes.
+
+    Recorded from the per-backend fills that preceded the single shared
+    branch expression.
+    """
+    t = np.asarray(bounds.get_table(family)[:bounds.N_MAX + 1], dtype="<i8")
+    assert hashlib.sha256(t.tobytes()).hexdigest() == digest
+
+
+def test_cz_auto_choice_by_size():
+    """The automatic CZ branch: coloring on 4..38, two-step from 39 on.
+
+    One-step is never the argmin; it runs only when forced
+    (``synth_cz(spec, strategy="onestep")``, the cz-basic construction).
+    """
+    argmin = bounds.cz_argmin()
+    assert len(argmin) == bounds.N_MAX + 1
+    assert (argmin[4:39] == bounds.BRANCHES.index(bounds.COLORING)).all()
+    assert (argmin[39:] == bounds.BRANCHES.index(bounds.TWOSTEP)).all()
+    for n in (4, 38, 39, 40, 1000, bounds.N_MAX):
+        assert bounds.cz_choice(n) == (bounds.COLORING if n <= 38 else bounds.TWOSTEP)
