@@ -147,6 +147,8 @@ def from_text(text: str) -> Circuit:
             perm = Permutation(_line_ints(no, ln))
         except (ValueError, OverflowError) as e:
             raise ValueError(f"line {no}: {e}") from None
+        if len(perm) != n:
+            raise ValueError(f"line {no}: perm has {len(perm)} entries for {n} qubits")
         body = body[1:]
     gates: list[Gate] = []
     for no, ln in body:

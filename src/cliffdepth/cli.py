@@ -45,37 +45,29 @@ def _report(args, n: int, depth: int, bound: int, family: str, verified: bool) -
               f"verified={'yes' if verified else 'no'}")
 
 
-def _cz_bound(n: int) -> int:
-    if bounds.CZ_BOUND.lo <= n <= bounds.CZ_BOUND.hi:
-        return bounds.CZ_BOUND.value(n)
-    return bounds.cz_depth_recursion(n) if n >= 1 else 0
+def _bound(family: str, n: int) -> int:
+    """The family's closed form inside its range, else the construction depth."""
+    formula = bounds.FORMULAS[family]
+    if formula.lo <= n <= formula.hi:
+        return formula.value(n)
+    return int(bounds.construction_depth(family, n)[n])
 
 
-def _cnot_bound(n: int, mode: str) -> int:
-    base = 2 * bounds.cnot_depth_recursion(n) + 6 if n >= 1 else 0
-    if mode == EXACT and bounds.CNOT_EXACT_BOUND.lo <= n <= bounds.CNOT_EXACT_BOUND.hi:
-        base = bounds.CNOT_EXACT_BOUND.value(n)
-    if mode == REORDER:
-        base -= 6
-    return base
-
-
-def _clifford_bound(n: int) -> int:
-    if bounds.CLIFFORD_BOUND.lo <= n <= bounds.CLIFFORD_BOUND.hi:
-        return bounds.CLIFFORD_BOUND.value(n)
-    return int(bounds.get_table(bounds.CLIFFORD)[n]) if n >= 1 else 0
+def _cz_tableau(spec: CzSpec) -> CliffordTableau:
+    """Tableau of the CZ pattern: X_i -> X_i times Z of its partners, Z fixed, signs +."""
+    n = spec.n
+    s = np.eye(2 * n, dtype=np.uint8)
+    s[:n, n:] = spec.bits
+    return CliffordTableau.from_dense(s, np.zeros(2 * n, dtype=np.uint8))
 
 
 def _cmd_synth_cz(args) -> int:
     spec = CzSpec.from_bitmatrix(BitMatrix.from_text(open(args.input).read()))
     circ = synth_cz(spec, strategy=args.strategy)
     _emit_circuit(circ, args.out, args.format)
-    from .circuit import cz as cz_gate
-
-    literal = Circuit(spec.n, [cz_gate(i, j) for (i, j) in spec.pairs()])
-    verified = tableaux_equal(tableau_of_circuit(circ), tableau_of_circuit(literal))
+    verified = tableaux_equal(tableau_of_circuit(circ), _cz_tableau(spec))
     depth = circ.two_qubit_depth()
-    bound = _cz_bound(spec.n)
+    bound = _bound(bounds.CZ, spec.n)
     _report(args, spec.n, depth, bound, "cz", verified)
     return 0 if verified and depth <= bound else 1
 
@@ -98,7 +90,10 @@ def _cmd_synth_cnot(args) -> int:
     else:
         verified = bool(np.array_equal(act, want))
     depth = circ.two_qubit_depth()
-    bound = _cnot_bound(r.rows, mode)
+    if mode == EXACT:
+        bound = _bound(bounds.CNOT, r.rows)
+    else:  # the exact construction without its depth-6 reordering stage
+        bound = 2 * bounds.cnot_depth_recursion(r.rows)
     _report(args, r.rows, depth, bound, "cnot", verified)
     return 0 if verified and depth <= bound else 1
 
@@ -109,7 +104,7 @@ def _cmd_synth_clifford(args) -> int:
     _emit_circuit(circ, args.out, args.format)
     verified = tableaux_equal(tableau_of_circuit(circ), t)
     depth = circ.two_qubit_depth()
-    bound = _clifford_bound(t.n)
+    bound = _bound(bounds.CLIFFORD, t.n)
     _report(args, t.n, depth, bound, "clifford", verified)
     return 0 if verified and depth <= bound else 1
 
@@ -145,10 +140,7 @@ def _cmd_verify(args) -> int:
             if oracle == "phase" or (oracle == "auto" and spec.n <= 12):
                 ok = bool(np.array_equal(phase_oracle(circ), cz_pattern_phases(spec.bits)))
             else:
-                from .circuit import cz as cz_gate
-
-                literal = Circuit(spec.n, [cz_gate(i, j) for (i, j) in spec.pairs()])
-                ok = tableaux_equal(tableau_of_circuit(circ), tableau_of_circuit(literal))
+                ok = tableaux_equal(tableau_of_circuit(circ), _cz_tableau(spec))
     else:
         other = from_text(against)
         if oracle == "phase":
@@ -186,6 +178,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "cz":
         text = CzSpec.random(rng, args.n).to_bitmatrix().to_text()

@@ -25,28 +25,35 @@ import numpy as np
 from .circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
 from .cnot import EXACT, synth_linear
 from .cz import CzSpec, synth_cz
-from .gf2 import BitMatrix, _pack, _unpack, mat_inverse, mat_mul, rank_and_pivots, solve_right
+from .gf2 import (
+    BitMatrix, _ints_to_words, _pack, _unpack, _words_to_ints, mat_inverse, mat_mul,
+    rank_and_pivots, solve_right,
+)
 
 
 class CliffordTableau:
-    """Packed conjugation tableau (column-major: one bit row per qubit)."""
+    """Conjugation tableau stored as bit columns, one Python int per qubit.
+
+    Bit r of ``X[q]`` (``Z[q]``) is the x (z) bit of qubit q in tableau
+    row r, for the 2n rows; bit r of ``ph`` is the sign of row r.  A gate
+    updates every row at once with a few int operations (the rules of
+    Aaronson and Gottesman, arXiv:quant-ph/0406196).
+    """
 
     __slots__ = ("n", "X", "Z", "ph")
 
-    def __init__(self, n: int, X: np.ndarray, Z: np.ndarray, ph: np.ndarray):
+    def __init__(self, n: int, X: list[int], Z: list[int], ph: int):
         self.n = n
-        self.X = X    # (n, w) uint64; bit r of X[q] = x_q of tableau row r
+        self.X = X
         self.Z = Z
-        self.ph = ph  # (w,) uint64; bit r = sign of row r
+        self.ph = ph
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xd = np.eye(n, 2 * n, dtype=np.uint8)
-        zd = np.eye(n, 2 * n, k=n, dtype=np.uint8)
-        return cls(n, _pack(xd), _pack(zd), _pack(np.zeros(2 * n, dtype=np.uint8)))
+        return cls(n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)], 0)
 
     def copy(self) -> "CliffordTableau":
-        return CliffordTableau(self.n, self.X.copy(), self.Z.copy(), self.ph.copy())
+        return CliffordTableau(self.n, list(self.X), list(self.Z), self.ph)
 
     def apply(self, c: Circuit) -> None:
         """Append the circuit's gates to the tableau, in place."""
@@ -55,30 +62,16 @@ class CliffordTableau:
         X, Z, ph = self.X, self.Z, self.ph
         for kind, a, b in c.gates:
             if kind == "CNOT":
-                xa = X[a]
-                za = Z[a]
-                ph ^= xa & Z[b] & ~(X[b] ^ za)
-                X[b] ^= xa
+                ph ^= X[a] & Z[b] & ~(X[b] ^ Z[a])
+                X[b] ^= X[a]
                 Z[a] ^= Z[b]
-            elif kind == "CZ":  # H(b) CNOT(a, b) H(b)
-                xa = X[a]
-                za = Z[a]
-                xb = X[b].copy()
-                zb = Z[b].copy()
-                ph ^= xb & zb
-                xb, zb = zb, xb
-                ph ^= xa & zb & ~(xb ^ za)
-                xb ^= xa
-                za ^= zb
-                ph ^= xb & zb
-                X[b] = zb
-                Z[b] = xb
-                Z[a] = za
+            elif kind == "CZ":
+                ph ^= X[a] & X[b] & (Z[a] ^ Z[b])
+                Z[a] ^= X[b]
+                Z[b] ^= X[a]
             elif kind == "H":
-                xa = X[a].copy()
-                ph ^= xa & Z[a]
-                X[a] = Z[a]
-                Z[a] = xa
+                ph ^= X[a] & Z[a]
+                X[a], Z[a] = Z[a], X[a]
             elif kind == "P":
                 ph ^= X[a] & Z[a]
                 Z[a] ^= X[a]
@@ -86,33 +79,28 @@ class CliffordTableau:
                 ph ^= Z[a]
             else:  # Z
                 ph ^= X[a]
+        self.ph = ph
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CliffordTableau)
             and self.n == other.n
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.Z, other.Z)
-            and np.array_equal(self.ph, other.ph)
+            and self.X == other.X
+            and self.Z == other.Z
+            and self.ph == other.ph
         )
 
     def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(2n, 2n) symplectic matrix (rows act as (x|z)) and sign bits."""
         n = self.n
-        s = np.empty((2 * n, 2 * n), dtype=np.uint8)
-        s[:, :n] = _unpack(self.X, 2 * n).T
-        s[:, n:] = _unpack(self.Z, 2 * n).T
-        return s, _unpack(self.ph, 2 * n)
+        cols = _unpack(_ints_to_words(self.X + self.Z + [self.ph], 2 * n), 2 * n)
+        return np.ascontiguousarray(cols[:-1].T), cols[-1]
 
     @classmethod
     def from_dense(cls, s: np.ndarray, phases: np.ndarray) -> "CliffordTableau":
         n = s.shape[0] // 2
-        return cls(
-            n,
-            _pack(s[:, :n].T),
-            _pack(s[:, n:].T),
-            _pack(np.asarray(phases, dtype=np.uint8)),
-        )
+        cols = _words_to_ints(_pack(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])))
+        return cls(n, cols[:n], cols[n: 2 * n], cols[2 * n])
 
     def is_symplectic(self) -> bool:
         s, _ = self.to_dense()
@@ -375,7 +363,7 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     # leading X/Z masks flip row signs linearly; match them against the
     # sign-free recomposition
     t0 = tableau_of_circuit(recompose_layers(layers))
-    delta_ph = _unpack(t.ph ^ t0.ph, 2 * n)
+    delta_ph = _unpack(_ints_to_words([t.ph ^ t0.ph], 2 * n), 2 * n)[0]
     layers.z_mask = delta_ph[:n].astype(np.uint8)
     layers.x_mask = delta_ph[n:].astype(np.uint8)
     return layers

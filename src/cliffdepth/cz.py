@@ -209,7 +209,7 @@ def _twostep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
                                live(side, 0, (3,)) + live(side, 1, (3,)))
         gates += _bipartite_cz(live(side, 0, (1,)) + live(side, 1, (1,)),
                                live(side, 0, (2,)) + live(side, 1, (2,)))
-    gates += [Gate(g.kind, g.a, g.b) for g in reversed(trees)]
+    gates += reversed(trees)
 
     # reduced patterns as colored matching layers on the actual qubits
     gates += cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2))

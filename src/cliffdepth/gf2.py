@@ -31,6 +31,19 @@ def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :cols]
 
 
+def _words_to_ints(words: np.ndarray) -> list[int]:
+    """Each row of packed words as one Python int: bit j of the row is bit j."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return [int.from_bytes(row.tobytes(), "little") for row in as_bytes]
+
+
+def _ints_to_words(ints: list[int], cols: int) -> np.ndarray:
+    """Inverse of ``_words_to_ints``: (len(ints), words) packed rows of ``cols`` bits."""
+    size = _nwords(cols) * 8
+    buf = b"".join(v.to_bytes(size, "little") for v in ints)
+    return np.frombuffer(buf, dtype=np.uint64).reshape(len(ints), size // 8).copy()
+
+
 class BitMatrix:
     """Dense matrix over GF(2), rows packed into machine words."""
 
@@ -53,10 +66,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        return m
+        return cls(n, n, _ints_to_words([1 << i for i in range(n)], n))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":

@@ -90,7 +90,7 @@ def rectangle_parts(a: list[int], b: list[int]) -> RectangleParts:
         tree_gates += [cnot(c, t) for layer in lb[:-1] for (c, t) in layer]
         parts.trees = tree_gates
         parts.middle = [cz(ua, rb), cz(ra, ub), cz(ua, ub), cz(ra, rb)]
-        parts.uncompute = [Gate(g.kind, g.a, g.b) for g in reversed(tree_gates)]
+        parts.uncompute = list(reversed(tree_gates))
     else:
         if da < db:
             a, b = b, a
@@ -104,7 +104,7 @@ def rectangle_parts(a: list[int], b: list[int]) -> RectangleParts:
         tree_gates += [cnot(c, t) for layer in lb for (c, t) in layer]
         parts.trees = tree_gates
         parts.middle = [cz(u, r_shallow), cz(r_deep, r_shallow)]
-        parts.uncompute = [Gate(g.kind, g.a, g.b) for g in reversed(tree_gates)]
+        parts.uncompute = list(reversed(tree_gates))
     return parts
 
 

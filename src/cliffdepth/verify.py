@@ -1,10 +1,11 @@
 """Independent correctness oracles.
 
 These deliberately avoid the synthesis code paths: the linear oracle
-replays gates on an identity matrix, the phase oracle tracks the diagonal
-action over all basis labels, and tableau equality compares packed
-simulator state.  Convention used throughout: circuits act left to right,
-so linear_action(compose(a, b)) == linear_action(b) @ linear_action(a).
+replays gates on the rows of an identity matrix, kept as Python ints, the
+phase oracle tracks the diagonal action over all basis labels, and
+tableau equality compares the simulator's bit columns.  Convention used
+throughout: circuits act left to right, so
+linear_action(compose(a, b)) == linear_action(b) @ linear_action(a).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _ints_to_words
 
 
 def linear_action(c: Circuit) -> BitMatrix:
@@ -23,33 +24,33 @@ def linear_action(c: Circuit) -> BitMatrix:
     one conjugated end is a CNOT targeting that end, and a CNOT with both
     ends conjugated acts flipped.  All H parities must cancel by the end.
     """
-    m = BitMatrix.identity(c.n)
+    rows = [1 << i for i in range(c.n)]  # bit j of rows[i] = R[i, j]
     par = [0] * c.n
-    for g in c.gates:
-        if g.kind == "H":
-            par[g.a] ^= 1
-        elif g.kind == "CNOT":
-            pa, pb = par[g.a], par[g.b]
+    for kind, a, b in c.gates:
+        if kind == "H":
+            par[a] ^= 1
+        elif kind == "CNOT":
+            pa, pb = par[a], par[b]
             if pa and pb:
-                m.words[g.a] ^= m.words[g.b]
+                rows[a] ^= rows[b]
             elif not pa and not pb:
-                m.words[g.b] ^= m.words[g.a]
+                rows[b] ^= rows[a]
             else:
                 raise ValueError("CNOT with one conjugated end is not linear")
-        elif g.kind == "CZ":
-            pa, pb = par[g.a], par[g.b]
+        elif kind == "CZ":
+            pa, pb = par[a], par[b]
             if pa ^ pb:
                 if pa:
-                    m.words[g.a] ^= m.words[g.b]
+                    rows[a] ^= rows[b]
                 else:
-                    m.words[g.b] ^= m.words[g.a]
+                    rows[b] ^= rows[a]
             else:
                 raise ValueError("CZ without exactly one conjugated end is not linear")
         else:
-            raise ValueError(f"linear oracle cannot handle {g.kind} gate")
+            raise ValueError(f"linear oracle cannot handle {kind} gate")
     if any(par):
         raise ValueError("unmatched H gates; circuit is not linear")
-    return m
+    return BitMatrix(c.n, c.n, _ints_to_words(rows, c.n))
 
 
 def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:

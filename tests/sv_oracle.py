@@ -1,7 +1,7 @@
 """Brute-force statevector checks for small circuits (test helper).
 
 Builds the full 2^n unitary and conjugates Pauli generators explicitly,
-so it shares no code with the packed tableau simulator.
+so it shares no code with the bit-column tableau simulator.
 """
 
 import numpy as np

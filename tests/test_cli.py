@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdepth.circuit import from_text
-from cliffdepth.cli import main
-from cliffdepth.clifford import CliffordTableau
+from cliffdepth.circuit import Circuit, cz, from_text
+from cliffdepth.cli import _cz_tableau, main
+from cliffdepth.clifford import CliffordTableau, tableau_of_circuit
+from cliffdepth.cz import CzSpec
 from cliffdepth.gf2 import BitMatrix
 
 
@@ -31,6 +32,26 @@ def test_gen_is_deterministic(capsys, tmp_path):
     c = gen(capsys, tmp_path, "cz", 10, 8, "c.mat")
     assert a.read_text() == b.read_text()
     assert a.read_text() != c.read_text()
+
+
+@pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_gen_rejects_nonpositive_n(capsys, tmp_path, kind, n):
+    path = tmp_path / "out.txt"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--n", str(n), "--seed", "1",
+                       "--out", str(path))
+    assert code == 2
+    assert "--n" in err
+    assert not path.exists()
+
+
+def test_cz_tableau_is_literal_circuit_tableau():
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 5, 31, 33, 40):
+        u = np.triu(rng.random((n, n)) < rng.random(), 1).astype(np.uint8)
+        spec = CzSpec(n, u | u.T)
+        literal = Circuit(n, [cz(i, j) for (i, j) in spec.pairs()])
+        assert _cz_tableau(spec) == tableau_of_circuit(literal)
 
 
 def test_synth_cz_roundtrip(capsys, tmp_path):
@@ -177,6 +198,7 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, whe
     ("qubits 2\nperm 0 99999999999999999999\n", "line 2"),
     ("qubits 2\nH 0\nCZ 0 5\n", "line 3"),
     ("qubits 2\nCNOT 1 1\n", "line 2"),
+    ("qubits 3\nperm 0 1\nCZ 0 1\n", "line 2"),
 ])
 def test_malformed_circuit_is_usage_error(capsys, tmp_path, text, where):
     mat = tmp_path / "m.mat"

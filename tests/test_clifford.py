@@ -41,6 +41,29 @@ def test_random_circuit_tableaus_match_unitaries():
         assert tableau_matches_unitary(tableau_of_circuit(c), c)
 
 
+def test_cz_rule_matches_h_cnot_h():
+    """CZ(a, b) acts on any tableau as H(b) CNOT(a, b) H(b)."""
+    rng = np.random.default_rng(46)
+    for n in (2, 3, 31, 33, 64, 70):
+        t = random_tableau(rng, n)
+        for _ in range(20):
+            a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+            direct, emulated = t.copy(), t.copy()
+            direct.apply(Circuit(n, [cz(a, b)]))
+            emulated.apply(Circuit(n, [h(b), cnot(a, b), h(b)]))
+            assert direct == emulated
+            t = direct
+
+
+def test_copy_is_independent():
+    t = random_tableau(np.random.default_rng(47), 5)
+    before = t.to_text()
+    u = t.copy()
+    u.apply(Circuit(5, [h(0), cnot(0, 1), cz(2, 3), p(4), x(1), z(2)]))
+    assert t.to_text() == before
+    assert u != t
+
+
 def test_text_roundtrip():
     rng = np.random.default_rng(41)
     for n in (1, 3, 7, 20):

@@ -15,7 +15,9 @@ import pytest
 
 from cliffdepth import bounds
 from cliffdepth.circuit import to_text
-from cliffdepth.clifford import random_tableau, synth_clifford
+from cliffdepth.clifford import (
+    random_clifford_circuit, random_tableau, synth_clifford, tableau_of_circuit,
+)
 from cliffdepth.cnot import EXACT, REORDER, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
 from cliffdepth.gf2 import random_invertible
@@ -53,6 +55,20 @@ def test_synth_clifford_golden():
     t = random_tableau(np.random.default_rng(31), 32)
     assert sha(to_text(synth_clifford(t))) == (
         "64fd216730ded625a8eac22ca11005871e601b00fcbbd9e5f0dbed5675b4a922")
+
+
+# 2n crosses the 64-bit word boundary between n = 31 and n = 33; the
+# hashes were recorded with the packed-word simulator.
+@pytest.mark.parametrize("n, digest", [
+    (1, "e30d2485705825dcd5ce0de71e0df226300d1d407b90bb38db796df414d46d48"),
+    (31, "e7d84c05dd1c0690c0334f4f00cc0054be9676cc0acf234a6efe843c81f137dd"),
+    (32, "fdbff61482a892c645aef5a468c50023993081a074df009696d7691ef1ab5f57"),
+    (33, "f0cd5b14e5adbfb3a8be9722f24c5c2f01ceea4f2b54173f9fb456ae3236141e"),
+    (65, "7215a28367b81b467dc506279168bb8e405066f59fc1939634d622b126ba1578"),
+])
+def test_tableau_of_circuit_golden(n, digest):
+    c = random_clifford_circuit(np.random.default_rng(1000 + n), n)
+    assert sha(tableau_of_circuit(c).to_text()) == digest
 
 
 def test_edge_color_classes_golden():
