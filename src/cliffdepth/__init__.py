@@ -23,7 +23,6 @@ from .clifford import (
     random_tableau,
     synth_clifford,
     tableau_of_circuit,
-    tableau_product,
 )
 from .cnot import remove_hadamards, synth_linear, synth_triangular
 from .cz import CzSpec, synth_cz, synth_cz_coloring
@@ -52,8 +51,8 @@ __all__ = [
     "prior_art_bound", "random_invertible", "random_tableau",
     "remove_hadamards", "synth_cz", "synth_cz_coloring", "synth_clifford",
     "synth_linear", "synth_m01", "synth_rectangle", "synth_triangular",
-    "tableau_of_circuit", "tableau_product", "tableaux_equal", "to_qasm2",
-    "to_text", "validate_closed_form",
+    "tableau_of_circuit", "tableaux_equal", "to_qasm2", "to_text",
+    "validate_closed_form",
     "CZ_BOUND", "CZ_BASIC_BOUND", "CNOT_EXACT_BOUND", "CNOT_REORDER_BOUND",
     "CLIFFORD_BOUND",
 ]

@@ -11,9 +11,12 @@ Every tableau factors as the layer sequence
     -X-Z-P-CX-CZ-H-CZ-H-P-
 
 where the CX stage is a CNOT circuit, the CZ stages are pure CZ patterns
-and the remaining stages are single-qubit masks.  Synthesis plugs the
-depth-optimized CZ/CNOT synthesizers into these layers and folds the
-leading parity trees of the first CZ stage into the CX stage.
+and the remaining stages are single-qubit masks.  The decomposition finds
+the layers by peeling them off all 2n rows, signs included, so the signs
+left at the end are the X/Z masks; it never simulates a circuit.
+Synthesis plugs the depth-optimized CZ/CNOT synthesizers into these
+layers and folds the leading parity trees of the first CZ stage into the
+CX stage.
 """
 
 from __future__ import annotations
@@ -105,11 +108,9 @@ class CliffordTableau:
     def is_symplectic(self) -> bool:
         s, _ = self.to_dense()
         n = self.n
-        omega = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        omega[:n, n:] = np.eye(n, dtype=np.uint8)
-        omega[n:, :n] = np.eye(n, dtype=np.uint8)
-        sm = BitMatrix.from_dense(s)
-        prod = mat_mul(mat_mul(sm, BitMatrix.from_dense(omega)), sm.transpose())
+        # s Omega s^T must be Omega; s Omega is s with its x and z halves swapped
+        omega = np.roll(np.eye(2 * n, dtype=np.uint8), n, axis=1)
+        prod = mat_mul(BitMatrix.from_dense(np.roll(s, n, axis=1)), BitMatrix.from_dense(s.T))
         return np.array_equal(prod.to_dense(), omega)
 
     def to_text(self) -> str:
@@ -173,64 +174,6 @@ def random_clifford_circuit(rng: np.random.Generator, n: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Pauli row products (for the tableau homomorphism property)
-# ---------------------------------------------------------------------------
-
-# i-exponent of the single-qubit product P1 * P2, encoding I=(0,0), X=(1,0),
-# Z=(0,1), Y=(1,1)
-_PHASE = {
-    ((1, 0), (0, 1)): 3, ((0, 1), (1, 0)): 1,
-    ((1, 0), (1, 1)): 1, ((1, 1), (1, 0)): 3,
-    ((0, 1), (1, 1)): 3, ((1, 1), (0, 1)): 1,
-}
-
-
-def _pauli_mul(p1, p2):
-    x1, z1, e1 = p1
-    x2, z2, e2 = p2
-    e = e1 + e2
-    for q in range(len(x1)):
-        e += _PHASE.get(((int(x1[q]), int(z1[q])), (int(x2[q]), int(z2[q]))), 0)
-    return x1 ^ x2, z1 ^ z2, e % 4
-
-
-def tableau_product(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
-    """Tableau of (circuit of a, then circuit of b), computed row-wise.
-
-    Each row of a is a Pauli; its image under b is the phase-tracked
-    product of b's generator images selected by the row's bits.
-    """
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    n = a.n
-    sa, pa = a.to_dense()
-    sb, pb = b.to_dense()
-    out = np.empty_like(sa)
-    out_ph = np.empty(2 * n, dtype=np.uint8)
-    rows = [(sb[r, :n], sb[r, n:], 2 * int(pb[r])) for r in range(2 * n)]
-    zero = np.zeros(n, dtype=np.uint8)
-    for r in range(2 * n):
-        acc = (zero, zero, 0)
-        for q in range(n):
-            xq, zq = int(sa[r, q]), int(sa[r, n + q])
-            if xq and zq:
-                tmp = _pauli_mul(rows[q], rows[n + q])
-                tmp = (tmp[0], tmp[1], (tmp[2] + 1) % 4)  # Y = i X Z
-                acc = _pauli_mul(acc, tmp)
-            elif xq:
-                acc = _pauli_mul(acc, rows[q])
-            elif zq:
-                acc = _pauli_mul(acc, rows[n + q])
-        e = (acc[2] + 2 * int(pa[r])) % 4
-        if e % 2:
-            raise ValueError("non-Hermitian row product; invalid tableau")
-        out[r, :n] = acc[0]
-        out[r, n:] = acc[1]
-        out_ph[r] = e // 2
-    return CliffordTableau.from_dense(out, out_ph)
-
-
-# ---------------------------------------------------------------------------
 # layered decomposition
 # ---------------------------------------------------------------------------
 
@@ -249,10 +192,6 @@ class CliffordLayers:
     p2_mask: np.ndarray
 
 
-def _dense_inv(m: np.ndarray) -> np.ndarray:
-    return mat_inverse(BitMatrix.from_dense(m)).to_dense()
-
-
 def _dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b)).to_dense()
 
@@ -264,14 +203,16 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     the Hadamard set E2 so that mixing columns of C and D along E2 gives
     an invertible matrix X2; the quotient Theta = X2^{-1} Z2 is symmetric
     and supplies the second CZ pattern and final P mask.  Peeling those
-    layers off the right of the full symplectic matrix leaves a CNOT
-    stage times an upper-unipotent factor, which the first CZ/P layers
-    absorb.  Signs are matched last with leading X/Z masks.
+    layers and H1 off every row, each kept as i^e X^x Z^z, leaves (0|K)
+    at the bottom, so K^{-1} is the CX stage, and (K^{-T}|T) at the top,
+    where K^T T fixes the first P mask and CZ pattern.  Peeling those too
+    must leave the identity bits; the signs left over are the leading Z
+    mask (top rows) and X mask (bottom rows).
     """
     if not t.is_symplectic():
         raise ValueError("tableau is not symplectic")
     n = t.n
-    s, _ = t.to_dense()
+    s, ph = t.to_dense()
     c = s[n:, :n]
     d = s[n:, n:]
 
@@ -309,49 +250,43 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     e1[cancel] = False
     e2[cancel] = False
 
-    # peel P2, H2, CZ2, H1 off the bottom rows; what remains must be (0|K)
-    xb = c.copy()
-    zb = (c * d2[None, :]) ^ d
-    xb[:, e2], zb[:, e2] = zb[:, e2].copy(), xb[:, e2].copy()
-    zb = _dense_mul(xb, gamma2) ^ zb
-    xb[:, e1], zb[:, e1] = zb[:, e1].copy(), xb[:, e1].copy()
-    if xb.any():
+    # peel P2, H2, CZ2, H1 off all rows, each row as i^e X^x Z^z (Y = iXZ);
+    # the bottom rows must leave (0|K)
+    x = s[:, :n].copy()
+    z = s[:, n:].copy()
+    e = 2 * ph.astype(np.int64) + (x & z).sum(axis=1, dtype=np.int64)
+    _peel_p(x, z, e, d2)
+    _peel_h(x, z, e, e2)
+    _peel_cz(x, z, e, gamma2)
+    _peel_h(x, z, e, e1)
+    if x[n:].any():
         raise ValueError("decomposition failed: residual x-part")
-    k = zb
-    r_cx = _dense_inv(k)          # basis matrix of the CX stage
+    k = z[n:].copy()
+    r_cx = mat_inverse(BitMatrix.from_dense(k)).to_dense()  # basis matrix of the CX stage
 
-    # residual upper-unipotent factor -> first CZ pattern and P mask
-    m = r_cx.T                    # x-part row action of the CX stage
-    v = _layer_matrix_h(e1, n)
-    v = _dense_mul(v, _layer_matrix_t(gamma2))
-    v = _dense_mul(v, _layer_matrix_h(e2, n))
-    v = _dense_mul(v, _layer_matrix_t(np.diag(d2)))
-    s_tilde = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    s_tilde[:n, :n] = m
-    s_tilde[n:, n:] = k           # M^{-T}
-    s_tilde = _dense_mul(s_tilde, v)
-    delta = _dense_mul(s, _dense_inv(s_tilde))
-    w = delta[:n, n:]
-    if delta[n:, :n].any() or not (
-        np.array_equal(delta[:n, :n], np.eye(n, dtype=np.uint8))
-        and np.array_equal(delta[n:, n:], np.eye(n, dtype=np.uint8))
-        and np.array_equal(w, w.T)
-    ):
-        raise ValueError("decomposition failed: residual is not upper unipotent")
-    q1 = _dense_mul(_dense_mul(k.T, w), k)
-    # a P mask d1 before the CX stage contributes K^T diag(d1) K to the
-    # unipotent factor; pick d1 to hit q1's diagonal and let the first CZ
-    # pattern absorb the off-diagonal remainder
-    d1 = solve_right(
-        BitMatrix.from_dense(k.T), BitMatrix.from_dense(q1.diagonal().reshape(n, 1))
-    ).to_dense().reshape(n)
-    gamma1 = q1 ^ _dense_mul(_dense_mul(k.T, np.diag(d1)), k)
+    # the top rows are (K^{-T} | T) with K^T T = K^T diag(d1) K + Gamma1;
+    # pick d1 to hit the diagonal and let the first CZ pattern absorb the
+    # off-diagonal remainder
+    q1 = _dense_mul(k.T, z[:n])
+    d1 = _dense_mul(r_cx.T, q1.diagonal().reshape(n, 1)).reshape(n)
+    gamma1 = q1 ^ _dense_mul(k.T * d1, k)
     assert not gamma1.diagonal().any()
     assert np.array_equal(gamma1, gamma1.T)
 
-    layers = CliffordLayers(
-        x_mask=np.zeros(n, dtype=np.uint8),
-        z_mask=np.zeros(n, dtype=np.uint8),
+    # peel CZ1, the CX stage (no phase) and P1; what remains is the leading
+    # X/Z masks, identity bits whose signs are the masks
+    _peel_cz(x, z, e, gamma1)
+    x = _dense_mul(x, k.T)
+    z = _dense_mul(z, r_cx)
+    _peel_p(x, z, e, d1)
+    if not np.array_equal(np.hstack([x, z]), np.eye(2 * n, dtype=np.uint8)):
+        raise ValueError("decomposition failed: residual is not the identity")
+    assert not (e & 1).any()
+    signs = ((e >> 1) & 1).astype(np.uint8)
+
+    return CliffordLayers(
+        x_mask=signs[n:],
+        z_mask=signs[:n],
         p1_mask=d1.astype(np.uint8),
         cx=BitMatrix.from_dense(r_cx),
         cz1=CzSpec(n, gamma1),
@@ -360,64 +295,29 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
         h_mask2=e2.astype(np.uint8),
         p2_mask=d2,
     )
-    # leading X/Z masks flip row signs linearly; match them against the
-    # sign-free recomposition
-    t0 = tableau_of_circuit(recompose_layers(layers))
-    delta_ph = _unpack(_ints_to_words([t.ph ^ t0.ph], 2 * n), 2 * n)[0]
-    layers.z_mask = delta_ph[:n].astype(np.uint8)
-    layers.x_mask = delta_ph[n:].astype(np.uint8)
-    return layers
 
 
-def _layer_matrix_t(q: np.ndarray) -> np.ndarray:
-    n = q.shape[0]
-    out = np.eye(2 * n, dtype=np.uint8)
-    out[:n, n:] = q
-    return out
+# Conjugating a row i^e X^x Z^z by the inverse of a layer, in place: the
+# rules of Aaronson and Gottesman (arXiv:quant-ph/0406196) in the
+# i^e X^x Z^z form of Dehaene and De Moor (PRA 68, 042318, 2003).
+def _peel_p(x: np.ndarray, z: np.ndarray, e: np.ndarray, d: np.ndarray) -> None:
+    """P^-1 on mask d: S^dag X S = -iXZ."""
+    xd = x & d
+    e -= xd.sum(axis=1, dtype=np.int64)
+    z ^= xd
 
 
-def _layer_matrix_h(mask: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    keep = np.diag((~mask.astype(bool)).astype(np.uint8))
-    swap = np.diag(mask.astype(np.uint8))
-    out[:n, :n] = keep
-    out[n:, n:] = keep
-    out[:n, n:] = swap
-    out[n:, :n] = swap
-    return out
+def _peel_h(x: np.ndarray, z: np.ndarray, e: np.ndarray, mask: np.ndarray) -> None:
+    """H on a mask: H XZ H = ZX = -XZ, then x and z swap."""
+    e += 2 * (x[:, mask] & z[:, mask]).sum(axis=1, dtype=np.int64)
+    x[:, mask], z[:, mask] = z[:, mask].copy(), x[:, mask].copy()
 
 
-def _gauss_cnot_gates(r: np.ndarray) -> list[Gate]:
-    """Unoptimized CNOT list for basis action x -> r x (reference only)."""
-    m = r.copy()
-    n = m.shape[0]
-    ops: list[tuple[int, int]] = []
-    for j in range(n):
-        if not m[j, j]:
-            piv = next(i for i in range(j + 1, n) if m[i, j])
-            m[j] ^= m[piv]
-            ops.append((piv, j))
-        for i in range(n):
-            if i != j and m[i, j]:
-                m[i] ^= m[j]
-                ops.append((j, i))
-    return [cnot(cc, tt) for (cc, tt) in reversed(ops)]
-
-
-def recompose_layers(layers: CliffordLayers) -> Circuit:
-    """Literal (depth-unoptimized) circuit for the layer sequence."""
-    n = layers.cx.rows
-    gates: list[Gate] = []
-    gates += [x_gate(q) for q in np.nonzero(layers.x_mask)[0]]
-    gates += [z_gate(q) for q in np.nonzero(layers.z_mask)[0]]
-    gates += [p(q) for q in np.nonzero(layers.p1_mask)[0]]
-    gates += _gauss_cnot_gates(layers.cx.to_dense())
-    gates += [cz_gate(i, j) for (i, j) in layers.cz1.pairs()]
-    gates += [h(q) for q in np.nonzero(layers.h_mask1)[0]]
-    gates += [cz_gate(i, j) for (i, j) in layers.cz2.pairs()]
-    gates += [h(q) for q in np.nonzero(layers.h_mask2)[0]]
-    gates += [p(q) for q in np.nonzero(layers.p2_mask)[0]]
-    return Circuit(n, gates)
+def _peel_cz(x: np.ndarray, z: np.ndarray, e: np.ndarray, gamma: np.ndarray) -> None:
+    """CZ pattern gamma: X_a -> X_a Z^gamma_a; reordering to X^x Z^z costs
+    (-1)^(x_a x_b) for every pair a < b of gamma."""
+    e += 2 * ((x & _dense_mul(x, np.tril(gamma, -1))).sum(axis=1, dtype=np.int64) & 1)
+    z ^= _dense_mul(x, gamma)
 
 
 def synth_clifford(t: CliffordTableau) -> Circuit:

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,12 @@ from cliffdepth.clifford import (
     decompose_tableau,
     random_clifford_circuit,
     random_tableau,
-    recompose_layers,
     synth_clifford,
     tableau_of_circuit,
-    tableau_product,
 )
 from cliffdepth.verify import tableaux_equal
 
+from clifford_ref import recompose_layers, tableau_product
 from sv_oracle import tableau_matches_unitary
 
 
@@ -82,14 +83,44 @@ def test_tableau_product_is_composition():
         assert prod == tableau_of_circuit(combined)
 
 
+def _random_signs(rng: np.random.Generator, n: int) -> int:
+    return sum(int(b) << r for r, b in enumerate(rng.integers(0, 2, size=2 * n)))
+
+
 def test_decompose_recompose_exact():
+    # each tableau also with a random sign flip: the X/Z masks reach every
+    # sign pattern
     rng = np.random.default_rng(43)
-    for _ in range(80):
-        n = int(rng.integers(1, 13))
+    flips = np.random.default_rng(48)
+    sizes = chain((int(rng.integers(1, 13)) for _ in range(80)), (13, 31, 32, 33, 64))
+    for n in sizes:
         t = random_tableau(rng, n)
-        layers = decompose_tableau(t)
-        back = tableau_of_circuit(recompose_layers(layers))
-        assert tableaux_equal(back, t)
+        for flip in (0, _random_signs(flips, n)):
+            t.ph ^= flip
+            layers = decompose_tableau(t)
+            back = tableau_of_circuit(recompose_layers(layers))
+            assert tableaux_equal(back, t)
+
+
+def test_decompose_and_synth_never_simulate(monkeypatch):
+    """The decomposition shares no code with the tableau simulator (the oracle)
+    and builds no circuit."""
+    rng = np.random.default_rng(49)
+    tableaux = [random_tableau(rng, n) for n in (1, 5, 33, 64)]
+
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__} method called")
+
+    with monkeypatch.context() as m:
+        m.setattr(CliffordTableau, "apply", refuse)
+        m.setattr(Circuit, "__init__", refuse)
+        layers = [decompose_tableau(t) for t in tableaux]
+    with monkeypatch.context() as m:
+        m.setattr(CliffordTableau, "apply", refuse)
+        circuits = [synth_clifford(t) for t in tableaux]
+    for t, lay, c in zip(tableaux, layers, circuits):
+        assert tableaux_equal(tableau_of_circuit(recompose_layers(lay)), t)
+        assert tableaux_equal(tableau_of_circuit(c), t)
 
 
 def test_synth_clifford_exact_small():
@@ -136,3 +167,16 @@ def test_non_symplectic_rejected():
     assert not t2.is_symplectic()
     with pytest.raises(ValueError):
         decompose_tableau(t2)
+    # one flipped bit, against s Omega s^T == Omega in integer arithmetic
+    rng = np.random.default_rng(51)
+    for n in (1, 2, 5, 31, 33, 40):
+        omega = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+        for _ in range(10):
+            d, ph = random_tableau(rng, n).to_dense()
+            d[rng.integers(0, 2 * n), rng.integers(0, 2 * n)] ^= 1
+            t2 = CliffordTableau.from_dense(d, ph)
+            want = np.array_equal((d @ omega @ d.T) % 2, omega)
+            assert t2.is_symplectic() == want
+            if not want:
+                with pytest.raises(ValueError):
+                    decompose_tableau(t2)

@@ -98,3 +98,34 @@ def test_tableaux_equal():
     assert not tableaux_equal(a, c)
     with pytest.raises(ValueError):
         tableaux_equal(a, CliffordTableau.identity(3))
+
+
+@pytest.mark.parametrize("n", [13, 64, 256])
+def test_oracles_reject_one_extra_gate_at_synthesis_scale(n):
+    """Above phase_oracle's limit, each family's oracle rejects a synthesized
+    circuit with one gate appended."""
+    from cliffdepth.cli import _cz_tableau
+    from cliffdepth.clifford import random_tableau, synth_clifford, tableau_of_circuit
+    from cliffdepth.cnot import EXACT, synth_linear
+    from cliffdepth.cz import CzSpec, synth_cz
+    from cliffdepth.gf2 import random_invertible
+
+    rng = np.random.default_rng(70 + n)
+    a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+
+    spec = CzSpec.random(rng, n)
+    c = synth_cz(spec)
+    want = _cz_tableau(spec)
+    assert tableaux_equal(tableau_of_circuit(c), want)
+    assert not tableaux_equal(tableau_of_circuit(Circuit(n, c.gates + [cz(a, b)])), want)
+
+    r = random_invertible(rng, n)
+    c = synth_linear(r, EXACT)
+    assert linear_action(c) == r
+    assert linear_action(Circuit(n, c.gates + [cnot(a, b)])) != r
+
+    t = random_tableau(rng, n)
+    c = synth_clifford(t)
+    assert tableaux_equal(tableau_of_circuit(c), t)
+    for extra in (x(a), z(b)):
+        assert not tableaux_equal(tableau_of_circuit(Circuit(n, c.gates + [extra])), t)
