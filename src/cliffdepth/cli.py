@@ -61,6 +61,14 @@ def _cz_tableau(spec: CzSpec) -> CliffordTableau:
     return CliffordTableau.from_dense(s, np.zeros(2 * n, dtype=np.uint8))
 
 
+def _linear_matches(circ: Circuit, m: BitMatrix) -> bool:
+    """Row i of the circuit's linear action is row perm[i] of m (row i without a perm)."""
+    want = m.to_dense()
+    if circ.perm is not None and m.rows == circ.n:
+        want = want[circ.perm.map]
+    return linear_action(circ) == BitMatrix.from_dense(want)
+
+
 def _cmd_synth_cz(args) -> int:
     spec = CzSpec.from_bitmatrix(BitMatrix.from_text(open(args.input).read()))
     circ = synth_cz(spec, strategy=args.strategy)
@@ -77,18 +85,9 @@ def _cmd_synth_cnot(args) -> int:
     mode = EXACT if args.mode == "exact" else REORDER
     circ = synth_linear(r, mode)
     if args.cnot_only:
-        perm = circ.perm
         circ = remove_hadamards(circ)
-        circ.perm = perm
     _emit_circuit(circ, args.out, args.format)
-    act = linear_action(circ).to_dense()
-    want = r.to_dense()
-    if mode == REORDER and circ.perm is not None:
-        verified = all(
-            np.array_equal(want[int(circ.perm.map[i])], act[i]) for i in range(r.rows)
-        )
-    else:
-        verified = bool(np.array_equal(act, want))
+    verified = _linear_matches(circ, r)
     depth = circ.two_qubit_depth()
     if mode == EXACT:
         bound = _bound(bounds.CNOT, r.rows)
@@ -134,7 +133,7 @@ def _cmd_verify(args) -> int:
     elif kind == "matrix":
         m = BitMatrix.from_text(against)
         if oracle == "linear" or (oracle == "auto" and not _looks_like_cz_spec(m)):
-            ok = linear_action(circ) == m
+            ok = _linear_matches(circ, m)
         else:
             spec = CzSpec.from_bitmatrix(m)
             if oracle == "phase" or (oracle == "auto" and spec.n <= 12):

@@ -16,7 +16,8 @@ the layers by peeling them off all 2n rows, signs included, so the signs
 left at the end are the X/Z masks; it never simulates a circuit.
 Synthesis plugs the depth-optimized CZ/CNOT synthesizers into these
 layers and folds the leading parity trees of the first CZ stage into the
-CX stage.
+CX stage; it replays those CNOTs on int rows itself, so it shares no
+code with the linear oracle in ``verify``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import numpy as np
 from .circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
 from .cnot import EXACT, synth_linear
 from .cz import CzSpec, synth_cz
-from .gf2 import (
-    BitMatrix, _ints_to_words, _pack, _unpack, _words_to_ints, mat_inverse, mat_mul,
-    rank_and_pivots, solve_right,
-)
+from .gf2 import BitMatrix, mat_inverse, mat_mul, rank_and_pivots, solve_right
 
 
 class CliffordTableau:
@@ -96,13 +94,13 @@ class CliffordTableau:
     def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(2n, 2n) symplectic matrix (rows act as (x|z)) and sign bits."""
         n = self.n
-        cols = _unpack(_ints_to_words(self.X + self.Z + [self.ph], 2 * n), 2 * n)
+        cols = BitMatrix(2 * n + 1, 2 * n, self.X + self.Z + [self.ph]).to_dense()
         return np.ascontiguousarray(cols[:-1].T), cols[-1]
 
     @classmethod
     def from_dense(cls, s: np.ndarray, phases: np.ndarray) -> "CliffordTableau":
         n = s.shape[0] // 2
-        cols = _words_to_ints(_pack(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])))
+        cols = BitMatrix.from_dense(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])).ints
         return cls(n, cols[:n], cols[n: 2 * n], cols[2 * n])
 
     def is_symplectic(self) -> bool:
@@ -325,7 +323,8 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
 
     The first CZ stage opens with parity-tree CNOTs; those fold into the
     CX stage (CNOT circuits compose as linear maps), which is what the
-    merge saving in the depth table accounts for.
+    merge saving in the depth table accounts for.  Their linear action is
+    replayed here on int rows, one row xor per CNOT.
     """
     layers = decompose_tableau(t)
     n = t.n
@@ -334,9 +333,10 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     while split < len(cz1_circ.gates) and cz1_circ.gates[split].kind == "CNOT":
         split += 1
     prefix, rest = cz1_circ.gates[:split], cz1_circ.gates[split:]
-    from .verify import linear_action
-
-    r_comb = mat_mul(linear_action(Circuit(n, prefix)), layers.cx)
+    rows = [1 << q for q in range(n)]  # bit j of rows[i]: x_j feeds x_i
+    for _, ctrl, tgt in prefix:
+        rows[tgt] ^= rows[ctrl]
+    r_comb = mat_mul(BitMatrix(n, n, rows), layers.cx)
 
     gates: list[Gate] = []
     gates += [x_gate(q) for q in np.nonzero(layers.x_mask)[0]]

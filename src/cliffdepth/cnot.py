@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, Gate, cnot, h
-from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers
+from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers, solve_right
 from .patterns import M01Pattern, bipartite_edge_color, m01_gates
 
 
@@ -27,17 +27,6 @@ _BASE3 = {
     (0, 1, 1): [(2, 0), (2, 1)],
     (1, 1, 1): [(2, 1), (1, 0)],
 }
-
-
-def _solve_upper_unitri(r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve R C = W (mod 2) for upper unitriangular R by back substitution."""
-    k = r.shape[0]
-    c = w.copy()
-    for i in range(k - 2, -1, -1):
-        for j in range(i + 1, k):
-            if r[i, j]:
-                c[i] ^= c[j]
-    return c
 
 
 def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
@@ -74,7 +63,8 @@ def _tri_gates(qubits: list[int], r: np.ndarray) -> list[Gate]:
         return [cnot(qubits[c], qubits[t]) for (c, t) in _BASE3[key]]
     h_ = (k + 1) // 2
     a, b = qubits[:h_], qubits[h_:]
-    c = _solve_upper_unitri(r[:h_, :h_], r[:h_, h_:])
+    # R[:h, :h] is unitriangular, so the block C with R[:h, :h] C = R[:h, h:] is unique
+    c = solve_right(BitMatrix.from_dense(r[:h_, :h_]), BitMatrix.from_dense(r[:h_, h_:])).to_dense()
     gates = _block_add_gates(a, b, c)
     gates += _tri_gates(a, r[:h_, :h_])
     gates += _tri_gates(b, r[h_:, h_:])
@@ -103,7 +93,8 @@ def remove_hadamards(c: Circuit) -> Circuit:
     control and target; a CZ with exactly one end conjugated becomes a
     CNOT controlled on the bare end.  Other combinations (and any other
     single-qubit gate) have no CNOT-only rewrite and raise ValueError.
-    All H parities must cancel by the end of the circuit.
+    All H parities must cancel by the end of the circuit.  The output
+    keeps the input's ``perm``.
     """
     par = [0] * c.n
     out: list[Gate] = []
@@ -128,7 +119,7 @@ def remove_hadamards(c: Circuit) -> Circuit:
             raise ValueError(f"cannot remove H around {g.kind} gate")
     if any(par):
         raise ValueError("unmatched H gates remain")
-    return Circuit(c.n, out)
+    return Circuit(c.n, out, perm=c.perm)
 
 
 EXACT = "exact"

@@ -1,62 +1,44 @@
-"""Bit-packed GF(2) linear algebra.
+"""GF(2) linear algebra on bit rows.
 
-``BitMatrix`` stores rows as packed ``uint64`` words.  Elimination-style
-routines (inverse, solve, LU) work on the packed words with vectorized row
-xors; the dense ``uint8`` view is used where per-entry bookkeeping is
-simpler (LU factor construction, reduced row echelon form).
+``BitMatrix`` stores each row as one Python int, bit j holding column j.
+This module is the only one that knows that layout: the rest of the
+package goes through ``BitMatrix(rows, cols, ints)``, ``from_dense`` and
+``to_dense``.  The product combines rows of the right factor eight at a
+time through lookup tables (the method of four Russians); inverse, solve
+and rank share one Gauss-Jordan elimination, and LU eliminates on the
+same rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-WORD = 64
 
-
-def _nwords(cols: int) -> int:
-    return (cols + WORD - 1) // WORD
-
-
-def _pack(dense: np.ndarray) -> np.ndarray:
-    """Pack 0/1 bits along the last axis into uint64 words, bit j at word j // 64."""
+def _rows_from_dense(dense: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as one int, bit j holding column j."""
     packed = np.packbits(dense, axis=-1, bitorder="little")
-    out = np.zeros(packed.shape[:-1] + (_nwords(dense.shape[-1]) * 8,), dtype=np.uint8)
-    out[..., : packed.shape[-1]] = packed
-    return out.view(np.uint64)
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of ``_pack``: the first ``cols`` bits of each word row."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :cols]
-
-
-def _words_to_ints(words: np.ndarray) -> list[int]:
-    """Each row of packed words as one Python int: bit j of the row is bit j."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return [int.from_bytes(row.tobytes(), "little") for row in as_bytes]
-
-
-def _ints_to_words(ints: list[int], cols: int) -> np.ndarray:
-    """Inverse of ``_words_to_ints``: (len(ints), words) packed rows of ``cols`` bits."""
-    size = _nwords(cols) * 8
+def _rows_to_dense(ints: list[int], cols: int) -> np.ndarray:
+    """Inverse of ``_rows_from_dense``: (len(ints), cols) uint8 array."""
+    size = (cols + 7) // 8
     buf = b"".join(v.to_bytes(size, "little") for v in ints)
-    return np.frombuffer(buf, dtype=np.uint64).reshape(len(ints), size // 8).copy()
+    as_bytes = np.frombuffer(buf, dtype=np.uint8).reshape(len(ints), size)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[:, :cols]
 
 
 class BitMatrix:
-    """Dense matrix over GF(2), rows packed into machine words."""
+    """Dense matrix over GF(2); ``ints[i]`` is row i, bit j holding column j."""
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("rows", "cols", "ints")
 
-    def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
+    def __init__(self, rows: int, cols: int, ints: list[int] | None = None):
         if rows < 1 or cols < 1:
             raise ValueError("BitMatrix dimensions must be positive")
         self.rows = rows
         self.cols = cols
-        if words is None:
-            words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
-        self.words = words
+        self.ints = [0] * rows if ints is None else ints
 
     # -- constructors ------------------------------------------------------
 
@@ -66,14 +48,14 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, _ints_to_words([1 << i for i in range(n)], n))
+        return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         dense = np.asarray(dense, dtype=np.uint8) & 1
         if dense.ndim != 2:
             raise ValueError("expected 2-D array")
-        return cls(dense.shape[0], dense.shape[1], _pack(dense))
+        return cls(dense.shape[0], dense.shape[1], _rows_from_dense(dense))
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
@@ -101,17 +83,17 @@ class BitMatrix:
     # -- access ------------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        return _unpack(self.words, self.cols)
+        return _rows_to_dense(self.ints, self.cols)
 
     def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.words.copy())
+        return BitMatrix(self.rows, self.cols, list(self.ints))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
+            and self.ints == other.ints
         )
 
     def __hash__(self):
@@ -132,28 +114,34 @@ class BitMatrix:
         return BitMatrix.from_dense(self.to_dense().T)
 
     def is_upper_triangular(self) -> bool:
-        d = self.to_dense()
-        return bool(np.array_equal(np.triu(d), d))
+        return all(v & ((1 << i) - 1) == 0 for i, v in enumerate(self.ints))
 
     def is_lower_triangular(self) -> bool:
-        d = self.to_dense()
-        return bool(np.array_equal(np.tril(d), d))
+        return all(v >> (i + 1) == 0 for i, v in enumerate(self.ints))
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """GF(2) matrix product."""
+    """GF(2) product: row i of a @ b is the xor of the rows of b that row i of a selects.
+
+    The rows of b go in groups of eight; each group's 256 xor combinations
+    are tabulated once and indexed by the matching byte of a's row.
+    """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    bt = b.transpose().words
-    r, c = a.rows, b.cols
-    out = np.empty((r, c), dtype=np.uint8)
-    # out[i, j] = parity of popcount(a row i & b column j); rows go in
-    # chunks so the (chunk, c, words) intermediate stays small
-    step = max(1, (1 << 22) // max(1, c * a.words.shape[1]))
-    for lo in range(0, r, step):
-        anded = a.words[lo: lo + step, None, :] & bt[None, :, :]
-        out[lo: lo + step] = np.bitwise_count(anded).sum(axis=2) & 1
-    return BitMatrix.from_dense(out)
+    tables = []
+    for lo in range(0, b.rows, 8):
+        table = [0]
+        for v in b.ints[lo: lo + 8]:
+            table += [t ^ v for t in table]
+        tables.append(table)
+    nbytes = len(tables)
+    out = []
+    for row in a.ints:
+        acc = 0
+        for table, byte in zip(tables, row.to_bytes(nbytes, "little")):
+            acc ^= table[byte]
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, out)
 
 
 def mat_vec(a: BitMatrix, v: np.ndarray) -> np.ndarray:
@@ -166,28 +154,42 @@ class SingularMatrixError(ValueError):
     """Raised when an inverse or solve hits a rank-deficient matrix."""
 
 
+def _gauss_jordan(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over columns 0..ncols-1, and its pivot columns.
+
+    Higher bits ride along with their rows, so an augmented block comes
+    out transformed by the same row operations.
+    """
+    rows = list(rows)
+    pivots: list[int] = []
+    for j in range(ncols):
+        if len(pivots) == len(rows):
+            break
+        bit = 1 << j
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if piv is None:
+            continue
+        p = rows[piv]
+        rows[piv] = rows[r]
+        rows = [v ^ p if v & bit else v for v in rows]
+        rows[r] = p
+        pivots.append(j)
+    return rows, pivots
+
+
 def solve_right(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Solve a @ X = b for square invertible a (Gauss-Jordan on packed rows)."""
+    """Solve a @ X = b for square invertible a (Gauss-Jordan on [a | b])."""
     if a.rows != a.cols:
         raise ValueError("coefficient matrix must be square")
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     n = a.rows
-    wa = a.words.shape[1]
-    aug = np.concatenate([a.words.copy(), b.words.copy()], axis=1)
-    for j in range(n):
-        col = (aug[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-        cand = np.nonzero(col[j:])[0]
-        if cand.size == 0:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
-        piv = j + int(cand[0])
-        if piv != j:
-            aug[[j, piv]] = aug[[piv, j]]
-            col[[j, piv]] = col[[piv, j]]
-        mask = col.astype(bool)
-        mask[j] = False
-        aug[mask] ^= aug[j]
-    return BitMatrix(n, b.cols, np.ascontiguousarray(aug[:, wa:]))
+    rows, pivots = _gauss_jordan([u | v << n for u, v in zip(a.ints, b.ints)], n)
+    if len(pivots) < n:
+        j = next(j for j, p in enumerate(pivots + [n]) if j != p)
+        raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
+    return BitMatrix(n, b.cols, [v >> n for v in rows])
 
 
 def mat_inverse(a: BitMatrix) -> BitMatrix:
@@ -198,26 +200,8 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
 
 def rank_and_pivots(a: BitMatrix) -> tuple[int, list[int]]:
     """Rank and pivot-column indices from row reduction."""
-    words = a.words.copy()
-    r = 0
-    pivots: list[int] = []
-    for j in range(a.cols):
-        col = (words[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-        cand = np.nonzero(col[r:])[0]
-        if cand.size == 0:
-            continue
-        piv = r + int(cand[0])
-        if piv != r:
-            words[[r, piv]] = words[[piv, r]]
-            col[[r, piv]] = col[[piv, r]]
-        mask = col.astype(bool)
-        mask[r] = False
-        words[mask] ^= words[r]
-        pivots.append(j)
-        r += 1
-        if r == a.rows:
-            break
-    return r, pivots
+    _, pivots = _gauss_jordan(a.ints, a.cols)
+    return len(pivots), pivots
 
 
 class Permutation:
@@ -255,22 +239,25 @@ def lu_decompose(r: BitMatrix) -> tuple[Permutation, BitMatrix, BitMatrix]:
     if r.rows != r.cols:
         raise ValueError("LU requires a square matrix")
     n = r.rows
-    a = r.to_dense().copy()
-    low = np.eye(n, dtype=np.uint8)
-    perm = np.arange(n, dtype=np.int64)
+    a = list(r.ints)
+    low = [0] * n  # strictly lower part of L; row k holds only bits < k at step k
+    perm = list(range(n))
     for k in range(n):
-        cand = np.nonzero(a[k:, k])[0]
-        if cand.size == 0:
+        bit = 1 << k
+        piv = next((i for i in range(k, n) if a[i] & bit), None)
+        if piv is None:
             raise SingularMatrixError(f"matrix is singular (no pivot in column {k})")
-        piv = k + int(cand[0])
         if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-            low[[k, piv], :k] = low[[piv, k], :k]
-        below = np.nonzero(a[k + 1:, k])[0] + k + 1
-        low[below, k] = 1
-        a[below] ^= a[k]
-    return Permutation(perm), BitMatrix.from_dense(low), BitMatrix.from_dense(a)
+            a[k], a[piv] = a[piv], a[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+            low[k], low[piv] = low[piv], low[k]
+        top = a[k]
+        for i in range(k + 1, n):
+            if a[i] & bit:
+                a[i] ^= top
+                low[i] |= bit
+    low = [v | 1 << i for i, v in enumerate(low)]
+    return Permutation(perm), BitMatrix(n, n, low), BitMatrix(n, n, a)
 
 
 def perm_to_transposition_layers(p: Permutation) -> list[list[tuple[int, int]]]:
@@ -315,7 +302,7 @@ def random_invertible(rng: np.random.Generator, n: int) -> BitMatrix:
     """Random invertible matrix as L @ P @ U (unitriangular L, U; random P).
 
     P maps column c to row perm[c], so L @ P is L with its columns
-    permuted; the product with U is the packed GF(2) ``mat_mul``.
+    permuted; the product with U is the GF(2) ``mat_mul``.
     """
     low = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), -1) + np.eye(n, dtype=np.uint8)
     up = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1) + np.eye(n, dtype=np.uint8)

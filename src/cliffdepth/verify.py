@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .gf2 import BitMatrix, _ints_to_words
+from .gf2 import BitMatrix
 
 
 def linear_action(c: Circuit) -> BitMatrix:
@@ -50,7 +50,7 @@ def linear_action(c: Circuit) -> BitMatrix:
             raise ValueError(f"linear oracle cannot handle {kind} gate")
     if any(par):
         raise ValueError("unmatched H gates; circuit is not linear")
-    return BitMatrix(c.n, c.n, _ints_to_words(rows, c.n))
+    return BitMatrix(c.n, c.n, rows)
 
 
 def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:

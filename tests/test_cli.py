@@ -93,6 +93,28 @@ def test_synth_cnot_exact_and_perm(capsys, tmp_path):
     assert "perm " not in (tmp_path / "exact.circ").read_text()
 
 
+@pytest.mark.parametrize("cnot_only", [False, True])
+def test_verify_honours_perm(capsys, tmp_path, cnot_only):
+    mat = gen(capsys, tmp_path, "linear", 8, 5, "r.mat")
+    circ = tmp_path / "r.circ"
+    flags = ["--cnot-only"] if cnot_only else []
+    code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--mode", "perm",
+                     "--out", str(circ), *flags)
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
+    assert code == 0 and "verified" in out
+    # the same gates under two swapped perm entries realize another row order
+    lines = circ.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("perm "))
+    perm = lines[k].split()[1:]
+    perm[0], perm[1] = perm[1], perm[0]
+    lines[k] = " ".join(["perm"] + perm)
+    bad = tmp_path / "bad.circ"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(bad), "--against", str(mat))
+    assert code == 1 and "MISMATCH" in out
+
+
 def test_synth_cnot_cnot_only(capsys, tmp_path):
     mat = gen(capsys, tmp_path, "linear", 14, 4, "r.mat")
     circ = tmp_path / "r.circ"

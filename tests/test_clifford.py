@@ -3,7 +3,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from cliffdepth import bounds
+from cliffdepth import bounds, verify
 from cliffdepth.circuit import Circuit, cnot, cz, h, p, x, z
 from cliffdepth.clifford import (
     CliffordTableau,
@@ -104,7 +104,8 @@ def test_decompose_recompose_exact():
 
 def test_decompose_and_synth_never_simulate(monkeypatch):
     """The decomposition shares no code with the tableau simulator (the oracle)
-    and builds no circuit."""
+    and builds no circuit; synthesis uses neither the simulator nor the
+    linear oracle."""
     rng = np.random.default_rng(49)
     tableaux = [random_tableau(rng, n) for n in (1, 5, 33, 64)]
 
@@ -117,6 +118,7 @@ def test_decompose_and_synth_never_simulate(monkeypatch):
         layers = [decompose_tableau(t) for t in tableaux]
     with monkeypatch.context() as m:
         m.setattr(CliffordTableau, "apply", refuse)
+        m.setattr(verify, "linear_action", refuse)
         circuits = [synth_clifford(t) for t in tableaux]
     for t, lay, c in zip(tableaux, layers, circuits):
         assert tableaux_equal(tableau_of_circuit(recompose_layers(lay)), t)

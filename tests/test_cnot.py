@@ -137,6 +137,7 @@ def test_synth_linear_reorder():
         md = m.to_dense()
         for i in range(n):
             assert np.array_equal(r[i], md[int(c.perm.map[i])])
+        assert remove_hadamards(c).perm == c.perm
 
 
 def test_reorder_never_deeper_than_exact():

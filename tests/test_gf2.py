@@ -1,3 +1,7 @@
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,8 @@ from cliffdepth.gf2 import (
     mat_vec,
     perm_to_transposition_layers,
     random_invertible,
-    _pack,
-    _unpack,
+    _rows_from_dense,
+    _rows_to_dense,
     random_matrix,
     rank_and_pivots,
     solve_right,
@@ -24,6 +28,10 @@ def dense_mul(a, b):
     return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
 
 
+# sizes that cross the 8-row table groups of mat_mul and the byte edges of a row
+EDGE_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
+
+
 def test_pack_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -31,13 +39,24 @@ def test_pack_roundtrip():
         c = int(rng.integers(1, 200))
         d = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
         assert np.array_equal(BitMatrix.from_dense(d).to_dense(), d)
-    # vectors (tableau phase columns) pack with bit j at bit j % 64 of word j // 64
+    # bit j of a row's int is column j
     for c in (1, 63, 64, 65, 130):
-        v = rng.integers(0, 2, size=c, dtype=np.uint8)
-        words = _pack(v)
-        assert words.shape == ((c + 63) // 64,)
-        assert [int(words[j // 64]) >> (j % 64) & 1 for j in range(c)] == v.tolist()
-        assert np.array_equal(_unpack(words, c), v)
+        d = rng.integers(0, 2, size=(3, c), dtype=np.uint8)
+        ints = _rows_from_dense(d)
+        assert [[v >> j & 1 for j in range(c)] for v in ints] == d.tolist()
+        assert np.array_equal(_rows_to_dense(ints, c), d)
+
+
+def test_no_private_gf2_imports_outside_gf2():
+    """Only gf2 knows the bit-row layout: no other module imports its _ names."""
+    offenders = []
+    for path in Path(cliffdepth.__file__).parent.glob("*.py"):
+        if path.name == "gf2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("gf2", "cliffdepth.gf2"):
+                offenders += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []
 
 
 def test_active_backend_is_numpy():
@@ -59,8 +78,9 @@ def test_text_rejects_bad_rows():
 
 def test_mat_mul_against_dense():
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        k, l, m = (int(v) for v in rng.integers(1, 90, size=3))
+    drawn = (tuple(int(v) for v in rng.integers(1, 90, size=3)) for _ in range(30))
+    edge = [(n, n, n) for n in EDGE_SIZES] + [(5, n, 3) for n in EDGE_SIZES]
+    for k, l, m in itertools.chain(drawn, edge):
         a = random_matrix(rng, k, l)
         b = random_matrix(rng, l, m)
         assert np.array_equal(
@@ -82,7 +102,7 @@ def test_mat_vec():
 
 def test_inverse():
     rng = np.random.default_rng(4)
-    for n in (1, 2, 3, 8, 33, 64, 100):
+    for n in (1, 2, 3, 8, 33, 64, 100) + EDGE_SIZES:
         a = random_invertible(rng, n)
         assert mat_mul(a, mat_inverse(a)) == BitMatrix.identity(n)
 
@@ -97,10 +117,11 @@ def test_singular_raises():
 
 def test_solve_right():
     rng = np.random.default_rng(5)
-    a = random_invertible(rng, 20)
-    b = random_matrix(rng, 20, 7)
-    x = solve_right(a, b)
-    assert mat_mul(a, x) == b
+    for n, m in [(20, 7)] + [(n, m) for n in EDGE_SIZES for m in (1, n)]:
+        a = random_invertible(rng, n)
+        b = random_matrix(rng, n, m)
+        x = solve_right(a, b)
+        assert mat_mul(a, x) == b
 
 
 def test_lu_identity():
@@ -122,8 +143,7 @@ def test_lu_upper_triangular_input_trivial():
 
 def test_lu_reconstruction():
     rng = np.random.default_rng(6)
-    for _ in range(40):
-        n = int(rng.integers(1, 40))
+    for n in itertools.chain((int(rng.integers(1, 40)) for _ in range(40)), EDGE_SIZES):
         r = random_invertible(rng, n)
         perm, low, up = lu_decompose(r)
         prod = mat_mul(low, up).to_dense()
@@ -159,25 +179,28 @@ def test_random_invertible_is_invertible():
 
 def test_rank_and_pivots():
     rng = np.random.default_rng(8)
-    for _ in range(40):
-        r = int(rng.integers(1, 25))
-        c = int(rng.integers(1, 25))
+    drawn = ((int(rng.integers(1, 25)), int(rng.integers(1, 25))) for _ in range(40))
+    edge = [shape for n in EDGE_SIZES for shape in ((n, n), (9, n), (n, 9))]
+    for r, c in itertools.chain(drawn, edge):
         a = random_matrix(rng, r, c)
         rank, pivots = rank_and_pivots(a)
         assert rank == len(pivots)
         # GF(2) rank cross-check by elimination on the dense form
         d = a.to_dense().copy()
         rr = 0
+        ref_pivots = []
         for j in range(c):
             nz = [i for i in range(rr, r) if d[i, j]]
             if not nz:
                 continue
+            ref_pivots.append(j)
             d[[rr, nz[0]]] = d[[nz[0], rr]]
             for i in range(r):
                 if i != rr and d[i, j]:
                     d[i] ^= d[rr]
             rr += 1
         assert rank == rr
+        assert pivots == ref_pivots
 
 
 def apply_layers(layers, n):
