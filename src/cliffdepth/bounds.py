@@ -275,9 +275,9 @@ def prior_art_bound(family: str, n: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def validate_closed_form(family: str, formula: BoundFormula | None = None) -> dict:
-    """Check bound >= construction depth over the formula's range."""
-    formula = formula or FORMULAS[family]
+def validate_closed_form(family: str) -> dict:
+    """Check bound >= construction depth over the family's closed-form range."""
+    formula = FORMULAS[family]
     depth = construction_depth(family, formula.hi)
     n = np.arange(formula.lo, formula.hi + 1, dtype=np.int64)
     vals, flags = formula.values(n)

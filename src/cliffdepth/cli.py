@@ -31,10 +31,6 @@ def _write(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _emit_circuit(c: Circuit, out: str | None, fmt: str) -> None:
-    _write(out, to_qasm2(c) if fmt == "qasm2" else to_text(c))
-
-
 def _report(args, n: int, depth: int, bound: int, family: str, verified: bool) -> None:
     if args.json:
         print(json.dumps(
@@ -61,93 +57,93 @@ def _cz_tableau(spec: CzSpec) -> CliffordTableau:
     return CliffordTableau.from_dense(s, np.zeros(2 * n, dtype=np.uint8))
 
 
-def _linear_matches(circ: Circuit, m: BitMatrix) -> bool:
-    """Row i of the circuit's linear action is row perm[i] of m (row i without a perm)."""
-    want = m.to_dense()
-    if circ.perm is not None and m.rows == circ.n:
-        want = want[circ.perm.map]
-    return linear_action(circ) == BitMatrix.from_dense(want)
+def _as_matrix(x) -> BitMatrix:
+    """The matrix x realizes: row i of a circuit's linear action is row perm[i] of it."""
+    if isinstance(x, BitMatrix):
+        return x
+    if isinstance(x, CzSpec):
+        return x.to_bitmatrix()
+    d = linear_action(x).to_dense()
+    if x.perm is not None:
+        d[x.perm.map] = d.copy()
+    return BitMatrix.from_dense(d)
 
 
-def _cmd_synth_cz(args) -> int:
-    spec = CzSpec.from_bitmatrix(BitMatrix.from_text(open(args.input).read()))
-    circ = synth_cz(spec, strategy=args.strategy)
-    _emit_circuit(circ, args.out, args.format)
-    verified = tableaux_equal(tableau_of_circuit(circ), _cz_tableau(spec))
+def _matches(circ: Circuit, ref, oracle: str) -> bool:
+    """Whether circ realizes ref, a BitMatrix, CzSpec, CliffordTableau or Circuit.
+
+    ``auto`` picks tableau for a tableau; linear for a matrix or when either
+    circuit has a perm; phase for a CZ pattern on at most 12 qubits with a
+    CNOT/CZ/X/Z circuit; and tableau otherwise.
+    """
+    has_perm = circ.perm is not None or (isinstance(ref, Circuit) and ref.perm is not None)
+    if oracle == "auto":
+        if isinstance(ref, CliffordTableau):
+            oracle = "tableau"
+        elif has_perm or isinstance(ref, BitMatrix):
+            oracle = "linear"
+        elif (isinstance(ref, CzSpec) and ref.n <= 12
+              and {g.kind for g in circ.gates} <= {"CNOT", "CZ", "X", "Z"}):
+            oracle = "phase"
+        else:
+            oracle = "tableau"
+    if isinstance(ref, CliffordTableau) and oracle != "tableau":
+        raise ValueError("tableau reference requires the tableau oracle")
+    if oracle == "linear":
+        return _as_matrix(circ) == _as_matrix(ref)
+    if has_perm:
+        raise ValueError(f"a circuit with a perm needs the linear oracle, not {oracle}")
+    if isinstance(ref, BitMatrix):
+        raise ValueError(f"a linear matrix reference needs the linear oracle, not {oracle}")
+    if oracle == "phase":
+        want = cz_pattern_phases(ref.bits) if isinstance(ref, CzSpec) else phase_oracle(ref)
+        return bool(np.array_equal(phase_oracle(circ), want))
+    if isinstance(ref, CzSpec):
+        ref = _cz_tableau(ref)
+    elif isinstance(ref, Circuit):
+        ref = tableau_of_circuit(ref)
+    return tableaux_equal(tableau_of_circuit(circ), ref)
+
+
+def _cmd_synth(args) -> int:
+    text = open(args.input).read()
+    if args.family == bounds.CZ:
+        ref = CzSpec.from_bitmatrix(BitMatrix.from_text(text))
+        circ = synth_cz(ref, strategy=args.strategy)
+    elif args.family == bounds.CNOT:
+        ref = BitMatrix.from_text(text)
+        circ = synth_linear(ref, EXACT if args.mode == "exact" else REORDER)
+        if args.cnot_only:
+            circ = remove_hadamards(circ)
+    else:
+        ref = CliffordTableau.from_text(text)
+        circ = synth_clifford(ref)
+    _write(args.out, to_qasm2(circ) if args.format == "qasm2" else to_text(circ))
+    verified = _matches(circ, ref, "linear" if args.family == bounds.CNOT else "tableau")
     depth = circ.two_qubit_depth()
-    bound = _bound(bounds.CZ, spec.n)
-    _report(args, spec.n, depth, bound, "cz", verified)
+    if args.family == bounds.CNOT and args.mode == "perm":
+        # the exact construction without its depth-6 reordering stage
+        bound = 2 * bounds.cnot_depth_recursion(circ.n)
+    else:
+        bound = _bound(args.family, circ.n)
+    _report(args, circ.n, depth, bound, args.family, verified)
     return 0 if verified and depth <= bound else 1
-
-
-def _cmd_synth_cnot(args) -> int:
-    r = BitMatrix.from_text(open(args.input).read())
-    mode = EXACT if args.mode == "exact" else REORDER
-    circ = synth_linear(r, mode)
-    if args.cnot_only:
-        circ = remove_hadamards(circ)
-    _emit_circuit(circ, args.out, args.format)
-    verified = _linear_matches(circ, r)
-    depth = circ.two_qubit_depth()
-    if mode == EXACT:
-        bound = _bound(bounds.CNOT, r.rows)
-    else:  # the exact construction without its depth-6 reordering stage
-        bound = 2 * bounds.cnot_depth_recursion(r.rows)
-    _report(args, r.rows, depth, bound, "cnot", verified)
-    return 0 if verified and depth <= bound else 1
-
-
-def _cmd_synth_clifford(args) -> int:
-    t = CliffordTableau.from_text(open(args.input).read())
-    circ = synth_clifford(t)
-    _emit_circuit(circ, args.out, args.format)
-    verified = tableaux_equal(tableau_of_circuit(circ), t)
-    depth = circ.two_qubit_depth()
-    bound = _bound(bounds.CLIFFORD, t.n)
-    _report(args, t.n, depth, bound, "clifford", verified)
-    return 0 if verified and depth <= bound else 1
-
-
-def _looks_like_cz_spec(m: BitMatrix) -> bool:
-    d = m.to_dense()
-    return m.rows == m.cols and np.array_equal(d, d.T) and not d.diagonal().any()
 
 
 def _cmd_verify(args) -> int:
     circ = from_text(open(args.circuit).read())
-    against = open(args.against).read()
-    oracle = args.oracle
+    text = open(args.against).read()
     if args.against.endswith(".tab"):
-        kind = "tableau-file"
+        ref = CliffordTableau.from_text(text)
     elif args.against.endswith(".mat"):
-        kind = "matrix"
+        ref = BitMatrix.from_text(text)
+        try:  # a symmetric zero-diagonal matrix is a CZ pattern
+            ref = CzSpec.from_bitmatrix(ref)
+        except ValueError:
+            pass
     else:
-        kind = "circuit"
-
-    ok = False
-    if kind == "tableau-file":
-        if oracle not in ("auto", "tableau"):
-            print("tableau reference requires the tableau oracle", file=sys.stderr)
-            return 2
-        ok = tableaux_equal(tableau_of_circuit(circ), CliffordTableau.from_text(against))
-    elif kind == "matrix":
-        m = BitMatrix.from_text(against)
-        if oracle == "linear" or (oracle == "auto" and not _looks_like_cz_spec(m)):
-            ok = _linear_matches(circ, m)
-        else:
-            spec = CzSpec.from_bitmatrix(m)
-            if oracle == "phase" or (oracle == "auto" and spec.n <= 12):
-                ok = bool(np.array_equal(phase_oracle(circ), cz_pattern_phases(spec.bits)))
-            else:
-                ok = tableaux_equal(tableau_of_circuit(circ), _cz_tableau(spec))
-    else:
-        other = from_text(against)
-        if oracle == "phase":
-            ok = bool(np.array_equal(phase_oracle(circ), phase_oracle(other)))
-        elif oracle == "linear":
-            ok = linear_action(circ) == linear_action(other)
-        else:
-            ok = tableaux_equal(tableau_of_circuit(circ), tableau_of_circuit(other))
+        ref = from_text(text)
+    ok = _matches(circ, ref, args.oracle)
     print("verified" if ok else "MISMATCH")
     return 0 if ok else 1
 
@@ -204,18 +200,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--strategy", choices=("auto", "coloring", "onestep", "twostep"),
                     default="auto")
-    sp.set_defaults(fn=_cmd_synth_cz)
+    sp.set_defaults(fn=_cmd_synth, family=bounds.CZ)
 
     sp = sub.add_parser("synth-cnot", help="synthesize a linear reversible matrix")
     add_common(sp)
     sp.add_argument("--mode", choices=("exact", "perm"), default="exact")
     sp.add_argument("--cnot-only", action="store_true",
                     help="strip Hadamard-conjugated stages to pure CNOTs")
-    sp.set_defaults(fn=_cmd_synth_cnot)
+    sp.set_defaults(fn=_cmd_synth, family=bounds.CNOT)
 
     sp = sub.add_parser("synth-clifford", help="synthesize a Clifford tableau")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_synth_clifford)
+    sp.set_defaults(fn=_cmd_synth, family=bounds.CLIFFORD)
 
     sp = sub.add_parser("verify", help="check a circuit against a reference")
     sp.add_argument("--circuit", required=True)

@@ -262,3 +262,79 @@ def test_parsers_raise_only_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def _swap_first_perm_entries(src, dst):
+    lines = src.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("perm "))
+    perm = lines[k].split()[1:]
+    perm[0], perm[1] = perm[1], perm[0]
+    lines[k] = " ".join(["perm"] + perm)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_perm_circuit_against_exact_circuit(capsys, tmp_path):
+    mat = gen(capsys, tmp_path, "linear", 8, 5, "r.mat")
+    circs = {}
+    for mode in ("perm", "exact"):
+        circs[mode] = tmp_path / f"{mode}.circ"
+        code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--mode", mode,
+                         "--out", str(circs[mode]))
+        assert code == 0
+    for a, b in (("perm", "exact"), ("exact", "perm")):
+        for flags in ([], ["--oracle", "linear"]):
+            code, out, _ = run(capsys, "verify", "--circuit", str(circs[a]),
+                               "--against", str(circs[b]), *flags)
+            assert code == 0 and "verified" in out
+    bad = tmp_path / "bad.circ"
+    _swap_first_perm_entries(circs["perm"], bad)
+    for a, b in ((bad, circs["exact"]), (circs["exact"], bad)):
+        code, out, _ = run(capsys, "verify", "--circuit", str(a), "--against", str(b))
+        assert code == 1 and "MISMATCH" in out
+    for oracle in ("tableau", "phase"):
+        for a, b in ((circs["perm"], circs["exact"]), (circs["exact"], circs["perm"]),
+                     (circs["perm"], mat)):
+            code, _, err = run(capsys, "verify", "--circuit", str(a), "--against", str(b),
+                               "--oracle", oracle)
+            assert code == 2 and "linear oracle" in err
+
+
+def test_verify_auto_oracle_falls_back_to_tableau_for_h_gates(capsys, tmp_path):
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\nH 1\nCNOT 0 1\nH 1\n")
+    mat = tmp_path / "p.mat"
+    mat.write_text("2 2\n01\n10\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
+    assert code == 0 and "verified" in out
+
+
+@pytest.mark.parametrize("oracle", ["tableau", "phase"])
+def test_verify_linear_matrix_needs_linear_oracle(capsys, tmp_path, oracle):
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    mat = tmp_path / "m.mat"
+    mat.write_text("2 2\n10\n11\n")
+    code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat),
+                       "--oracle", oracle)
+    assert code == 2
+    assert "linear matrix" in err and "linear oracle" in err
+    assert "symmetric" not in err
+
+
+@pytest.mark.parametrize("cmd, kind, suffix, flags, oracles", [
+    ("synth-cz", "cz", ".mat", [], ["auto", "tableau", "phase"]),
+    ("synth-cnot", "linear", ".mat", ["--mode", "exact"], ["auto", "linear"]),
+    ("synth-cnot", "linear", ".mat", ["--mode", "perm"], ["auto", "linear"]),
+    ("synth-clifford", "tableau", ".tab", [], ["auto", "tableau"]),
+])
+def test_synth_output_verifies_against_its_input(capsys, tmp_path, cmd, kind, suffix,
+                                                  flags, oracles):
+    ref = gen(capsys, tmp_path, kind, 10, 11, "in" + suffix)
+    circ = tmp_path / "out.circ"
+    code, out, _ = run(capsys, cmd, "--input", str(ref), "--out", str(circ), "--json",
+                       *flags)
+    assert code == 0 and json.loads(out)["verified"] is True
+    for oracle in oracles:
+        code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(ref),
+                           "--oracle", oracle)
+        assert code == 0 and "verified" in out, oracle
