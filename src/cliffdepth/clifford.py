@@ -103,13 +103,17 @@ class CliffordTableau:
         cols = BitMatrix.from_dense(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])).ints
         return cls(n, cols[:n], cols[n: 2 * n], cols[2 * n])
 
+    def rows(self) -> list[int]:
+        """The 2n tableau rows as ints: bits 0..n-1 the x-part, n..2n-1 the z-part."""
+        return BitMatrix(2 * self.n, 2 * self.n, self.X + self.Z).transpose().ints
+
     def is_symplectic(self) -> bool:
-        s, _ = self.to_dense()
+        # s Omega s^T must be Omega; s Omega is s with its x and z halves
+        # swapped, and the columns X + Z are the rows of s^T
         n = self.n
-        # s Omega s^T must be Omega; s Omega is s with its x and z halves swapped
-        omega = np.roll(np.eye(2 * n, dtype=np.uint8), n, axis=1)
-        prod = mat_mul(BitMatrix.from_dense(np.roll(s, n, axis=1)), BitMatrix.from_dense(s.T))
-        return np.array_equal(prod.to_dense(), omega)
+        swapped = [v >> n | (v & (1 << n) - 1) << n for v in self.rows()]
+        prod = mat_mul(BitMatrix(2 * n, 2 * n, swapped), BitMatrix(2 * n, 2 * n, self.X + self.Z))
+        return prod.ints == [1 << (r + n) % (2 * n) for r in range(2 * n)]
 
     def to_text(self) -> str:
         s, phases = self.to_dense()
@@ -190,10 +194,6 @@ class CliffordLayers:
     p2_mask: np.ndarray
 
 
-def _dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b)).to_dense()
-
-
 def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     """Factor a tableau into the nine layers.
 
@@ -210,112 +210,105 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     if not t.is_symplectic():
         raise ValueError("tableau is not symplectic")
     n = t.n
-    s, ph = t.to_dense()
-    c = s[n:, :n]
-    d = s[n:, n:]
+    full = (1 << n) - 1
+    rows = t.rows()
+    x = [v & full for v in rows]
+    z = [v >> n for v in rows]
+    e = [2 * (t.ph >> r & 1) + (a & b).bit_count() for r, (a, b) in enumerate(zip(x, z))]
 
-    _, pivots = rank_and_pivots(BitMatrix.from_dense(c))
-    e2 = np.ones(n, dtype=bool)
-    e2[list(pivots)] = False
+    c, d = x[n:], z[n:]
+    _, pivots = rank_and_pivots(BitMatrix(n, n, c))
+    e2 = full ^ sum(1 << q for q in pivots)
+    x2 = [u & ~e2 | v & e2 for u, v in zip(c, d)]
+    z2 = [v & ~e2 | u & e2 for u, v in zip(c, d)]
+    theta = solve_right(BitMatrix(n, n, x2), BitMatrix(n, n, z2)).ints
+    # on E2 the columns of C are sums of pivot columns, which X2 keeps in
+    # place, so theta vanishes on E2 x E2 and d2 lies outside E2
+    d2 = sum(v & 1 << q for q, v in enumerate(theta))
+    gamma2 = [v & ~(1 << q) for q, v in enumerate(theta)]
 
-    x2 = c.copy()
-    x2[:, e2] = d[:, e2]
-    z2 = d.copy()
-    z2[:, e2] = c[:, e2]
-    theta = solve_right(BitMatrix.from_dense(x2), BitMatrix.from_dense(z2)).to_dense()
-
-    # clear the diagonal on E2 by retracting those Hadamards; the rank-one
-    # update keeps theta = X2^{-1} Z2 for the retracted column mix
-    while True:
-        bad = np.nonzero(e2 & (theta.diagonal() == 1))[0]
-        if bad.size == 0:
-            break
-        q = int(bad[0])
-        u = theta[:, q].copy()
-        u[q] ^= 1
-        theta ^= np.outer(u, u)
-        e2[q] = False
-
-    d2 = np.zeros(n, dtype=np.uint8)
-    d2[~e2] = theta.diagonal()[~e2]
-    gamma2 = theta.copy()
-    np.fill_diagonal(gamma2, 0)
-    assert np.array_equal(gamma2, gamma2.T)
-
-    e1 = np.ones(n, dtype=bool)
     # adjacent H pairs around a CZ stage that ignores the qubit cancel
-    cancel = e1 & e2 & (gamma2.sum(axis=0) == 0) & (gamma2.sum(axis=1) == 0) & (d2 == 0)
-    e1[cancel] = False
-    e2[cancel] = False
+    cancel = sum(1 << q for q in range(n) if e2 >> q & 1 and not theta[q])
+    e1, e2 = full ^ cancel, e2 ^ cancel
 
     # peel P2, H2, CZ2, H1 off all rows, each row as i^e X^x Z^z (Y = iXZ);
     # the bottom rows must leave (0|K)
-    x = s[:, :n].copy()
-    z = s[:, n:].copy()
-    e = 2 * ph.astype(np.int64) + (x & z).sum(axis=1, dtype=np.int64)
     _peel_p(x, z, e, d2)
     _peel_h(x, z, e, e2)
     _peel_cz(x, z, e, gamma2)
     _peel_h(x, z, e, e1)
-    if x[n:].any():
+    if any(x[n:]):
         raise ValueError("decomposition failed: residual x-part")
-    k = z[n:].copy()
-    r_cx = mat_inverse(BitMatrix.from_dense(k)).to_dense()  # basis matrix of the CX stage
+    k = BitMatrix(n, n, z[n:])
+    k_t = k.transpose()
+    r_cx = mat_inverse(k)  # basis matrix of the CX stage
 
     # the top rows are (K^{-T} | T) with K^T T = K^T diag(d1) K + Gamma1;
     # pick d1 to hit the diagonal and let the first CZ pattern absorb the
     # off-diagonal remainder
-    q1 = _dense_mul(k.T, z[:n])
-    d1 = _dense_mul(r_cx.T, q1.diagonal().reshape(n, 1)).reshape(n)
-    gamma1 = q1 ^ _dense_mul(k.T * d1, k)
-    assert not gamma1.diagonal().any()
-    assert np.array_equal(gamma1, gamma1.T)
+    q1 = mat_mul(k_t, BitMatrix(n, n, z[:n])).ints
+    # d1 = R^T diag(q1), as the row vector diag(q1) R
+    d1 = mat_mul(BitMatrix(1, n, [sum(v & 1 << j for j, v in enumerate(q1))]), r_cx).ints[0]
+    kdk = mat_mul(BitMatrix(n, n, [v & d1 for v in k_t.ints]), k)
+    gamma1 = [u ^ v for u, v in zip(q1, kdk.ints)]
 
     # peel CZ1, the CX stage (no phase) and P1; what remains is the leading
     # X/Z masks, identity bits whose signs are the masks
     _peel_cz(x, z, e, gamma1)
-    x = _dense_mul(x, k.T)
-    z = _dense_mul(z, r_cx)
+    x = mat_mul(BitMatrix(2 * n, n, x), k_t).ints
+    z = mat_mul(BitMatrix(2 * n, n, z), r_cx).ints
     _peel_p(x, z, e, d1)
-    if not np.array_equal(np.hstack([x, z]), np.eye(2 * n, dtype=np.uint8)):
+    if any(u | v << n != 1 << r for r, (u, v) in enumerate(zip(x, z))):
         raise ValueError("decomposition failed: residual is not the identity")
-    assert not (e & 1).any()
-    signs = ((e >> 1) & 1).astype(np.uint8)
+    assert not any(v & 1 for v in e)
+    masks = BitMatrix(4, n, [d1, e1, e2, d2]).to_dense()
+    signs = np.array([v >> 1 & 1 for v in e], dtype=np.uint8)
 
     return CliffordLayers(
         x_mask=signs[n:],
         z_mask=signs[:n],
-        p1_mask=d1.astype(np.uint8),
-        cx=BitMatrix.from_dense(r_cx),
-        cz1=CzSpec(n, gamma1),
-        cz2=CzSpec(n, gamma2),
-        h_mask1=e1.astype(np.uint8),
-        h_mask2=e2.astype(np.uint8),
-        p2_mask=d2,
+        p1_mask=masks[0],
+        cx=r_cx,
+        cz1=CzSpec(n, BitMatrix(n, n, gamma1).to_dense()),
+        cz2=CzSpec(n, BitMatrix(n, n, gamma2).to_dense()),
+        h_mask1=masks[1],
+        h_mask2=masks[2],
+        p2_mask=masks[3],
     )
 
 
 # Conjugating a row i^e X^x Z^z by the inverse of a layer, in place: the
 # rules of Aaronson and Gottesman (arXiv:quant-ph/0406196) in the
-# i^e X^x Z^z form of Dehaene and De Moor (PRA 68, 042318, 2003).
-def _peel_p(x: np.ndarray, z: np.ndarray, e: np.ndarray, d: np.ndarray) -> None:
+# i^e X^x Z^z form of Dehaene and De Moor (PRA 68, 042318, 2003).  Rows are
+# ints (bit q for qubit q), as are the masks.
+def _peel_p(x: list[int], z: list[int], e: list[int], d: int) -> None:
     """P^-1 on mask d: S^dag X S = -iXZ."""
-    xd = x & d
-    e -= xd.sum(axis=1, dtype=np.int64)
-    z ^= xd
+    for r, v in enumerate(x):
+        xd = v & d
+        e[r] -= xd.bit_count()
+        z[r] ^= xd
 
 
-def _peel_h(x: np.ndarray, z: np.ndarray, e: np.ndarray, mask: np.ndarray) -> None:
+def _peel_h(x: list[int], z: list[int], e: list[int], mask: int) -> None:
     """H on a mask: H XZ H = ZX = -XZ, then x and z swap."""
-    e += 2 * (x[:, mask] & z[:, mask]).sum(axis=1, dtype=np.int64)
-    x[:, mask], z[:, mask] = z[:, mask].copy(), x[:, mask].copy()
+    for r, (u, v) in enumerate(zip(x, z)):
+        e[r] += 2 * (u & v & mask).bit_count()
+        swap = (u ^ v) & mask
+        x[r] = u ^ swap
+        z[r] = v ^ swap
 
 
-def _peel_cz(x: np.ndarray, z: np.ndarray, e: np.ndarray, gamma: np.ndarray) -> None:
-    """CZ pattern gamma: X_a -> X_a Z^gamma_a; reordering to X^x Z^z costs
-    (-1)^(x_a x_b) for every pair a < b of gamma."""
-    e += 2 * ((x & _dense_mul(x, np.tril(gamma, -1))).sum(axis=1, dtype=np.int64) & 1)
-    z ^= _dense_mul(x, gamma)
+def _peel_cz(x: list[int], z: list[int], e: list[int], gamma: list[int]) -> None:
+    """CZ pattern gamma (its rows): X_a -> X_a Z^gamma_a; reordering to
+    X^x Z^z costs (-1)^(x_a x_b) for every pair a < b of gamma."""
+    n = len(gamma)
+    rows = BitMatrix(len(x), n, x)
+    lower = [v & ((1 << a) - 1) for a, v in enumerate(gamma)]
+    pairs = mat_mul(rows, BitMatrix(n, n, lower)).ints
+    flips = mat_mul(rows, BitMatrix(n, n, gamma)).ints
+    for r, u in enumerate(x):
+        e[r] += 2 * ((u & pairs[r]).bit_count() & 1)
+        z[r] ^= flips[r]
 
 
 def synth_clifford(t: CliffordTableau) -> Circuit:

@@ -52,22 +52,24 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     return [cnot(b[j], a[i]) for cl in bipartite_edge_color(p) for (i, j) in cl]
 
 
-def _tri_gates(qubits: list[int], r: np.ndarray) -> list[Gate]:
+def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:
+    """Gates for the upper unitriangular matrix with int rows r on these qubits."""
     k = len(qubits)
     if k <= 1:
         return []
     if k == 2:
-        return [cnot(qubits[1], qubits[0])] if r[0, 1] else []
+        return [cnot(qubits[1], qubits[0])] if r[0] >> 1 & 1 else []
     if k == 3:
-        key = (int(r[0, 1]), int(r[0, 2]), int(r[1, 2]))
+        key = (r[0] >> 1 & 1, r[0] >> 2 & 1, r[1] >> 2 & 1)
         return [cnot(qubits[c], qubits[t]) for (c, t) in _BASE3[key]]
     h_ = (k + 1) // 2
     a, b = qubits[:h_], qubits[h_:]
-    # R[:h, :h] is unitriangular, so the block C with R[:h, :h] C = R[:h, h:] is unique
-    c = solve_right(BitMatrix.from_dense(r[:h_, :h_]), BitMatrix.from_dense(r[:h_, h_:])).to_dense()
-    gates = _block_add_gates(a, b, c)
-    gates += _tri_gates(a, r[:h_, :h_])
-    gates += _tri_gates(b, r[h_:, h_:])
+    top = [v & ((1 << h_) - 1) for v in r[:h_]]
+    # the top-left block is unitriangular, so the block C with top C = R[:h, h:] is unique
+    c = solve_right(BitMatrix(h_, h_, top), BitMatrix(h_, k - h_, [v >> h_ for v in r[:h_]]))
+    gates = _block_add_gates(a, b, c.to_dense())
+    gates += _tri_gates(a, top)
+    gates += _tri_gates(b, [v >> h_ for v in r[h_:]])
     return gates
 
 
@@ -78,12 +80,11 @@ def synth_triangular(r: BitMatrix) -> Circuit:
     Hadamard-conjugated form; run the result through remove_hadamards for
     a CNOT-only circuit of identical two-qubit count and depth.
     """
-    dense = r.to_dense()
     if r.rows != r.cols:
         raise ValueError("matrix must be square")
-    if not np.array_equal(np.tril(dense), np.eye(r.rows, dtype=np.uint8)):
+    if any(v & ((2 << i) - 1) != 1 << i for i, v in enumerate(r.ints)):
         raise ValueError("matrix must be upper triangular with unit diagonal")
-    return Circuit(r.rows, _tri_gates(list(range(r.rows)), dense))
+    return Circuit(r.rows, _tri_gates(list(range(r.rows)), r.ints))
 
 
 def remove_hadamards(c: Circuit) -> Circuit:
@@ -145,12 +146,10 @@ def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:
     if r.rows != r.cols:
         raise ValueError("matrix must be square")
     perm, low, up = lu_decompose(r)
-    gates = _tri_gates(list(range(n)), up.to_dense())
+    gates = _tri_gates(list(range(n)), up.ints)
     # lower factor: synthesize the transpose (upper triangular), strip its
     # H-conjugated stages, then reverse with controls and targets flipped
-    l_gates = remove_hadamards(
-        Circuit(n, _tri_gates(list(range(n)), low.transpose().to_dense()))
-    ).gates
+    l_gates = remove_hadamards(Circuit(n, _tri_gates(list(range(n)), low.transpose().ints))).gates
     gates += _transpose_trick(l_gates)
     if mode == REORDER:
         return Circuit(n, gates, perm=perm)

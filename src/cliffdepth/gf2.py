@@ -1,12 +1,12 @@
 """GF(2) linear algebra on bit rows.
 
-``BitMatrix`` stores each row as one Python int, bit j holding column j.
-This module is the only one that knows that layout: the rest of the
-package goes through ``BitMatrix(rows, cols, ints)``, ``from_dense`` and
-``to_dense``.  The product combines rows of the right factor eight at a
-time through lookup tables (the method of four Russians); inverse, solve
-and rank share one Gauss-Jordan elimination, and LU eliminates on the
-same rows.
+``BitMatrix`` stores each row as one Python int: entry (i, j) is bit j of
+``ints[i]``.  That is the package's public GF(2) format, which the other
+modules build and shift directly; numpy arrays enter only through
+``from_dense`` and ``to_dense``.  The product combines rows of the right
+factor eight at a time through lookup tables (the method of four
+Russians); inverse, solve and rank share one Gauss-Jordan elimination,
+and LU eliminates on the same rows.
 """
 
 from __future__ import annotations

@@ -53,13 +53,17 @@ def linear_action(c: Circuit) -> BitMatrix:
     return BitMatrix(c.n, c.n, rows)
 
 
+class NotDiagonalError(ValueError):
+    """The circuit permutes basis labels, so it has no diagonal phase table."""
+
+
 def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:
     """Diagonal phase exponent per input basis label, exhaustively.
 
     Supports CNOT, CZ, X, Z.  The circuit's permutation action on labels
     must be the identity overall (CZ synthesis with compute/uncompute
     stages satisfies this); otherwise phases would not be attributable to
-    input labels and a ValueError is raised.
+    input labels and a NotDiagonalError (a ValueError) is raised.
     """
     if c.n > max_qubits:
         raise ValueError(f"phase oracle limited to {max_qubits} qubits")
@@ -78,7 +82,7 @@ def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:
         else:
             raise ValueError(f"phase oracle cannot handle {g.kind} gate")
     if not np.array_equal(cur, labels):
-        raise ValueError("circuit permutes basis labels; phases not diagonal")
+        raise NotDiagonalError("circuit permutes basis labels; phases not diagonal")
     return phase
 
 

@@ -338,3 +338,30 @@ def test_synth_output_verifies_against_its_input(capsys, tmp_path, cmd, kind, su
         code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(ref),
                            "--oracle", oracle)
         assert code == 0 and "verified" in out, oracle
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle", "phase"]])
+def test_verify_label_permuting_circuit_is_a_mismatch(capsys, tmp_path, flags):
+    """A circuit that permutes basis labels cannot realize a CZ pattern."""
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    mat = tmp_path / "p.mat"
+    mat.write_text("2 2\n01\n10\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat), *flags)
+    assert code == 1 and "MISMATCH" in out
+
+
+@pytest.mark.parametrize("n, body, message", [
+    (13, "CZ 0 1\n", "limited to 12 qubits"),
+    (2, "H 1\nCNOT 0 1\nH 1\n", "cannot handle H gate"),
+])
+def test_verify_phase_oracle_usage_errors_exit_2(capsys, tmp_path, n, body, message):
+    circ = tmp_path / "c.circ"
+    circ.write_text(f"qubits {n}\n{body}")
+    bits = np.zeros((n, n), dtype=np.uint8)
+    bits[0, 1] = bits[1, 0] = 1
+    mat = tmp_path / "p.mat"
+    mat.write_text(CzSpec(n, bits).to_bitmatrix().to_text())
+    code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat),
+                       "--oracle", "phase")
+    assert code == 2 and message in err

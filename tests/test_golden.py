@@ -8,19 +8,21 @@ any of them was written. A speed-up of any layer on these paths must
 reproduce them exactly: the same gates, in the same order.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from cliffdepth import bounds
-from cliffdepth.circuit import to_text
+from cliffdepth.circuit import Circuit, to_text
 from cliffdepth.clifford import (
-    random_clifford_circuit, random_tableau, synth_clifford, tableau_of_circuit,
+    decompose_tableau, random_clifford_circuit, random_tableau, synth_clifford,
+    tableau_of_circuit,
 )
 from cliffdepth.cnot import EXACT, REORDER, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
-from cliffdepth.gf2 import random_invertible
+from cliffdepth.gf2 import BitMatrix, random_invertible
 from cliffdepth.patterns import M01Pattern, bipartite_edge_color
 
 
@@ -55,6 +57,49 @@ def test_synth_clifford_golden():
     t = random_tableau(np.random.default_rng(31), 32)
     assert sha(to_text(synth_clifford(t))) == (
         "64fd216730ded625a8eac22ca11005871e601b00fcbbd9e5f0dbed5675b4a922")
+
+
+def layers_digest(layers) -> str:
+    """SHA-256 over every CliffordLayers field: name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(layers):
+        v = getattr(layers, f.name)
+        if isinstance(v, BitMatrix):
+            data = v.to_text().encode()
+        else:
+            arr = v if isinstance(v, np.ndarray) else v.bits
+            data = f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()
+        h.update(f.name.encode() + data)
+    return h.hexdigest()
+
+
+def _deep_tableau(seed: int, n: int):
+    """Tableau of ten random_clifford_circuits in a row (100n gates)."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(10):
+        gates += random_clifford_circuit(rng, n).gates
+    return tableau_of_circuit(Circuit(n, gates))
+
+
+# Recorded with the dense-array decomposition that preceded the int-row
+# peel.  C (the x-part of the bottom rows) is rank-deficient at n = 5, 13,
+# 64 and 65, H pairs cancel at n = 5, 64 and 65, and C has full rank at
+# n = 1 and in the 100n-gate tableau.
+@pytest.mark.parametrize("n, deep, digest", [
+    (1, False, "bbe4f676a97393e6d9c103215b854e3a822bd10c3c97a329122f348d0ac8ecb2"),
+    (5, False, "54e4a4c39423389cf95d828567781ea3922c335992c496083493497f71600ce8"),
+    (13, False, "8bdb125b12c5477c4d702a262f4ac65ee5e1533d66eb7896262983028d6194a4"),
+    (64, False, "81a6af0b8fdaef21b6dae79f10f69bb9b5d9b106c40c89572cfdc70bc73def3c"),
+    (65, False, "e40267026ac9f452fa2a03123a4588679d738d93513fe14ed473f717ed562b31"),
+    (64, True, "29e4c5c605765e737534a4b3f51bd509b5daaa001972e7f3b6a2150e460c489b"),
+])
+def test_decompose_tableau_golden(n, deep, digest):
+    if deep:
+        t = _deep_tableau(77, n)
+    else:
+        t = random_tableau(np.random.default_rng(50 + n), n)
+    assert layers_digest(decompose_tableau(t)) == digest
 
 
 # 2n crosses the 64-bit word boundary between n = 31 and n = 33; the
