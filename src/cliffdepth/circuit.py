@@ -8,6 +8,7 @@ claimed parallelism.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .gf2 import Permutation
@@ -61,10 +62,13 @@ class Circuit:
         self.gates: list[Gate] = list(gates)
         # Output qubit reordering reported by up-to-reordering synthesis.
         self.perm = perm
-        for g in self.gates:
-            hi = max(g.a, g.b)
-            if g.a < 0 or hi >= n:
-                raise ValueError(f"gate {g} out of range for {n} qubits")
+        used = set(map(itemgetter(1), self.gates))
+        # b names a qubit only in a two-qubit gate
+        used.update([b for kind, _, b in self.gates if kind in TWO_QUBIT])
+        if used and (min(used) < 0 or max(used) >= n):
+            bad = next(g for g in self.gates
+                       if not (0 <= g.a < n and (g.kind not in TWO_QUBIT or 0 <= g.b < n)))
+            raise ValueError(f"gate {bad} out of range for {n} qubits")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -81,10 +85,21 @@ class Circuit:
     def two_qubit_depth(self) -> int:
         """ASAP schedule length of the two-qubit gates."""
         d = [0] * self.n
-        for kind, a, b in self.gates:
-            if kind in TWO_QUBIT:
-                d[a] = d[b] = max(d[a], d[b]) + 1
+        asap_finish(self.gates, d)
         return max(d, default=0)
+
+
+def asap_finish(gates: Iterable[Gate], d) -> None:
+    """Advance the finish times d[q] past the gates' two-qubit gates, each ASAP.
+
+    d maps every qubit the gates touch to the step it is busy until; the
+    schedule length is max(d) afterwards.
+    """
+    for kind, a, b in gates:
+        if kind in TWO_QUBIT:
+            x = d[a]
+            y = d[b]
+            d[a] = d[b] = (x if x > y else y) + 1
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:

@@ -20,7 +20,8 @@ from .clifford import CliffordTableau, random_tableau, synth_clifford, tableau_o
 from .cnot import EXACT, REORDER, remove_hadamards, synth_linear
 from .cz import CzSpec, synth_cz
 from .gf2 import BitMatrix, random_invertible
-from .verify import NotDiagonalError, cz_pattern_phases, linear_action, phase_oracle, tableaux_equal
+from .verify import (NotDiagonalError, NotLinearError, cz_pattern_phases, linear_action,
+                     phase_oracle, tableaux_equal)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -90,7 +91,11 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
     if isinstance(ref, CliffordTableau) and oracle != "tableau":
         raise ValueError("tableau reference requires the tableau oracle")
     if oracle == "linear":
-        return _as_matrix(circ) == _as_matrix(ref)
+        want = _as_matrix(ref)
+        try:
+            return _as_matrix(circ) == want
+        except NotLinearError:  # the reference is linear, the circuit is not
+            return False
     if has_perm:
         raise ValueError(f"a circuit with a perm needs the linear oracle, not {oracle}")
     if isinstance(ref, BitMatrix):

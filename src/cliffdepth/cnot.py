@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Gate, cnot, h
+from .circuit import Circuit, Gate, asap_finish, cnot, h
 from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers, solve_right
-from .patterns import M01Pattern, bipartite_edge_color, m01_gates
+from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_with_rectangles
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -30,26 +30,42 @@ _BASE3 = {
 
 
 def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
-    """Gates realizing x_A += C x_B, cheaper of two stagings per instance.
+    """Gates realizing x_A += C x_B, in the shallower of two stagings.
 
     Either schedule the commuting CNOTs (control in B, target in A)
     directly via edge coloring, or conjugate a CZ-pattern circuit for C by
     Hadamards on A and strip them again.  The second is asymptotically
-    shallower but loses on small or sparse blocks.  The direct form is one
-    matching per color class, so its two-qubit depth is exactly the max
-    degree of C; only the Hadamard form is built and measured, and C is
-    colored only when the direct form is no deeper (ties go to it).
+    shallower but loses on small or sparse blocks; ties go to the direct
+    form.  The direct form is one matching per color class, so its depth
+    is d, the max degree of C.  The CZ form is the halving rectangles,
+    finishing qubit q at t[q] (T = max t), then the reduced pattern's
+    color classes, so its depth D satisfies
+    LB = max(T, max_q t[q] + deg(q)) <= D <= T + Delta = UB, with deg and
+    Delta taken in the reduced pattern (class c is a matching, so it ends
+    by T + c + 1).  If d <= LB the direct form is returned and the reduced
+    pattern is never colored; if d > UB the CZ form is, and C is never
+    colored.  Only in between is D measured, by continuing the rectangles'
+    schedule over the colored layers.
     """
     if not c.any():
         return []
     p = M01Pattern.from_dense(c)
-    via_cz = [h(q) for q in a] + m01_gates(a, b, p) + [h(q) for q in a]
-
-    n = max(max(a), max(b)) + 1
     d_direct = int(max(p.bits.sum(axis=0).max(), p.bits.sum(axis=1).max()))
-    if d_direct > Circuit(n, via_cz).two_qubit_depth():
-        return via_cz
-    return [cnot(b[j], a[i]) for cl in bipartite_edge_color(p) for (i, j) in cl]
+    rect, reduced = halve_with_rectangles(a, b, p)
+    t = [0] * (max(max(a), max(b)) + 1)
+    asap_finish(rect, t)
+    deg = reduced.bits.sum(axis=1).tolist() + reduced.bits.sum(axis=0).tolist()
+    top = max(t)
+    layers = None
+    if d_direct > max(top, *(t[q] + d for q, d in zip(a + b, deg))):
+        layers = cz_layers(a, b, reduced)
+        if d_direct <= top + max(deg):  # between the bounds: measure
+            asap_finish(layers, t)
+            if d_direct <= max(t):
+                layers = None
+    if layers is None:
+        return [cnot(b[j], a[i]) for cl in bipartite_edge_color(p) for (i, j) in cl]
+    return [h(q) for q in a] + rect + layers + [h(q) for q in a]
 
 
 def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:

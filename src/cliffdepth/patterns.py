@@ -157,13 +157,15 @@ def cz_layers(
     return [cz(a[i], b[j]) for cl in classes for (i, j) in cl]
 
 
-def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
-    """Gates applying exactly the CZs marked in p between rows a and columns b.
+def halve_with_rectangles(
+    a: list[int], b: list[int], p: M01Pattern
+) -> tuple[list[Gate], M01Pattern]:
+    """Halve p's weights and build the two rectangles that undo the flips.
 
-    Halve the weights, undo the flips with two rectangles (flipped rows x
-    unflipped columns and unflipped rows x flipped columns), then color
-    the reduced pattern.  The rectangles run side by side: both trees,
-    both middles, both uncomputes, then the colored CZ layers.
+    The rectangles are flipped rows x unflipped columns and unflipped rows
+    x flipped columns.  They run side by side: both trees, both middles,
+    both uncomputes.  Returns their gates and the reduced pattern, whose
+    CZs complete p.
     """
     hr = halve_weights(p)
     flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
@@ -173,8 +175,17 @@ def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
     b2 = [q for j, q in enumerate(b) if j not in flip_b]
     r1 = rectangle_parts(a1, b2) if a1 and b2 else RectangleParts()
     r2 = rectangle_parts(a2, b1) if a2 and b1 else RectangleParts()
-    gates = r1.trees + r2.trees + r1.middle + r2.middle + r1.uncompute + r2.uncompute
-    return gates + cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))
+    return r1.trees + r2.trees + r1.middle + r2.middle + r1.uncompute + r2.uncompute, hr.reduced
+
+
+def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
+    """Gates applying exactly the CZs marked in p between rows a and columns b.
+
+    The halving rectangles (see halve_with_rectangles), then the reduced
+    pattern's colored CZ layers.
+    """
+    gates, reduced = halve_with_rectangles(a, b, p)
+    return gates + cz_layers(a, b, reduced, max(p.m // 2, p.k // 2))
 
 
 def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -> Circuit:

@@ -1,7 +1,8 @@
 """Independent correctness oracles.
 
 These deliberately avoid the synthesis code paths: the linear oracle
-replays gates on the rows of an identity matrix, kept as Python ints, the
+replays gates on the rows of an identity matrix, kept as Python ints (a
+circuit outside the form it replays is read from its tableau), the
 phase oracle tracks the diagonal action over all basis labels, and
 tableau equality compares the simulator's bit columns.  Convention used
 throughout: circuits act left to right, so
@@ -13,16 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
+from .clifford import tableau_of_circuit
 from .gf2 import BitMatrix
+
+
+class NotLinearError(ValueError):
+    """The circuit does not act as a linear map x -> R x on basis labels."""
 
 
 def linear_action(c: Circuit) -> BitMatrix:
     """Basis-label action x -> R x of a linear-reversible circuit.
 
-    Accepts CNOT directly and the Hadamard-conjugated CZ form emitted by
+    Replays CNOT directly and the Hadamard-conjugated CZ form emitted by
     triangular synthesis: per-qubit H parity is tracked, a CZ with exactly
     one conjugated end is a CNOT targeting that end, and a CNOT with both
     ends conjugated acts flipped.  All H parities must cancel by the end.
+    A circuit outside this form (a CNOT with one conjugated end, a CZ with
+    both ends bare or both conjugated, a P, X or Z gate, an H left over)
+    is read from its stabilizer tableau instead, since later gates may
+    undo what took it out of the form.  A circuit that is not linear
+    raises NotLinearError (a ValueError).
     """
     rows = [1 << i for i in range(c.n)]  # bit j of rows[i] = R[i, j]
     par = [0] * c.n
@@ -36,21 +47,32 @@ def linear_action(c: Circuit) -> BitMatrix:
             elif not pa and not pb:
                 rows[b] ^= rows[a]
             else:
-                raise ValueError("CNOT with one conjugated end is not linear")
+                break
         elif kind == "CZ":
             pa, pb = par[a], par[b]
-            if pa ^ pb:
-                if pa:
-                    rows[a] ^= rows[b]
-                else:
-                    rows[b] ^= rows[a]
+            if not pa ^ pb:
+                break
+            if pa:
+                rows[a] ^= rows[b]
             else:
-                raise ValueError("CZ without exactly one conjugated end is not linear")
+                rows[b] ^= rows[a]
         else:
-            raise ValueError(f"linear oracle cannot handle {kind} gate")
-    if any(par):
-        raise ValueError("unmatched H gates; circuit is not linear")
-    return BitMatrix(c.n, c.n, rows)
+            break
+    else:
+        if not any(par):
+            return BitMatrix(c.n, c.n, rows)
+    return _linear_action_from_tableau(c)
+
+
+def _linear_action_from_tableau(c: Circuit) -> BitMatrix:
+    """R read off the tableau: linear exactly when each X_j maps to a product
+    of Xs and each Z_j to a product of Zs, all with sign +."""
+    t = tableau_of_circuit(c)
+    # bit r < n of a column is a row X_r maps to, bit n + r one Z_r maps to
+    low = (1 << c.n) - 1
+    if t.ph or any(v >> c.n for v in t.X) or any(v & low for v in t.Z):
+        raise NotLinearError("circuit is not linear on basis labels")
+    return BitMatrix(c.n, c.n, t.X)
 
 
 class NotDiagonalError(ValueError):

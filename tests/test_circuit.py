@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cliffdepth.circuit import (
     Circuit,
+    Gate,
     cnot,
     compose,
     cz,
@@ -146,3 +147,44 @@ def test_every_circuit_tableau_is_symplectic(c):
 def test_depth_never_exceeds_gate_count(c):
     d = c.two_qubit_depth()
     assert 0 <= d <= c.count_two_qubit()
+
+
+def reference_depth(c):
+    """ASAP schedule length: each two-qubit gate starts when both its qubits are free."""
+    free = [0] * c.n
+    for g in c.gates:
+        if g.kind in ("CZ", "CNOT"):
+            start = max(free[g.a], free[g.b])
+            free[g.a] = free[g.b] = start + 1
+    return max(free, default=0)
+
+
+def test_depth_matches_reference_asap():
+    rng = np.random.default_rng(12)
+    assert Circuit(0).two_qubit_depth() == reference_depth(Circuit(0)) == 0
+    assert Circuit(3).two_qubit_depth() == 0
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        c = random_circuit(rng, n, int(rng.integers(0, 120)))
+        assert c.two_qubit_depth() == reference_depth(c)
+
+
+@pytest.mark.parametrize("gate", [
+    cnot(0, -2),
+    Gate("CZ", 1, -1),
+    Gate("CZ", -1, 1),
+    cnot(0, 3),
+    cnot(3, 0),
+    Gate("CZ", 1, 7),
+    h(-1),
+    h(3),
+], ids=str)
+def test_gate_qubits_out_of_range_rejected(gate):
+    with pytest.raises(ValueError, match=r"out of range for 3 qubits"):
+        Circuit(3, [h(0), cz(0, 1), gate, cnot(2, 1)])
+
+
+def test_out_of_range_error_names_first_bad_gate():
+    with pytest.raises(ValueError, match=r"Gate\(kind='CNOT', a=0, b=-2\) out of range"):
+        Circuit(3, [h(2), cnot(0, -2), cnot(0, 5)])
+    Circuit(3, [h(2), cnot(0, 1), z(1), cz(1, 2)])  # in range: accepted

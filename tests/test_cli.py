@@ -365,3 +365,46 @@ def test_verify_phase_oracle_usage_errors_exit_2(capsys, tmp_path, n, body, mess
     code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat),
                        "--oracle", "phase")
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle", "linear"]])
+@pytest.mark.parametrize("body", [
+    "CZ 0 1\n",
+    "H 0\nCNOT 0 1\nH 0\n",
+    "H 0\nCZ 0 1\n",
+    "P 0\nCNOT 0 1\n",
+    "X 0\nCNOT 0 1\n",
+], ids=["cz-bare-ends", "cnot-one-conjugated-end", "unmatched-h", "phase", "offset"])
+def test_verify_non_linear_circuit_is_a_mismatch(capsys, tmp_path, flags, body):
+    """A circuit that is not linear cannot realize a linear matrix."""
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\n" + body)
+    mat = tmp_path / "m.mat"
+    mat.write_text("2 2\n10\n11\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat), *flags)
+    assert code == 1 and "MISMATCH" in out
+
+
+@pytest.mark.parametrize("body", [
+    "CZ 0 1\nCZ 0 1\nCNOT 0 1\n",
+    "P 0\nP 0\nZ 0\nCNOT 0 1\n",
+    "H 0\nCZ 0 1\nCZ 0 1\nH 0\nX 1\nCNOT 0 1\nX 1\n",
+], ids=["cancelling-cz", "cancelling-phases", "cancelling-offsets"])
+def test_verify_linear_circuit_outside_the_replayed_form(capsys, tmp_path, body):
+    """Gates that leave the replayed form and cancel later still verify."""
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\n" + body)
+    mat = tmp_path / "m.mat"
+    mat.write_text("2 2\n10\n11\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
+    assert code == 0 and "verified" in out
+
+
+def test_verify_non_linear_reference_is_a_usage_error(capsys, tmp_path):
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    ref = tmp_path / "r.circ"
+    ref.write_text("qubits 2\nCZ 0 1\n")
+    code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(ref),
+                       "--oracle", "linear")
+    assert code == 2 and "not linear" in err

@@ -15,7 +15,7 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import M01Pattern, bipartite_edge_color, m01_gates
+from cliffdepth.patterns import M01Pattern, bipartite_edge_color, halve_with_rectangles, m01_gates
 from cliffdepth.verify import linear_action
 
 blocks = st.integers(1, 24).flatmap(
@@ -39,24 +39,111 @@ def test_direct_block_depth_is_max_degree(c):
     assert Circuit(k + m, direct_gates(a, b, c)).two_qubit_depth() == delta
 
 
-def test_block_add_keeps_measured_shallower_candidate():
-    # reference: build and measure both stagings, ties to the direct form
-    rng = np.random.default_rng(5)
-    kept = set()
+def reference_block_add(a, b, c):
+    """The rule the block choice keeps: build and measure both stagings, ties to direct.
+
+    Returns the kept gates, the direct depth and the CZ form's measured depth.
+    """
+    n = max(a + b) + 1
+    direct = direct_gates(a, b, c)
+    via_cz = [h(q) for q in a] + m01_gates(a, b, M01Pattern.from_dense(c)) + [h(q) for q in a]
+    d_direct = Circuit(n, direct).two_qubit_depth()
+    d_via = Circuit(n, via_cz).two_qubit_depth()
+    return (direct if d_direct <= d_via else via_cz), d_direct, d_via
+
+
+def cz_form_bounds(a, b, c):
+    """(LB, UB) on the CZ form's depth from the rectangle finish times and reduced degrees."""
+    rect, reduced = halve_with_rectangles(a, b, M01Pattern.from_dense(c))
+    free = dict.fromkeys(a + b, 0)
+    for g in rect:
+        if g.kind in ("CZ", "CNOT"):
+            free[g.a] = free[g.b] = max(free[g.a], free[g.b]) + 1
+    deg = dict(zip(a + b, reduced.bits.sum(axis=1).tolist() + reduced.bits.sum(axis=0).tolist()))
+    top = max(free.values())
+    return max(top, *(free[q] + deg[q] for q in a + b)), top + max(deg.values())
+
+
+def _blocks(rng):
+    """Square and (h, k - h) blocks at densities 0.1, 0.5, 0.9 and all ones,
+    single rows and columns, random rectangles near density 0.6 (where the
+    choice is most often left to a measurement) and at any density."""
+    for k in range(2, 41):
+        for shape in ((k, k), ((k + 1) // 2, k // 2)):
+            for density in (0.1, 0.5, 0.9, 1.0):
+                yield rng.random(shape) < density
+    for m in range(1, 41):
+        for density in (0.5, 1.0):
+            yield rng.random((1, m)) < density
+            yield rng.random((m, 1)) < density
+    for _ in range(400):
+        yield rng.random(rng.integers(1, 33, size=2)) < rng.uniform(0.45, 0.75)
     for _ in range(300):
-        k, m = (int(v) for v in rng.integers(1, 25, size=2))
-        c = (rng.random((k, m)) < rng.random()).astype(np.uint8)
-        a, b = list(range(k)), list(range(k, k + m))
+        yield rng.random(rng.integers(1, 25, size=2)) < rng.random()
+
+
+def _counting(counts, key, fn, when=lambda *args: True):
+    def wrapper(*args, **kwargs):
+        counts[key] += bool(when(*args))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
+    """The bounds settle a block exactly as building and measuring both would,
+    coloring one pattern; only between the bounds is the CZ form measured."""
+    import cliffdepth.cnot as cnot_mod
+
+    colored = {"direct": 0, "reduced": 0}
+    monkeypatch.setattr(cnot_mod, "bipartite_edge_color",
+                        _counting(colored, "direct", cnot_mod.bipartite_edge_color))
+    monkeypatch.setattr(cnot_mod, "cz_layers",
+                        _counting(colored, "reduced", cnot_mod.cz_layers))
+    branches = set()
+    for bits in _blocks(np.random.default_rng(77)):
+        c = bits.astype(np.uint8)
+        k, m = c.shape
+        a, b = list(range(3, 3 + k)), list(range(3 + k, 3 + k + m))
         if not c.any():
             assert _block_add_gates(a, b, c) == []
             continue
-        direct = direct_gates(a, b, c)
-        via_cz = [h(q) for q in a] + m01_gates(a, b, M01Pattern.from_dense(c)) + [h(q) for q in a]
-        d_direct = Circuit(k + m, direct).two_qubit_depth()
-        d_via = Circuit(k + m, via_cz).two_qubit_depth()
-        kept.add("direct" if d_direct <= d_via else "via_cz")
-        assert _block_add_gates(a, b, c) == (direct if d_direct <= d_via else via_cz)
-    assert kept == {"direct", "via_cz"}
+        want, d_direct, d_via = reference_block_add(a, b, c)
+        lower, upper = cz_form_bounds(a, b, c)
+        assert lower <= d_via <= upper, (c.shape, lower, d_via, upper)
+        colored.update(direct=0, reduced=0)
+        assert _block_add_gates(a, b, c) == want
+        if d_direct <= lower:
+            branches.add("direct")
+            assert colored == {"direct": 1, "reduced": 0}
+        elif d_direct > upper:
+            branches.add("cz")
+            assert colored == {"direct": 0, "reduced": 1}
+        else:
+            branches.add("measured " + ("direct" if d_direct <= d_via else "cz"))
+            assert colored == {"direct": int(d_direct <= d_via), "reduced": 1}
+    assert branches == {"direct", "cz", "measured direct", "measured cz"}
+
+
+def test_synth_linear_builds_no_block_candidates(monkeypatch):
+    """Choosing a block's staging builds no Circuit and colors one pattern."""
+    import cliffdepth.cnot as cnot_mod
+    import cliffdepth.patterns as patterns_mod
+
+    counts = {"circuits": 0, "colorings": 0, "blocks": 0}
+    monkeypatch.setattr(Circuit, "__init__", _counting(counts, "circuits", Circuit.__init__))
+    for mod in (cnot_mod, patterns_mod):
+        monkeypatch.setattr(mod, "bipartite_edge_color",
+                            _counting(counts, "colorings", patterns_mod.bipartite_edge_color))
+    monkeypatch.setattr(cnot_mod, "_block_add_gates",
+                        _counting(counts, "blocks", cnot_mod._block_add_gates,
+                                  when=lambda a, b, c: c.any()))
+    m = random_invertible(np.random.default_rng(128), 128)
+    c = synth_linear(m, EXACT)
+    assert counts["blocks"] > 100
+    assert counts["colorings"] <= counts["blocks"]
+    assert counts["circuits"] <= 5
+    monkeypatch.undo()
+    assert linear_action(c) == m
 
 
 def random_unitriangular(rng, n):

@@ -4,6 +4,7 @@ import pytest
 from cliffdepth.circuit import Circuit, cnot, cz, h, p, x, z
 from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import (
+    NotLinearError,
     cz_pattern_phases,
     linear_action,
     phase_oracle,
@@ -45,6 +46,33 @@ def test_linear_action_rejects_nonlinear():
         linear_action(Circuit(1, [h(0)]))
     with pytest.raises(ValueError):
         linear_action(Circuit(1, [p(0)]))
+
+
+def test_linear_action_reads_circuits_outside_the_replayed_form():
+    """Cancelling runs spliced into a synthesized circuit leave its matrix unchanged.
+
+    A run left short by one P, X or Z gate adds a conjugated Pauli or its
+    square root, which is never a linear map; a lone CZ inside an H frame
+    is a CNOT, so it is not checked that way.
+    """
+    from cliffdepth.cnot import synth_triangular
+
+    rng = np.random.default_rng(41)
+    for n in (2, 5, 13, 30):
+        u = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+        np.fill_diagonal(u, 1)
+        want = BitMatrix.from_dense(u)
+        gates = synth_triangular(want).gates
+        assert linear_action(Circuit(n, gates)) == want
+        for _ in range(10):
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            pair = [[cz(i, j)] * 2, [p(i)] * 4, [x(i)] * 2, [z(i)] * 2][int(rng.integers(4))]
+            at = int(rng.integers(len(gates) + 1))
+            spliced = gates[:at] + pair + gates[at:]
+            assert linear_action(Circuit(n, spliced)) == want
+            if pair[0].kind != "CZ":
+                with pytest.raises(NotLinearError):
+                    linear_action(Circuit(n, gates[:at] + pair[1:] + gates[at:]))
 
 
 def test_phase_oracle_single_cz():
