@@ -8,6 +8,7 @@ claimed parallelism.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -23,17 +24,20 @@ class Gate(NamedTuple):
 TWO_QUBIT = ("CZ", "CNOT")
 ONE_QUBIT = ("H", "P", "X", "Z")
 
+# Gate from a full (kind, a, b) tuple, skipping NamedTuple's Python __new__
+_gate = partial(tuple.__new__, Gate)
+
 
 def cz(i: int, j: int) -> Gate:
     if i == j:
         raise ValueError("CZ needs two distinct qubits")
-    return Gate("CZ", min(i, j), max(i, j))
+    return _gate(("CZ", i, j) if i < j else ("CZ", j, i))
 
 
 def cnot(c: int, t: int) -> Gate:
     if c == t:
         raise ValueError("CNOT needs two distinct qubits")
-    return Gate("CNOT", c, t)
+    return _gate(("CNOT", c, t))
 
 
 def h(q: int) -> Gate:

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification or bound-validation failure,
-2 usage error.  Random instances from ``gen`` use numpy's default PCG64
-generator seeded with ``--seed``, so outputs are reproducible across
-platforms.
+2 usage error, an instance too large for memory included.  Random
+instances from ``gen`` use numpy's default PCG64 generator seeded with
+``--seed``, so outputs are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_gen(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.n > bounds.N_MAX:
+        raise ValueError(f"--n must be at most {bounds.N_MAX} (the bound tables' range), "
+                         f"got {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "cz":
         text = CzSpec.random(rng, args.n).to_bitmatrix().to_text()
@@ -256,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller instance", file=sys.stderr)
         return 2
 
 

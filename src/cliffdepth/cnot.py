@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Gate, asap_finish, cnot, h
+from .circuit import Circuit, Gate, _gate, asap_finish, cnot, h
 from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers, solve_right
 from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_with_rectangles
 
@@ -64,7 +64,8 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
             if d_direct <= max(t):
                 layers = None
     if layers is None:
-        return [cnot(b[j], a[i]) for cl in bipartite_edge_color(p) for (i, j) in cl]
+        # a and b are disjoint, so cnot's distinct-qubit check cannot fire
+        return [_gate(("CNOT", b[j], a[i])) for cl in bipartite_edge_color(p) for i, j in cl]
     return [h(q) for q in a] + rect + layers + [h(q) for q in a]
 
 
@@ -145,7 +146,7 @@ REORDER = "reorder"
 
 def _transpose_trick(gates: list[Gate]) -> list[Gate]:
     """Reverse order and swap control/target: realizes the transpose."""
-    return [cnot(g.b, g.a) for g in reversed(gates)]
+    return [_gate(("CNOT", b, a)) for _, a, b in reversed(gates)]
 
 
 def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:

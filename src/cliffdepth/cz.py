@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .circuit import Circuit, Gate, cz
+from .circuit import Circuit, Gate, _gate, cz
 from .gf2 import BitMatrix
 from .patterns import M01Pattern, complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
 from .rectangles import tree_layers
@@ -132,7 +132,7 @@ def _tree_gates(sets: list[list[int]]) -> tuple[list[Gate], list[int | None]]:
         if not s:
             reps.append(None)
             continue
-        gates += [Gate("CNOT", c, t) for layer in tree_layers(s) for (c, t) in layer]
+        gates += [_gate(("CNOT", c, t)) for layer in tree_layers(s) for (c, t) in layer]
         reps.append(s[-1])
     return gates, reps
 

@@ -111,7 +111,24 @@ class BitMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        """Block transpose on the rows, zero-padded to n x n with n a power of 2.
+
+        At block size s, rows k and k + s (bit s of k clear) swap the high
+        half of each 2s-bit group of row k with the low half of row k + s's.
+        """
+        n = 1 << (max(self.rows, self.cols) - 1).bit_length()
+        a = self.ints + [0] * (n - self.rows)
+        s = n >> 1
+        while s:
+            low = ((1 << n) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)
+            for base in range(0, n, 2 * s):
+                for k in range(base, base + s):
+                    x, y = a[k], a[k + s]
+                    t = (x >> s ^ y) & low
+                    a[k] = x ^ t << s
+                    a[k + s] = y ^ t
+            s >>= 1
+        return BitMatrix(self.cols, self.rows, a[:self.cols])
 
     def is_upper_triangular(self) -> bool:
         return all(v & ((1 << i) - 1) == 0 for i, v in enumerate(self.ints))

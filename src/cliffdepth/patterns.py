@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, cz
+from .circuit import Circuit, Gate, _gate
 from .rectangles import RectangleParts, check_qubit_set, rectangle_parts
 
 
@@ -86,11 +86,14 @@ def bipartite_edge_color(
 ) -> list[list[tuple[int, int]]]:
     """Partition the 1-entries into matchings using Delta colors.
 
-    Kempe-chain coloring: when the first free colors at the two endpoints
-    differ, swap them along the maximal alternating path starting at the
-    column endpoint, which frees a common color.  Each vertex keeps a
-    color -> neighbour list (-1 where free) and a bitmask of its used
-    colors, so its first free color is the lowest clear bit of the mask.
+    First-fit Kempe-chain coloring, row by row: an edge takes the first
+    color fi free at its row; if fi is taken at the column, fi and the
+    column's first free color fj are swapped along the maximal alternating
+    path from the column.  That path enters rows by fi-edges, so it never
+    reaches the row being filled, where fi is free: the row's t-th edge
+    takes color t, and only columns need a bitmask of used colors (fj is
+    its lowest clear bit).  Each vertex keeps a color -> neighbour list
+    (-1 where free).
 
     Args:
         p: bipartite pattern (rows vs columns).
@@ -105,44 +108,44 @@ def bipartite_edge_color(
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
     at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
     at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
-    used_row = [0] * p.k
     used_col = [0] * p.m
 
-    rows, cols = np.nonzero(p.bits)
+    rows, cols = np.nonzero(p.bits)  # row-major: each row's edges in a run
+    prev = -1
     for i, j in zip(rows.tolist(), cols.tolist()):
-        u = used_row[i]
-        fi = ((u + 1) & ~u).bit_length() - 1
+        if i != prev:
+            prev, row, fi = i, at_row[i], 0
+        col = at_col[j]
         u = used_col[j]
-        fj = ((u + 1) & ~u).bit_length() - 1
-        if fi != fj and at_col[j][fi] >= 0:
-            # swap colors fi/fj along the alternating path from column j;
-            # rows on the path are always entered by fi-edges, so row i
-            # (where fi is free) is never reached.  The path enters each
-            # vertex by one color and leaves by the other, so exchanging
-            # the vertex's two entries recolors both of its path edges;
-            # only the two end vertices change which colors they use.
-            tables, v, want, other = at_col, j, fi, fj
+        v = col[fi]
+        if v >= 0:
+            # fi is taken at column j, so fj != fi.  Walk the path a row
+            # and a column per step: a row is entered by fi and left by fj,
+            # a column the other way; exchanging a vertex's two entries
+            # recolors both of its path edges.  Only the end vertex changes
+            # which colors it uses, and only a column end has a mask.
+            fj = ((u + 1) & ~u).bit_length() - 1
+            col[fj] = v  # fj was free at j
+            used_col[j] = u | 1 << fj
             while True:
-                entry = tables[v]
-                nxt = entry[want]
-                entry[want], entry[other] = entry[other], nxt
-                if nxt < 0:
+                entry = at_row[v]
+                c = entry[fj]
+                entry[fj], entry[fi] = entry[fi], c
+                if c < 0:
                     break
-                tables = at_row if tables is at_col else at_col
-                v, want, other = nxt, other, want
-            flip = (1 << fi) | (1 << fj)
-            used_col[j] ^= flip
-            (used_row if tables is at_row else used_col)[v] ^= flip
-        at_row[i][fi] = j
-        at_col[j][fi] = i
-        used_row[i] |= 1 << fi
-        used_col[j] |= 1 << fi
+                entry = at_col[c]
+                v = entry[fi]
+                entry[fi], entry[fj] = entry[fj], v
+                if v < 0:
+                    used_col[c] ^= 1 << fi | 1 << fj
+                    break
+        else:
+            used_col[j] = u | 1 << fi
+        row[fi] = j
+        col[fi] = i
+        fi += 1
 
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(delta)]
-    for i, entry in enumerate(at_row):
-        for color, j in enumerate(entry):
-            if j >= 0:
-                classes[color].append((i, j))
+    classes = [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
     return [cl for cl in classes if cl]
 
 
@@ -152,9 +155,12 @@ def cz_layers(
     """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
 
     A nonzero cap bounds the number of colors (see bipartite_edge_color).
+    The gates are built directly, ends ordered as ``cz`` orders them: a
+    and b are disjoint, so no gate can repeat a qubit.
     """
     classes = bipartite_edge_color(p, max_colors=cap or None)
-    return [cz(a[i], b[j]) for cl in classes for (i, j) in cl]
+    return [_gate(("CZ", x, y) if (x := a[i]) < (y := b[j]) else ("CZ", y, x))
+            for cl in classes for i, j in cl]
 
 
 def halve_with_rectangles(

@@ -1,0 +1,72 @@
+"""Reference edge coloring for the pattern tests (test helper).
+
+``reference_edge_color`` is the first-fit Kempe-chain loop that
+``cliffdepth.patterns.bipartite_edge_color`` ran before its per-edge
+overhead was removed, kept unchanged: a mask per row and per column, the
+lowest clear bit as each end's first free color, and a one-vertex-per-step
+walk that toggles between the row and column tables.  The package's
+coloring must return the same classes, in the same order.  The only
+addition is the opt-in ``path_ends`` counter of where each Kempe path
+stops, so a test can check that its patterns drive both kinds of path.
+"""
+
+import numpy as np
+
+from cliffdepth.patterns import M01Pattern
+
+
+def reference_edge_color(
+    p: M01Pattern, max_colors: int | None = None, path_ends: dict | None = None
+) -> list[list[tuple[int, int]]]:
+    """The earlier loop; path_ends, if given, counts paths ending at a row or a column."""
+    deg_r = p.bits.sum(axis=1).astype(int)
+    deg_c = p.bits.sum(axis=0).astype(int)
+    delta = int(max(deg_r.max(initial=0), deg_c.max(initial=0)))
+    if delta == 0:
+        return []
+    if max_colors is not None and delta > max_colors:
+        raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
+    at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
+    at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
+    used_row = [0] * p.k
+    used_col = [0] * p.m
+
+    rows, cols = np.nonzero(p.bits)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        u = used_row[i]
+        fi = ((u + 1) & ~u).bit_length() - 1
+        u = used_col[j]
+        fj = ((u + 1) & ~u).bit_length() - 1
+        if fi != fj and at_col[j][fi] >= 0:
+            # swap colors fi/fj along the alternating path from column j;
+            # rows on the path are always entered by fi-edges, so row i
+            # (where fi is free) is never reached.  The path enters each
+            # vertex by one color and leaves by the other, so exchanging
+            # the vertex's two entries recolors both of its path edges;
+            # only the two end vertices change which colors they use.
+            tables, v, want, other = at_col, j, fi, fj
+            while True:
+                entry = tables[v]
+                nxt = entry[want]
+                entry[want], entry[other] = entry[other], nxt
+                if nxt < 0:
+                    break
+                tables = at_row if tables is at_col else at_col
+                v, want, other = nxt, other, want
+            flip = (1 << fi) | (1 << fj)
+            used_col[j] ^= flip
+            (used_row if tables is at_row else used_col)[v] ^= flip
+            if path_ends is not None:
+                end = "row" if tables is at_row else "col"
+                path_ends[end] = path_ends.get(end, 0) + 1
+        at_row[i][fi] = j
+        at_col[j][fi] = i
+        used_row[i] |= 1 << fi
+        used_col[j] |= 1 << fi
+
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(delta)]
+    for i, entry in enumerate(at_row):
+        for color, j in enumerate(entry):
+            if j >= 0:
+                classes[color].append((i, j))
+    return [cl for cl in classes if cl]

@@ -19,7 +19,9 @@ from cliffdepth.circuit import (
     z,
 )
 from cliffdepth.clifford import tableau_of_circuit
+from cliffdepth.cnot import _block_add_gates
 from cliffdepth.gf2 import Permutation
+from cliffdepth.patterns import M01Pattern, cz_layers
 
 
 def random_circuit(rng, n, g):
@@ -188,3 +190,25 @@ def test_out_of_range_error_names_first_bad_gate():
     with pytest.raises(ValueError, match=r"Gate\(kind='CNOT', a=0, b=-2\) out of range"):
         Circuit(3, [h(2), cnot(0, -2), cnot(0, 5)])
     Circuit(3, [h(2), cnot(0, 1), z(1), cz(1, 2)])  # in range: accepted
+
+
+def test_gate_builders_make_plain_gates():
+    """cz, cnot, cz_layers and the direct-form block build true Gates."""
+    g = cz(5, 2)
+    assert g == Gate("CZ", 2, 5) and (g.kind, g.a, g.b) == ("CZ", 2, 5)
+    assert cz(2, 5) == g
+    g = cnot(5, 2)
+    assert g == Gate("CNOT", 5, 2) and (g.kind, g.a, g.b) == ("CNOT", 5, 2)
+    for bad in (cz, cnot):
+        with pytest.raises(ValueError):
+            bad(3, 3)
+    # rows on the high qubits, so cz_layers must swap every pair's ends
+    bits = np.ones((3, 2), dtype=np.uint8)
+    layers = cz_layers([7, 8, 9], [1, 2], M01Pattern.from_dense(bits))
+    assert sorted(layers) == [Gate("CZ", b, a) for b in (1, 2) for a in (7, 8, 9)]
+    # a single edge per row and column: depth 1, so the direct form
+    direct = _block_add_gates([0, 1], [4, 5], np.eye(2, dtype=np.uint8))
+    assert direct == [Gate("CNOT", 4, 0), Gate("CNOT", 5, 1)]
+    for g in [cz(1, 0), cnot(0, 1), *layers, *direct]:
+        assert type(g) is Gate
+        assert g.b == g[2] and g.a == g[1] and g.kind == g[0]

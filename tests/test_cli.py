@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffdepth import bounds, cli
 from cliffdepth.circuit import Circuit, cz, from_text
 from cliffdepth.cli import _cz_tableau, main
 from cliffdepth.clifford import CliffordTableau, tableau_of_circuit
@@ -32,6 +33,34 @@ def test_gen_is_deterministic(capsys, tmp_path):
     c = gen(capsys, tmp_path, "cz", 10, 8, "c.mat")
     assert a.read_text() == b.read_text()
     assert a.read_text() != c.read_text()
+
+
+@pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])
+def test_gen_rejects_n_above_table_range(capsys, tmp_path, monkeypatch, kind):
+    """--n past N_MAX is a usage error, raised before any instance is made."""
+    def no_instance(*args):
+        raise AssertionError("an instance was generated")
+
+    for name in ("random_invertible", "random_tableau"):
+        monkeypatch.setattr(cli, name, no_instance)
+    monkeypatch.setattr(CzSpec, "random", no_instance)
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, "gen", "--kind", kind, "--n", str(bounds.N_MAX + 1),
+                         "--seed", "1", "--out", str(path))
+    assert code == 2
+    assert str(bounds.N_MAX) in err
+    assert not path.exists()
+
+
+def test_memory_error_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    def too_big(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_invertible", too_big)
+    code, _, err = run(capsys, "gen", "--kind", "linear", "--n", "5", "--seed", "1",
+                       "--out", str(tmp_path / "out.txt"))
+    assert code == 2
+    assert "out of memory" in err
 
 
 @pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])

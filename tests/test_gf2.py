@@ -47,6 +47,17 @@ def test_pack_roundtrip():
         assert np.array_equal(_rows_to_dense(ints, c), d)
 
 
+@pytest.mark.parametrize("shape", [
+    (1, 1), (7, 9), (8, 8), (9, 7), (63, 65), (64, 64), (65, 63), (130, 130)])
+def test_transpose_against_dense(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    d = rng.integers(0, 2, size=shape, dtype=np.uint8)
+    t = BitMatrix.from_dense(d).transpose()
+    assert (t.rows, t.cols) == shape[::-1]
+    assert t == BitMatrix.from_dense(d.T)
+    assert t.transpose() == BitMatrix.from_dense(d)
+
+
 def test_no_private_gf2_imports_outside_gf2():
     """Only gf2 knows the bit-row layout: no other module imports its _ names."""
     offenders = []

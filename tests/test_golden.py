@@ -53,6 +53,25 @@ def test_synth_linear_golden(mode, digest):
     assert sha(to_text(synth_linear(r, mode))) == digest
 
 
+# The benchmark's sizes (cz_dense, cnot_dense): recorded before the
+# coloring loop and gate builders lost their per-edge overhead.
+def test_synth_cz_golden_n256():
+    spec = CzSpec.random(np.random.default_rng(14), 256)
+    assert sha(to_text(synth_cz(spec))) == (
+        "d281110b2b7ef10f8d73891c17ec9ab0bc73509171bd28815ac50d8d1d1cb8d8")
+
+
+@pytest.mark.parametrize("mode, digest", [
+    (EXACT, "4ac3eb45e548559009af1601a613b9d610e2041f679ab183433a799fe512a92f"),
+    (REORDER, "0e7a8dbce07813f90b58fb5cd1f3d8ce504ce6151bdf670945bd81e0eaf3d0ef"),
+])
+def test_synth_linear_golden_n256(mode, digest):
+    r = random_invertible(np.random.default_rng(22), 256)
+    assert sha(r.to_text()) == (
+        "a9cf1a526803559d9aa7bd8062186d102b7f9e2d3dfd0d9ed2d125b850d95582")
+    assert sha(to_text(synth_linear(r, mode))) == digest
+
+
 def test_synth_clifford_golden():
     t = random_tableau(np.random.default_rng(31), 32)
     assert sha(to_text(synth_clifford(t))) == (

@@ -12,6 +12,7 @@ from cliffdepth.patterns import (
     synth_m01,
 )
 from cliffdepth.verify import phase_oracle
+from patterns_ref import reference_edge_color
 
 
 patterns = st.builds(
@@ -66,6 +67,30 @@ def test_edge_coloring_respects_cap():
     with pytest.raises(ValueError):
         bipartite_edge_color(p, max_colors=2)
     assert len(bipartite_edge_color(p, max_colors=3)) == 3
+
+
+def _reference_patterns():
+    """Halved random squares at k = 64, 128, 256, then rectangles, lines and
+    squares at densities 0.05, 0.5 and 0.95."""
+    rng = np.random.default_rng(67)
+    for k in (64, 128, 256):
+        yield halve_weights(M01Pattern.random(rng, k, k)).reduced
+    for k, m in ((37, 90), (90, 37), (128, 31), (1, 50), (50, 1), (60, 60)):
+        for density in (0.05, 0.5, 0.95):
+            yield M01Pattern.from_dense((rng.random((k, m)) < density).astype(np.uint8))
+
+
+def test_edge_color_matches_reference_loop():
+    """Same classes, in the same order, as the reference Kempe loop.
+
+    Large halved patterns make long alternating paths; both kinds of path
+    end (at a row and at a column) must occur, since each takes its own
+    exit from the walk.
+    """
+    ends: dict = {}
+    for p in _reference_patterns():
+        assert bipartite_edge_color(p) == reference_edge_color(p, path_ends=ends)
+    assert ends["row"] > 0 and ends["col"] > 0
 
 
 def test_synth_m01_phases_exhaustive():
