@@ -9,9 +9,8 @@ flooring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 N_MAX = 1_345_000
@@ -210,6 +209,8 @@ class BoundFormula:
         return math.floor(v)
 
     def _exact(self, n: int) -> int:
+        import mpmath  # loaded only when the near-integer guard fires
+
         with mpmath.workdps(50):
             ln = mpmath.log(n, 2)
             v = (
@@ -219,16 +220,6 @@ class BoundFormula:
                 + mpmath.mpf(repr(self.const))
             )
             return int(mpmath.floor(v))
-
-    def values(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Floored values and near-integer flags over an integer array."""
-        ln = np.log2(n.astype(np.float64))
-        v = self.linear * n + self.log2sq * ln * ln + self.log * ln + self.const
-        flags = np.abs(v - np.round(v)) < 1e-6
-        out = np.floor(v).astype(np.int64)
-        for idx in np.nonzero(flags)[0]:
-            out[idx] = self._exact(int(n[idx]))
-        return out, flags
 
 
 CZ_BOUND = BoundFormula(0.5, 0.4993, 3.0191, -10.9139, 39, N_MAX)
@@ -275,65 +266,128 @@ def prior_art_bound(family: str, n: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
+_RUN = 1 << 14  # sizes per closed-form scan run; its float buffers stay in cache
+
+
+@dataclass
+class _Tally:
+    """Slack of a family's closed form against its construction."""
+
+    depth: np.ndarray
+    last: int  # the last violating size; lo - 1 while there is none
+    violations: list = field(default_factory=list)  # the first 100
+    count: int = 0
+    min_slack: float = math.inf
+    max_slack: float = -math.inf
+    near: int = 0
+
+
+def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally]:
+    """Tally each family's closed-form slack over its range lo..hi.
+
+    The sizes are walked in runs cut at multiples of _RUN.  Each run
+    computes n and log2(n) once for all families and evaluates every formula
+    in place, in the operation order of BoundFormula.value, into buffers
+    reused from run to run.  Values within 1e-6 of an integer take
+    BoundFormula._exact.  each_run(a, n, ln), if given, sees every run's
+    float n and log2(n).
+    """
+    tallies = {fam: _Tally(construction_depth(fam, hi), lo - 1)
+               for fam, (lo, hi) in ranges.items()}
+    offsets = np.arange(_RUN, dtype=np.float64)
+    n_buf, ln_buf, v_buf, t_buf = (np.empty(_RUN) for _ in range(4))
+    flag_buf = np.empty(_RUN, dtype=bool)
+    start = min(lo for lo, _ in ranges.values())
+    end = max(hi for _, hi in ranges.values()) + 1
+    cuts = [start, *range((start // _RUN + 1) * _RUN, end, _RUN), end]
+    for a, b in zip(cuts, cuts[1:]):
+        n = np.add(offsets[: b - a], a, out=n_buf[: b - a])
+        ln = np.log2(n, out=ln_buf[: b - a])
+        for family, (lo, hi) in ranges.items():
+            tally, i, j = tallies[family], max(lo, a) - a, min(hi + 1, b) - a
+            if i >= j:
+                continue
+            f, v, t, flags = FORMULAS[family], v_buf[: j - i], t_buf[: j - i], flag_buf[: j - i]
+            np.multiply(n[i:j], f.linear, out=v)
+            np.multiply(ln[i:j], f.log2sq, out=t)
+            t *= ln[i:j]
+            v += t
+            np.multiply(ln[i:j], f.log, out=t)
+            v += t
+            v += f.const
+            np.rint(v, out=t)
+            t -= v
+            np.abs(t, out=t)
+            near = np.flatnonzero(np.less(t, 1e-6, out=flags))
+            np.floor(v, out=v)
+            for k in near.tolist():
+                v[k] = f._exact(a + i + k)
+            tally.near += near.size
+            np.subtract(v, tally.depth[a + i: a + j], out=t)
+            low = t.min()
+            if low < 0:
+                bad = np.flatnonzero(np.less(t, 0, out=flags)) + (a + i)
+                tally.violations += bad[: 100 - len(tally.violations)].tolist()
+                tally.count += bad.size
+                tally.last = int(bad[-1])
+            tally.min_slack = min(tally.min_slack, low)
+            tally.max_slack = max(tally.max_slack, t.max())
+        if each_run is not None:
+            each_run(a, n, ln)
+    return tallies
+
+
+def _validate(families) -> list[dict]:
+    tallies = _scan({fam: (FORMULAS[fam].lo, FORMULAS[fam].hi) for fam in families})
+    return [{"family": fam, "range": (FORMULAS[fam].lo, FORMULAS[fam].hi),
+             "violations": t.violations, "violation_count": t.count,
+             "max_slack": int(t.max_slack), "min_slack": int(t.min_slack),
+             "near_integer_flags": t.near} for fam, t in tallies.items()]
+
+
 def validate_closed_form(family: str) -> dict:
     """Check bound >= construction depth over the family's closed-form range."""
-    formula = FORMULAS[family]
-    depth = construction_depth(family, formula.hi)
-    n = np.arange(formula.lo, formula.hi + 1, dtype=np.int64)
-    vals, flags = formula.values(n)
-    slack = vals - depth[formula.lo: formula.hi + 1]
-    bad = np.nonzero(slack < 0)[0]
-    return {
-        "family": family,
-        "range": (formula.lo, formula.hi),
-        "violations": [int(n[i]) for i in bad[:100]],
-        "violation_count": int(bad.size),
-        "max_slack": int(slack.max()),
-        "min_slack": int(slack.min()),
-        "near_integer_flags": int(flags.sum()),
-    }
+    if family not in FORMULAS:
+        raise ValueError(f"no closed form for family {family!r}")
+    return _validate([family])[0]
 
 
 def validate_all() -> list[dict]:
-    return [validate_closed_form(fam) for fam in (CZ, CZ_BASIC, CNOT, CLIFFORD)]
+    return _validate(FORMULAS)
 
 
-def _range_start(family: str) -> int:
-    """First n from which the closed form holds through N_MAX."""
-    formula = FORMULAS[family]
-    depth = construction_depth(family)
-    n = np.arange(2, N_MAX + 1, dtype=np.int64)
-    vals, _ = formula.values(n)
-    ok = vals >= depth[2:]
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return 2
-    return int(n[bad[-1]]) + 1
+def _first(a: int, mask: np.ndarray) -> int | None:
+    """a plus the index of the first true entry of mask, or None."""
+    hits = np.flatnonzero(mask)
+    return a + int(hits[0]) if hits.size else None
 
 
 def crossover_scan() -> dict:
-    """Crossover points between our constructions and prior art."""
-    d = get_table(CNOT)
-    n = np.arange(2, N_MAX + 1, dtype=np.int64)
-    clv = ceil_log2(n)
-    prior = np.minimum(2 * n, (4 * n) // 3 + 8 * clv)
-    ours = 2 * d[2:] + 6
-    # crossover = first size from which the improvement is permanent
-    # (isolated earlier wins exist, e.g. around n = 56..64)
-    lose = np.nonzero(ours >= prior)[0]
-    cnot_crossover = int(n[lose[-1]]) + 1 if lose.size else int(n[0])
+    """Crossover points between our constructions and prior art.
 
-    rounded = np.nonzero((4 * n) // 3 + 8 * clv < 2 * n)[0]
-    asym = np.nonzero(4.0 * n / 3.0 + 8.0 * np.log2(n.astype(np.float64)) < 2.0 * n)[0]
-    return {
-        "cnot_crossover": cnot_crossover,
-        "prior_internal_rounded": int(n[rounded[0]]) if rounded.size else None,
-        "prior_internal_asymptotic": int(n[asym[0]]) if asym.size else None,
-        "cz_range_start": _range_start(CZ),
-        "cz_basic_range_start": _range_start(CZ_BASIC),
-        "cnot_range_start": _range_start(CNOT),
-        "clifford_range_start": _range_start(CLIFFORD),
-    }
+    A family's range start is the first n from which its closed form holds
+    through N_MAX.
+    """
+    d = get_table(CNOT)
+    out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
+
+    def prior_art(a, n, ln):
+        m = np.arange(a, a + len(n), dtype=np.int64)
+        internal = (4 * m) // 3 + 8 * ceil_log2(m)
+        # crossover = first size from which the improvement is permanent
+        # (isolated earlier wins exist, e.g. around n = 56..64)
+        lose = np.flatnonzero(2 * d[a: a + len(n)] + 6 >= np.minimum(2 * m, internal))
+        if lose.size:
+            out["cnot_crossover"] = a + int(lose[-1]) + 1
+        if out["prior_internal_rounded"] is None:
+            out["prior_internal_rounded"] = _first(a, internal < 2 * m)
+        if out["prior_internal_asymptotic"] is None:
+            out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * ln < 2.0 * n)
+
+    tallies = _scan({fam: (2, N_MAX) for fam in FORMULAS}, prior_art)
+    for fam, t in tallies.items():
+        out[fam.replace("-", "_") + "_range_start"] = t.last + 1
+    return out
 
 
 def emit_comparison_csv(family: str, lo: int, hi: int) -> str:

@@ -211,6 +211,35 @@ def test_bounds_requires_family_or_validate(capsys):
     assert code == 2
 
 
+def test_bounds_validate(capsys):
+    code, out, _ = run(capsys, "bounds", "--validate")
+    assert code == 0
+    assert out.splitlines() == [
+        "cz: range 39..1345000 ok (min slack 0, near-integer 2)",
+        "cz-basic: range 43..1345000 ok (min slack 0, near-integer 1)",
+        "cnot: range 70..1345000 ok (min slack 0, near-integer 3)",
+        "clifford: range 43..1345000 ok (min slack 0, near-integer 1)",
+        "cnot crossover vs prior art: n=70",
+    ]
+
+
+def test_bounds_validate_violation_exits_1(capsys, monkeypatch):
+    orig = bounds.construction_depth
+
+    def bumped(family, n_max=bounds.N_MAX):
+        d = orig(family, n_max).copy()
+        if family == bounds.CNOT:
+            d[100_000] += 1000
+        return d
+
+    monkeypatch.setattr(bounds, "construction_depth", bumped)
+    code, out, _ = run(capsys, "bounds", "--validate")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2].startswith("cnot: range 70..1345000 VIOLATED (min slack -")
+    assert sum("VIOLATED" in line for line in lines) == 1
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "synth-cz", "--input", str(tmp_path / "no.mat"))
     assert code == 2
