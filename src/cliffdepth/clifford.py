@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
-from .cnot import EXACT, synth_linear
-from .cz import CzSpec, synth_cz
+from .cnot import EXACT, _linear_gates
+from .cz import CzSpec, _synth_gates
 from .gf2 import BitMatrix, mat_inverse, mat_mul, rank_and_pivots, solve_right
 
 
@@ -321,11 +321,11 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     """
     layers = decompose_tableau(t)
     n = t.n
-    cz1_circ = synth_cz(layers.cz1)
+    cz1 = _synth_gates(list(range(n)), layers.cz1.bits)
     split = 0
-    while split < len(cz1_circ.gates) and cz1_circ.gates[split].kind == "CNOT":
+    while split < len(cz1) and cz1[split].kind == "CNOT":
         split += 1
-    prefix, rest = cz1_circ.gates[:split], cz1_circ.gates[split:]
+    prefix, rest = cz1[:split], cz1[split:]
     rows = [1 << q for q in range(n)]  # bit j of rows[i]: x_j feeds x_i
     for _, ctrl, tgt in prefix:
         rows[tgt] ^= rows[ctrl]
@@ -335,10 +335,10 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     gates += [x_gate(q) for q in np.nonzero(layers.x_mask)[0]]
     gates += [z_gate(q) for q in np.nonzero(layers.z_mask)[0]]
     gates += [p(q) for q in np.nonzero(layers.p1_mask)[0]]
-    gates += synth_linear(r_comb, EXACT).gates
+    gates += _linear_gates(r_comb, EXACT)[0]
     gates += rest
     gates += [h(q) for q in np.nonzero(layers.h_mask1)[0]]
-    gates += synth_cz(layers.cz2).gates
+    gates += _synth_gates(list(range(n)), layers.cz2.bits)
     gates += [h(q) for q in np.nonzero(layers.h_mask2)[0]]
     gates += [p(q) for q in np.nonzero(layers.p2_mask)[0]]
     return Circuit(n, gates)

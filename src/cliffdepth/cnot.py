@@ -8,11 +8,10 @@ matrix is split as permutation * lower * upper via LU decomposition.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .circuit import Circuit, Gate, _gate, asap_finish, cnot, h
-from .gf2 import BitMatrix, lu_decompose, perm_to_transposition_layers, solve_right
-from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_with_rectangles
+from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
+from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_weights
+from .patterns import halve_with_rectangles, rectangle_finish
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -29,8 +28,8 @@ _BASE3 = {
 }
 
 
-def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
-    """Gates realizing x_A += C x_B, in the shallower of two stagings.
+def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
+    """Gates realizing x_A += C x_B, for the block C = p, in the shallower of two stagings.
 
     Either schedule the commuting CNOTs (control in B, target in A)
     directly via edge coloring, or conjugate a CZ-pattern circuit for C by
@@ -45,16 +44,17 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     by T + c + 1).  If d <= LB the direct form is returned and the reduced
     pattern is never colored; if d > UB the CZ form is, and C is never
     colored.  Only in between is D measured, by continuing the rectangles'
-    schedule over the colored layers.
+    schedule over the colored layers.  The rectangles' gates are built
+    only for a returned CZ form, by halve_with_rectangles.
     """
-    if not c.any():
+    if not any(p.rows):
         return []
-    p = M01Pattern.from_dense(c)
-    d_direct = int(max(p.bits.sum(axis=0).max(), p.bits.sum(axis=1).max()))
-    rect, reduced = halve_with_rectangles(a, b, p)
+    d_direct = max(*(v.bit_count() for v in p.rows), *p.col_degrees())
+    hr = halve_weights(p)
     t = [0] * (max(max(a), max(b)) + 1)
-    asap_finish(rect, t)
-    deg = reduced.bits.sum(axis=1).tolist() + reduced.bits.sum(axis=0).tolist()
+    rectangle_finish(a, b, hr, t)
+    reduced = hr.reduced
+    deg = [v.bit_count() for v in reduced.rows + hr.cols]
     top = max(t)
     layers = None
     if d_direct > max(top, *(t[q] + d for q, d in zip(a + b, deg))):
@@ -66,7 +66,7 @@ def _block_add_gates(a: list[int], b: list[int], c: np.ndarray) -> list[Gate]:
     if layers is None:
         # a and b are disjoint, so cnot's distinct-qubit check cannot fire
         return [_gate(("CNOT", b[j], a[i])) for cl in bipartite_edge_color(p) for i, j in cl]
-    return [h(q) for q in a] + rect + layers + [h(q) for q in a]
+    return [h(q) for q in a] + halve_with_rectangles(a, b, p)[0] + layers + [h(q) for q in a]
 
 
 def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:
@@ -83,8 +83,8 @@ def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:
     a, b = qubits[:h_], qubits[h_:]
     top = [v & ((1 << h_) - 1) for v in r[:h_]]
     # the top-left block is unitriangular, so the block C with top C = R[:h, h:] is unique
-    c = solve_right(BitMatrix(h_, h_, top), BitMatrix(h_, k - h_, [v >> h_ for v in r[:h_]]))
-    gates = _block_add_gates(a, b, c.to_dense())
+    c = back_substitute(top, [v >> h_ for v in r[:h_]])
+    gates = _block_add_gates(a, b, M01Pattern(h_, k - h_, c))
     gates += _tri_gates(a, top)
     gates += _tri_gates(b, [v >> h_ for v in r[h_:]])
     return gates
@@ -104,6 +104,35 @@ def synth_triangular(r: BitMatrix) -> Circuit:
     return Circuit(r.rows, _tri_gates(list(range(r.rows)), r.ints))
 
 
+def _strip_hadamards(gates: list[Gate], n: int) -> list[Gate]:
+    """The gates of remove_hadamards, for a gate list on n qubits."""
+    par = [0] * n
+    out: list[Gate] = []
+    for g in gates:
+        kind, a, b = g
+        if kind == "H":
+            par[a] ^= 1
+        elif kind == "CNOT":
+            pa, pb = par[a], par[b]
+            if pa and pb:
+                out.append(cnot(b, a))
+            elif not pa and not pb:
+                out.append(g)
+            else:
+                raise ValueError("CNOT with one conjugated end has no rewrite")
+        elif kind == "CZ":
+            pa, pb = par[a], par[b]
+            if pa ^ pb:
+                out.append(cnot(b, a) if pa else cnot(a, b))
+            else:
+                raise ValueError("CZ needs exactly one conjugated end")
+        else:
+            raise ValueError(f"cannot remove H around {kind} gate")
+    if any(par):
+        raise ValueError("unmatched H gates remain")
+    return out
+
+
 def remove_hadamards(c: Circuit) -> Circuit:
     """Strip H gates by propagating them through CNOT/CZ.
 
@@ -114,30 +143,7 @@ def remove_hadamards(c: Circuit) -> Circuit:
     All H parities must cancel by the end of the circuit.  The output
     keeps the input's ``perm``.
     """
-    par = [0] * c.n
-    out: list[Gate] = []
-    for g in c.gates:
-        if g.kind == "H":
-            par[g.a] ^= 1
-        elif g.kind == "CNOT":
-            pa, pb = par[g.a], par[g.b]
-            if pa and pb:
-                out.append(cnot(g.b, g.a))
-            elif not pa and not pb:
-                out.append(g)
-            else:
-                raise ValueError("CNOT with one conjugated end has no rewrite")
-        elif g.kind == "CZ":
-            pa, pb = par[g.a], par[g.b]
-            if pa ^ pb:
-                out.append(cnot(g.b, g.a) if pa else cnot(g.a, g.b))
-            else:
-                raise ValueError("CZ needs exactly one conjugated end")
-        else:
-            raise ValueError(f"cannot remove H around {g.kind} gate")
-    if any(par):
-        raise ValueError("unmatched H gates remain")
-    return Circuit(c.n, out, perm=c.perm)
+    return Circuit(c.n, _strip_hadamards(c.gates, c.n), perm=c.perm)
 
 
 EXACT = "exact"
@@ -147,6 +153,23 @@ REORDER = "reorder"
 def _transpose_trick(gates: list[Gate]) -> list[Gate]:
     """Reverse order and swap control/target: realizes the transpose."""
     return [_gate(("CNOT", b, a)) for _, a, b in reversed(gates)]
+
+
+def _linear_gates(r: BitMatrix, mode: str) -> tuple[list[Gate], Permutation | None]:
+    """The gates of synth_linear(r, mode), and the perm its circuit reports."""
+    n = r.rows
+    perm, low, up = lu_decompose(r)
+    gates = _tri_gates(list(range(n)), up.ints)
+    # lower factor: synthesize the transpose (upper triangular), strip its
+    # H-conjugated stages, then reverse with controls and targets flipped
+    l_gates = _strip_hadamards(_tri_gates(list(range(n)), low.transpose().ints), n)
+    gates += _transpose_trick(l_gates)
+    if mode == REORDER:
+        return gates, perm
+    for layer in perm_to_transposition_layers(perm):
+        for (i, j) in layer:
+            gates += [cnot(i, j), cnot(j, i), cnot(i, j)]
+    return gates, None
 
 
 def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:
@@ -159,18 +182,7 @@ def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:
     """
     if mode not in (EXACT, REORDER):
         raise ValueError(f"unknown mode {mode!r}")
-    n = r.rows
     if r.rows != r.cols:
         raise ValueError("matrix must be square")
-    perm, low, up = lu_decompose(r)
-    gates = _tri_gates(list(range(n)), up.ints)
-    # lower factor: synthesize the transpose (upper triangular), strip its
-    # H-conjugated stages, then reverse with controls and targets flipped
-    l_gates = remove_hadamards(Circuit(n, _tri_gates(list(range(n)), low.transpose().ints))).gates
-    gates += _transpose_trick(l_gates)
-    if mode == REORDER:
-        return Circuit(n, gates, perm=perm)
-    for layer in perm_to_transposition_layers(perm):
-        for (i, j) in layer:
-            gates += [cnot(i, j), cnot(j, i), cnot(i, j)]
-    return Circuit(n, gates)
+    gates, perm = _linear_gates(r, mode)
+    return Circuit(r.rows, gates, perm=perm)

@@ -6,10 +6,13 @@ modules build and shift directly; numpy arrays enter only through
 ``from_dense`` and ``to_dense``.  The product combines rows of the right
 factor eight at a time through lookup tables (the method of four
 Russians); inverse, solve and rank share one Gauss-Jordan elimination,
-and LU eliminates on the same rows.
+LU eliminates on the same rows, and a unitriangular system is solved by
+back-substitution.
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
 
 import numpy as np
 
@@ -207,6 +210,35 @@ def solve_right(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         j = next(j for j, p in enumerate(pivots + [n]) if j != p)
         raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
     return BitMatrix(n, b.cols, [v >> n for v in rows])
+
+
+_BIN_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_bytes(v: int) -> bytes:
+    """Byte j is bit j of v (0 or 1), up to v's highest set bit."""
+    return bin(v)[:1:-1].encode().translate(_BIN_DIGITS)
+
+
+def set_bits(v: int) -> list[int]:
+    """Positions of the set bits of v, lowest first."""
+    return list(compress(count(), bit_bytes(v)))
+
+
+def back_substitute(top: list[int], rhs: list[int]) -> list[int]:
+    """Rows of X with top @ X = rhs, for an upper unitriangular top.
+
+    Both matrices come as int rows.  Row i of X is row i of rhs plus the
+    rows j > i of X that row i of top selects, so X is filled from the
+    last row up.
+    """
+    x = list(rhs)
+    for i in range(len(top) - 1, -1, -1):
+        acc = x[i]
+        for j in set_bits(top[i] ^ 1 << i):
+            acc ^= x[j]
+        x[i] = acc
+    return x
 
 
 def mat_inverse(a: BitMatrix) -> BitMatrix:

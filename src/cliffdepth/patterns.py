@@ -4,37 +4,62 @@ The halving step complements rows/columns until every row weight is at
 most m/2 and every column weight at most k/2; the complement corrections
 are two parallel rectangles, and the reduced pattern is scheduled as CZ
 layers given by a bipartite edge coloring with max-degree many colors.
+Patterns are int rows, in the format of ``gf2.BitMatrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count
+from operator import add
 
 import numpy as np
 
 from .circuit import Circuit, Gate, _gate
-from .rectangles import RectangleParts, check_qubit_set, rectangle_parts
+from .gf2 import BitMatrix, bit_bytes, set_bits
+from .rectangles import check_qubit_set, rectangle_pairs, rectangle_parts
 
 
 @dataclass
 class M01Pattern:
-    """k x m bipartite 0/1 pattern; bit (i, j) marks CZ(a_i, b_j)."""
+    """k x m bipartite 0/1 pattern; bit j of rows[i] marks CZ(a_i, b_j)."""
 
     k: int
     m: int
-    bits: np.ndarray  # (k, m) uint8
+    rows: list[int]
 
     @classmethod
     def from_dense(cls, bits: np.ndarray) -> "M01Pattern":
-        bits = np.asarray(bits, dtype=np.uint8) & 1
-        return cls(bits.shape[0], bits.shape[1], bits)
+        mat = BitMatrix.from_dense(bits)
+        return cls(mat.rows, mat.cols, mat.ints)
 
     @classmethod
     def random(cls, rng: np.random.Generator, k: int, m: int) -> "M01Pattern":
         return cls.from_dense(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
 
+    @property
+    def bits(self) -> np.ndarray:
+        """The pattern as a read-only (k, m) uint8 array, derived from the rows."""
+        out = BitMatrix(self.k, self.m, self.rows).to_dense()
+        out.flags.writeable = False
+        return out
+
+    def col_degrees(self) -> list[int]:
+        """The number of ones in each column."""
+        return _column_sums([bit_bytes(v) for v in self.rows], self.m)
+
     def total_ones(self) -> int:
-        return int(self.bits.sum())
+        return sum(v.bit_count() for v in self.rows)
+
+
+def _column_sums(digits: list[bytes], m: int) -> list[int]:
+    """Column sums of rows given as gf2.bit_bytes, added as little-endian
+    ints at most 255 at a time, so that no byte carries into the next."""
+    sums = [0] * m
+    for lo in range(0, len(digits), 255):
+        total = sum(int.from_bytes(d, "little") for d in digits[lo:lo + 255])
+        sums = list(map(add, sums, total.to_bytes(m, "little")))
+    return sums
 
 
 @dataclass
@@ -42,6 +67,7 @@ class HalvingResult:
     reduced: M01Pattern
     row_flips: list[int]  # A'
     col_flips: list[int]  # B'
+    cols: list[int]  # the reduced pattern's columns as ints, bit i holding row i
 
 
 def halve_weights(p: M01Pattern) -> HalvingResult:
@@ -50,12 +76,16 @@ def halve_weights(p: M01Pattern) -> HalvingResult:
     Alternates a pass over the rows with a pass over the columns; a line
     is flipped only when that strictly reduces the number of ones, which
     bounds the number of flips by the initial weight and guarantees
-    termination.
+    termination.  Flipping one line leaves every parallel line's weight
+    unchanged, so each pass flips all of its heavy lines at once.  Rows
+    and columns are kept as ints side by side: a pass complements its
+    heavy lines and xors their mask into every crossing line.
     """
     k, m = p.k, p.m
-    bits = p.bits.copy()
-    rowflip = np.zeros(k, dtype=np.uint8)
-    colflip = np.zeros(m, dtype=np.uint8)
+    rows, cols = list(p.rows), BitMatrix(k, m, p.rows).transpose().ints
+    full_r, full_c = (1 << m) - 1, (1 << k) - 1
+    half_r, half_c = m // 2, k // 2
+    rowflip = colflip = 0
     changed = True
     guard = k * m * (k + m) + k + m + 1
     passes = 0
@@ -63,22 +93,23 @@ def halve_weights(p: M01Pattern) -> HalvingResult:
         passes += 1
         if passes > guard:  # pragma: no cover - termination is proven
             raise RuntimeError("halving failed to terminate")
-        # flipping one line leaves every parallel line's weight unchanged,
-        # so each pass flips all of its heavy lines at once
-        rows = 2 * bits.sum(axis=1) > m
-        bits[rows] ^= 1
-        rowflip[rows] ^= 1
-        cols = 2 * bits.sum(axis=0) > k
-        bits[:, cols] ^= 1
-        colflip[cols] ^= 1
-        changed = bool(rows.any() or cols.any())
-    assert bits.sum(axis=1).max(initial=0) <= m // 2
-    assert bits.sum(axis=0).max(initial=0) <= k // 2
-    return HalvingResult(
-        M01Pattern.from_dense(bits),
-        [int(i) for i in np.nonzero(rowflip)[0]],
-        [int(j) for j in np.nonzero(colflip)[0]],
-    )
+        heavy_r = heavy_c = 0
+        for i, v in enumerate(rows):
+            if v.bit_count() > half_r:
+                rows[i] = v ^ full_r
+                heavy_r |= 1 << i
+        cols = [v ^ heavy_r for v in cols]
+        for j, v in enumerate(cols):
+            if v.bit_count() > half_c:
+                cols[j] = v ^ full_c
+                heavy_c |= 1 << j
+        rows = [v ^ heavy_c for v in rows]
+        rowflip ^= heavy_r
+        colflip ^= heavy_c
+        changed = bool(heavy_r or heavy_c)
+    assert max(v.bit_count() for v in rows) <= half_r
+    assert max(v.bit_count() for v in cols) <= half_c
+    return HalvingResult(M01Pattern(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
 
 
 def bipartite_edge_color(
@@ -99,51 +130,48 @@ def bipartite_edge_color(
         p: bipartite pattern (rows vs columns).
         max_colors: optional cap; a max degree above the cap is an error.
     """
-    deg_r = p.bits.sum(axis=1).astype(int)
-    deg_c = p.bits.sum(axis=0).astype(int)
-    delta = int(max(deg_r.max(initial=0), deg_c.max(initial=0)))
+    digits = [bit_bytes(v) for v in p.rows]
+    adj = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
+    delta = max(map(len, adj))
     if delta == 0:
         return []
+    delta = max(delta, *_column_sums(digits, p.m))
     if max_colors is not None and delta > max_colors:
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
     at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
     at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
     used_col = [0] * p.m
 
-    rows, cols = np.nonzero(p.bits)  # row-major: each row's edges in a run
-    prev = -1
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i != prev:
-            prev, row, fi = i, at_row[i], 0
-        col = at_col[j]
-        u = used_col[j]
-        v = col[fi]
-        if v >= 0:
-            # fi is taken at column j, so fj != fi.  Walk the path a row
-            # and a column per step: a row is entered by fi and left by fj,
-            # a column the other way; exchanging a vertex's two entries
-            # recolors both of its path edges.  Only the end vertex changes
-            # which colors it uses, and only a column end has a mask.
-            fj = ((u + 1) & ~u).bit_length() - 1
-            col[fj] = v  # fj was free at j
-            used_col[j] = u | 1 << fj
-            while True:
-                entry = at_row[v]
-                c = entry[fj]
-                entry[fj], entry[fi] = entry[fi], c
-                if c < 0:
-                    break
-                entry = at_col[c]
-                v = entry[fi]
-                entry[fi], entry[fj] = entry[fj], v
-                if v < 0:
-                    used_col[c] ^= 1 << fi | 1 << fj
-                    break
-        else:
-            used_col[j] = u | 1 << fi
-        row[fi] = j
-        col[fi] = i
-        fi += 1
+    for i, (row, js) in enumerate(zip(at_row, adj)):
+        for fi, j in enumerate(js):
+            col = at_col[j]
+            u = used_col[j]
+            v = col[fi]
+            if v >= 0:
+                # fi is taken at column j, so fj != fi.  Walk the path a row
+                # and a column per step: a row is entered by fi and left by fj,
+                # a column the other way; exchanging a vertex's two entries
+                # recolors both of its path edges.  Only the end vertex changes
+                # which colors it uses, and only a column end has a mask.
+                fj = ((u + 1) & ~u).bit_length() - 1
+                col[fj] = v  # fj was free at j
+                used_col[j] = u | 1 << fj
+                while True:
+                    entry = at_row[v]
+                    c = entry[fj]
+                    entry[fj], entry[fi] = entry[fi], c
+                    if c < 0:
+                        break
+                    entry = at_col[c]
+                    v = entry[fi]
+                    entry[fi], entry[fj] = entry[fj], v
+                    if v < 0:
+                        used_col[c] ^= 1 << fi | 1 << fj
+                        break
+            else:
+                used_col[j] = u | 1 << fi
+            row[fi] = j
+            col[fi] = i
 
     classes = [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
     return [cl for cl in classes if cl]
@@ -163,6 +191,32 @@ def cz_layers(
             for cl in classes for i, j in cl]
 
 
+def _rectangle_sides(
+    a: list[int], b: list[int], hr: HalvingResult
+) -> list[tuple[list[int], list[int]]]:
+    """The nonempty rectangles undoing hr's flips: flipped rows x unflipped
+    columns, then unflipped rows x flipped columns."""
+    flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
+    a1 = [a[i] for i in hr.row_flips]
+    a2 = [q for i, q in enumerate(a) if i not in flip_a]
+    b1 = [b[j] for j in hr.col_flips]
+    b2 = [q for j, q in enumerate(b) if j not in flip_b]
+    return [(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
+
+
+def rectangle_finish(a: list[int], b: list[int], hr: HalvingResult, t: list[int]) -> None:
+    """Advance t[q] as asap_finish would over the rectangles that
+    halve_with_rectangles builds for hr, building no gate.
+
+    The two rectangles share no qubit, so each runs through on its own.
+    """
+    for s, u in _rectangle_sides(a, b, hr):
+        trees, middle = rectangle_pairs(s, u)
+        for x, y in chain(trees, middle, reversed(trees)):
+            tx, ty = t[x], t[y]
+            t[x] = t[y] = (tx if tx > ty else ty) + 1
+
+
 def halve_with_rectangles(
     a: list[int], b: list[int], p: M01Pattern
 ) -> tuple[list[Gate], M01Pattern]:
@@ -174,14 +228,9 @@ def halve_with_rectangles(
     CZs complete p.
     """
     hr = halve_weights(p)
-    flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
-    a1 = [a[i] for i in hr.row_flips]
-    a2 = [q for i, q in enumerate(a) if i not in flip_a]
-    b1 = [b[j] for j in hr.col_flips]
-    b2 = [q for j, q in enumerate(b) if j not in flip_b]
-    r1 = rectangle_parts(a1, b2) if a1 and b2 else RectangleParts()
-    r2 = rectangle_parts(a2, b1) if a2 and b1 else RectangleParts()
-    return r1.trees + r2.trees + r1.middle + r2.middle + r1.uncompute + r2.uncompute, hr.reduced
+    parts = [rectangle_parts(s, u) for s, u in _rectangle_sides(a, b, hr)]
+    gates = [g for r in parts for g in r.trees] + [g for r in parts for g in r.middle]
+    return gates + [g for r in parts for g in r.uncompute], hr.reduced
 
 
 def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:

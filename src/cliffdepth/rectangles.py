@@ -68,44 +68,42 @@ class RectangleParts:
         return self.trees + self.middle + self.uncompute
 
 
+def rectangle_pairs(
+    a: list[int], b: list[int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The rectangle's tree CNOTs as (control, target) and its middle CZs as qubit pairs.
+
+    The uncompute is the trees reversed.  The sets are not checked.
+    """
+    if len(a) == 1 and len(b) == 1:
+        return [], [(a[0], b[0])]
+    la = tree_layers(a)
+    lb = tree_layers(b)
+    if len(la) == len(lb):
+        # equal depths: drop the last single-CNOT layer on both sides and
+        # couple the four partial parities directly (depth-2 CZ fragment)
+        ua, ra = la[-1][0]
+        ub, rb = lb[-1][0]
+        trees = [pair for layer in la[:-1] + lb[:-1] for pair in layer]
+        return trees, [(ua, rb), (ra, ub), (ua, ub), (ra, rb)]
+    if len(la) < len(lb):
+        a, b = b, a
+        la, lb = lb, la
+    # deeper side partial, shallower side full; two CZs replace the
+    # deeper side's last CNOT plus the central CZ
+    u, r_deep = la[-1][0]
+    trees = [pair for layer in la[:-1] + lb for pair in layer]
+    return trees, [(u, b[-1]), (r_deep, b[-1])]
+
+
 def rectangle_parts(a: list[int], b: list[int]) -> RectangleParts:
     check_qubit_set(a)
     check_qubit_set(b)
     if set(a) & set(b):
         raise ValueError("rectangle sets must be disjoint")
-    if len(a) == 1 and len(b) == 1:
-        return RectangleParts(middle=[cz(a[0], b[0])])
-
-    la = tree_layers(a)
-    lb = tree_layers(b)
-    da, db = len(la), len(lb)
-    parts = RectangleParts()
-
-    if da == db:
-        # equal depths: drop the last single-CNOT layer on both sides and
-        # couple the four partial parities directly (depth-2 CZ fragment)
-        ua, ra = la[-1][0]
-        ub, rb = lb[-1][0]
-        tree_gates = [cnot(c, t) for layer in la[:-1] for (c, t) in layer]
-        tree_gates += [cnot(c, t) for layer in lb[:-1] for (c, t) in layer]
-        parts.trees = tree_gates
-        parts.middle = [cz(ua, rb), cz(ra, ub), cz(ua, ub), cz(ra, rb)]
-        parts.uncompute = list(reversed(tree_gates))
-    else:
-        if da < db:
-            a, b = b, a
-            la, lb = lb, la
-            da, db = db, da
-        # deeper side partial, shallower side full; two CZs replace the
-        # deeper side's last CNOT plus the central CZ
-        u, r_deep = la[-1][0]
-        r_shallow = b[-1]
-        tree_gates = [cnot(c, t) for layer in la[:-1] for (c, t) in layer]
-        tree_gates += [cnot(c, t) for layer in lb for (c, t) in layer]
-        parts.trees = tree_gates
-        parts.middle = [cz(u, r_shallow), cz(r_deep, r_shallow)]
-        parts.uncompute = list(reversed(tree_gates))
-    return parts
+    trees, middle = rectangle_pairs(a, b)
+    tree_gates = [cnot(c, t) for c, t in trees]
+    return RectangleParts(tree_gates, [cz(x, y) for x, y in middle], tree_gates[::-1])
 
 
 def synth_rectangle(a: list[int], b: list[int], n: int | None = None) -> Circuit:

@@ -1,4 +1,10 @@
-"""Reference edge coloring for the pattern tests (test helper).
+"""Reference halving and edge coloring for the pattern tests (test helper).
+
+``reference_halve_weights`` is the numpy line-complementing loop that
+``cliffdepth.patterns.halve_weights`` ran before patterns became int
+rows, kept unchanged apart from taking and returning dense arrays and an
+opt-in count of its passes.  The package's halving must flip the same
+rows and columns and leave the same reduced pattern.
 
 ``reference_edge_color`` is the first-fit Kempe-chain loop that
 ``cliffdepth.patterns.bipartite_edge_color`` ran before its per-edge
@@ -13,6 +19,35 @@ stops, so a test can check that its patterns drive both kinds of path.
 import numpy as np
 
 from cliffdepth.patterns import M01Pattern
+
+
+def reference_halve_weights(
+    bits: np.ndarray, passes: list | None = None
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """The earlier loop: (reduced bits, row flips, column flips).
+
+    passes, if given, gets the number of passes the loop ran appended; the
+    last pass is the one that flips nothing.
+    """
+    k, m = bits.shape
+    bits = bits.copy()
+    rowflip = np.zeros(k, dtype=np.uint8)
+    colflip = np.zeros(m, dtype=np.uint8)
+    changed = True
+    count = 0
+    while changed:
+        count += 1
+        rows = 2 * bits.sum(axis=1) > m
+        bits[rows] ^= 1
+        rowflip[rows] ^= 1
+        cols = 2 * bits.sum(axis=0) > k
+        bits[:, cols] ^= 1
+        colflip[cols] ^= 1
+        changed = bool(rows.any() or cols.any())
+    if passes is not None:
+        passes.append(count)
+    return (bits, [int(i) for i in np.nonzero(rowflip)[0]],
+            [int(j) for j in np.nonzero(colflip)[0]])
 
 
 def reference_edge_color(

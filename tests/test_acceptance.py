@@ -69,9 +69,10 @@ def test_m01_depth_and_equivalence_bulk(size):
         p = M01Pattern.random(rng, k, m)
         circ = synth_m01(a, b, p, k + m)
         assert circ.two_qubit_depth() <= bound
+        bits = p.bits
         direct = Circuit(
             k + m,
-            [cz_gate(a[i], b[j]) for i in range(k) for j in range(m) if p.bits[i, j]],
+            [cz_gate(a[i], b[j]) for i in range(k) for j in range(m) if bits[i, j]],
         )
         assert tableau_of_circuit(circ) == tableau_of_circuit(direct)
 

@@ -207,7 +207,7 @@ def test_gate_builders_make_plain_gates():
     layers = cz_layers([7, 8, 9], [1, 2], M01Pattern.from_dense(bits))
     assert sorted(layers) == [Gate("CZ", b, a) for b in (1, 2) for a in (7, 8, 9)]
     # a single edge per row and column: depth 1, so the direct form
-    direct = _block_add_gates([0, 1], [4, 5], np.eye(2, dtype=np.uint8))
+    direct = _block_add_gates([0, 1], [4, 5], M01Pattern.from_dense(np.eye(2, dtype=np.uint8)))
     assert direct == [Gate("CNOT", 4, 0), Gate("CNOT", 5, 1)]
     for g in [cz(1, 0), cnot(0, 1), *layers, *direct]:
         assert type(g) is Gate

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from cliffdepth import bounds
 from cliffdepth.circuit import Circuit, cnot, h
+from cliffdepth.clifford import random_tableau, synth_clifford, tableau_of_circuit
 from cliffdepth.cnot import (
     EXACT,
     REORDER,
@@ -105,13 +106,13 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
         k, m = c.shape
         a, b = list(range(3, 3 + k)), list(range(3 + k, 3 + k + m))
         if not c.any():
-            assert _block_add_gates(a, b, c) == []
+            assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == []
             continue
         want, d_direct, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper, (c.shape, lower, d_via, upper)
         colored.update(direct=0, reduced=0)
-        assert _block_add_gates(a, b, c) == want
+        assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
         if d_direct <= lower:
             branches.add("direct")
             assert colored == {"direct": 1, "reduced": 0}
@@ -124,8 +125,47 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
     assert branches == {"direct", "cz", "measured direct", "measured cz"}
 
 
+def _odd_blocks(rng):
+    """k x (k - 1) blocks for odd k: all ones and at densities 0.5 and 0.9."""
+    for k in (3, 5, 7, 9, 15, 17, 31, 33):
+        yield np.ones((k, k - 1))
+        for density in (0.5, 0.9):
+            yield rng.random((k, k - 1)) < density
+
+
+@pytest.mark.parametrize("k, d_direct, lower, upper, form", [
+    (8, 8, 6, 6, "cz"),      # d = 8 > UB = 6
+    (4, 4, 4, 4, "direct"),  # d = D: the tie goes to the direct form
+])
+def test_block_add_all_ones_blocks(k, d_direct, lower, upper, form):
+    c = np.ones((k, k), dtype=np.uint8)
+    a, b = list(range(k)), list(range(k, 2 * k))
+    want, d, d_via = reference_block_add(a, b, c)
+    assert (d, cz_form_bounds(a, b, c)) == (d_direct, (lower, upper))
+    assert lower <= d_via <= upper
+    assert (want == direct_gates(a, b, c)) == (form == "direct")
+    assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
+
+
+def test_block_add_odd_blocks():
+    """Odd k x (k - 1) blocks settle as building and measuring both would,
+    some on each form."""
+    forms = set()
+    for bits in _odd_blocks(np.random.default_rng(59)):
+        c = bits.astype(np.uint8)
+        k, m = c.shape
+        a, b = list(range(1, 1 + k)), list(range(1 + k, 1 + k + m))
+        want, _, d_via = reference_block_add(a, b, c)
+        lower, upper = cz_form_bounds(a, b, c)
+        assert lower <= d_via <= upper
+        assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
+        forms.add("direct" if want == direct_gates(a, b, c) else "cz")
+    assert forms == {"direct", "cz"}
+
+
 def test_synth_linear_builds_no_block_candidates(monkeypatch):
-    """Choosing a block's staging builds no Circuit and colors one pattern."""
+    """Choosing a block's staging builds no Circuit and colors one pattern;
+    synth_linear and synth_clifford each build only the Circuit they return."""
     import cliffdepth.cnot as cnot_mod
     import cliffdepth.patterns as patterns_mod
 
@@ -136,14 +176,20 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
                             _counting(counts, "colorings", patterns_mod.bipartite_edge_color))
     monkeypatch.setattr(cnot_mod, "_block_add_gates",
                         _counting(counts, "blocks", cnot_mod._block_add_gates,
-                                  when=lambda a, b, c: c.any()))
+                                  when=lambda a, b, c: any(c.rows)))
     m = random_invertible(np.random.default_rng(128), 128)
     c = synth_linear(m, EXACT)
     assert counts["blocks"] > 100
     assert counts["colorings"] <= counts["blocks"]
-    assert counts["circuits"] <= 5
+    assert counts["circuits"] == 1
+    t = random_tableau(np.random.default_rng(129), 64)
+    counts.update(circuits=0, blocks=0)
+    cliff = synth_clifford(t)
+    assert counts["blocks"] > 50
+    assert counts["circuits"] == 1
     monkeypatch.undo()
     assert linear_action(c) == m
+    assert tableau_of_circuit(cliff) == t
 
 
 def random_unitriangular(rng, n):

@@ -10,6 +10,7 @@ from cliffdepth.gf2 import (
     BitMatrix,
     Permutation,
     SingularMatrixError,
+    back_substitute,
     lu_decompose,
     mat_inverse,
     mat_mul,
@@ -243,3 +244,17 @@ def test_perm_transposition_layers():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 130])
+def test_back_substitute_matches_solve_right(k):
+    """The unitriangular solve equals the Gauss-Jordan one, for right-hand
+    sides narrower and wider than the system."""
+    rng = np.random.default_rng(600 + k)
+    for _ in range(3):
+        top = np.triu(rng.integers(0, 2, size=(k, k), dtype=np.uint8), 1)
+        np.fill_diagonal(top, 1)
+        a = BitMatrix.from_dense(top)
+        for width in (max(1, k // 2), k + 5):
+            b = random_matrix(rng, k, width)
+            assert back_substitute(a.ints, b.ints) == solve_right(a, b).ints

@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cliffdepth.circuit import asap_finish
 from cliffdepth.patterns import (
     M01Pattern,
     bipartite_edge_color,
     complete_bipartite_rounds,
     halve_weights,
+    halve_with_rectangles,
+    rectangle_finish,
     synth_m01,
 )
+from cliffdepth.rectangles import tree_layers
 from cliffdepth.verify import phase_oracle
-from patterns_ref import reference_edge_color
+from patterns_ref import reference_edge_color, reference_halve_weights
 
 
 patterns = st.builds(
@@ -67,6 +71,92 @@ def test_edge_coloring_respects_cap():
     with pytest.raises(ValueError):
         bipartite_edge_color(p, max_colors=2)
     assert len(bipartite_edge_color(p, max_colors=3)) == 3
+
+
+def _halving_patterns():
+    """Random k x m with k != m for k, m in 1..40, all-ones and all-zero
+    blocks, single rows and single columns."""
+    rng = np.random.default_rng(58)
+    for k in range(1, 41):
+        for m in range(1, 41):
+            if k != m:
+                yield rng.random((k, m)) < rng.random()
+    for k, m in ((1, 1), (2, 2), (5, 3), (8, 8), (40, 17)):
+        yield np.ones((k, m))
+        yield np.zeros((k, m))
+    for m in (1, 2, 7, 40):
+        for density in (0.3, 0.7, 1.0):
+            yield rng.random((1, m)) < density
+            yield rng.random((m, 1)) < density
+
+
+def test_halve_weights_matches_reference_loop():
+    """Same row flips, column flips and reduced rows as the numpy loop,
+    including on patterns where a later pass flips lines again."""
+    passes: list = []
+    for dense in _halving_patterns():
+        p = M01Pattern.from_dense(dense)
+        bits, row_flips, col_flips = reference_halve_weights(p.bits, passes)
+        hr = halve_weights(p)
+        assert (hr.row_flips, hr.col_flips) == (row_flips, col_flips)
+        assert hr.reduced == M01Pattern.from_dense(bits)
+        assert hr.cols == M01Pattern.from_dense(bits.T).rows
+    assert max(passes) >= 4 and sum(n >= 3 for n in passes) > 50
+
+
+def test_bits_is_a_read_only_view_of_the_rows():
+    p = M01Pattern.random(np.random.default_rng(3), 5, 11)
+    assert p.bits.shape == (5, 11) and p.bits.dtype == np.uint8
+    assert M01Pattern.from_dense(p.bits) == p
+    with pytest.raises(ValueError):
+        p.bits[0, 0] ^= 1
+
+
+def test_col_degrees_match_dense_column_sums():
+    """Column sums go through bytes at most 255 rows at a time; taller
+    patterns, with columns of more than 255 ones, must not carry."""
+    rng = np.random.default_rng(4)
+    for k, m in ((1, 1), (3, 70), (255, 9), (256, 9), (600, 3), (511, 130)):
+        for dense in (np.ones((k, m)), rng.random((k, m)) < 0.5):
+            p = M01Pattern.from_dense(dense)
+            assert p.col_degrees() == p.bits.sum(axis=0).tolist()
+            delta = max(p.col_degrees() + p.bits.sum(axis=1).tolist())
+            assert len(bipartite_edge_color(p)) == delta
+
+
+def _rectangle_kinds(a, b, hr):
+    """Which rectangle_pairs branch each of the halving's rectangles takes."""
+    flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
+    sides = [([a[i] for i in hr.row_flips], [q for j, q in enumerate(b) if j not in flip_b]),
+             ([q for i, q in enumerate(a) if i not in flip_a], [b[j] for j in hr.col_flips])]
+    for s, u in sides:
+        if s and u:
+            if len(s) == len(u) == 1:
+                yield "1x1"
+            else:
+                yield "equal" if len(tree_layers(s)) == len(tree_layers(u)) else "unequal"
+
+
+def test_rectangle_finish_matches_asap_over_halving_rectangles():
+    """The gate-free finish times equal asap_finish over halve_with_rectangles'
+    gates, on 1x1 rectangles and on equal and unequal tree depths."""
+    rng = np.random.default_rng(13)
+    kinds = set()
+    for _ in range(400):
+        k, m = (int(v) for v in rng.integers(1, 20, size=2))
+        p = M01Pattern.from_dense(rng.random((k, m)) < rng.random())
+        qubits = [int(q) for q in rng.permutation(k + m + 5)]
+        a, b = qubits[:k], qubits[k:k + m]
+        start = [int(v) for v in rng.integers(0, 3, size=k + m + 5)]
+        want = list(start)
+        rect, _ = halve_with_rectangles(a, b, p)
+        asap_finish(rect, want)
+        got = list(start)
+        hr = halve_weights(p)
+        rectangle_finish(a, b, hr, got)
+        assert got == want
+        kinds.update(_rectangle_kinds(a, b, hr))
+    assert kinds == {"1x1", "equal", "unequal"}
 
 
 def _reference_patterns():
