@@ -239,16 +239,16 @@ FORMULAS = {
 
 
 def construction_depth(family: str, n_max: int = N_MAX) -> np.ndarray:
-    """Depth our construction certifies at each n, per family."""
-    if family == CZ:
-        return get_table(CZ, n_max)
-    if family == CZ_BASIC:
-        return get_table(CZ_BASIC, n_max)
-    if family == CNOT:
-        return 2 * get_table(CNOT, n_max) + 6
-    if family == CLIFFORD:
-        return get_table(CLIFFORD, n_max)
-    raise ValueError(f"unknown family {family!r}")
+    """Depth our construction certifies at each n = 0..n_max, per family."""
+    if family not in FORMULAS:
+        raise ValueError(f"unknown family {family!r}")
+    d = get_table(family, n_max)[: n_max + 1]
+    return 2 * d + 6 if family == CNOT else d
+
+
+def _cnot_prior_internal(n):
+    """The prior CNOT construction's (4n) // 3 + 8 ceil(log2 n), of an int or int64 array."""
+    return (4 * n) // 3 + 8 * ceil_log2(n)
 
 
 def prior_art_bound(family: str, n: int) -> int:
@@ -258,7 +258,7 @@ def prior_art_bound(family: str, n: int) -> int:
     if family == CZ:
         return n - 1 if n % 2 == 0 else n
     if family == CNOT:
-        return min(2 * n, (4 * n) // 3 + 8 * ceil_log2(n))
+        return min(2 * n, _cnot_prior_internal(n))
     if family == CLIFFORD:
         # reconstruction: prior CZ/CNOT bounds applied per the 11-stage
         # layered decomposition (see README); not a published curve
@@ -373,7 +373,7 @@ def crossover_scan() -> dict:
 
     def prior_art(a, n, ln):
         m = np.arange(a, a + len(n), dtype=np.int64)
-        internal = (4 * m) // 3 + 8 * ceil_log2(m)
+        internal = _cnot_prior_internal(m)
         # crossover = first size from which the improvement is permanent
         # (isolated earlier wins exist, e.g. around n = 56..64)
         lose = np.flatnonzero(2 * d[a: a + len(n)] + 6 >= np.minimum(2 * m, internal))
@@ -392,7 +392,7 @@ def crossover_scan() -> dict:
 
 def emit_comparison_csv(family: str, lo: int, hi: int) -> str:
     """CSV rows (n, prior, closed_form, construction) for a family."""
-    if family not in (CZ, CNOT, CLIFFORD, CZ_BASIC):
+    if family not in FORMULAS:
         raise ValueError(f"unknown family {family!r}")
     if not 2 <= lo <= hi <= N_MAX:
         raise ValueError(f"range must satisfy 2 <= from <= to <= {N_MAX}, got {lo}..{hi}")

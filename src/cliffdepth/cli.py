@@ -75,8 +75,15 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
 
     ``auto`` picks tableau for a tableau; linear for a matrix or when either
     circuit has a perm; phase for a CZ pattern on at most 12 qubits with a
-    CNOT/CZ/X/Z circuit; and tableau otherwise.
+    CNOT/CZ/X/Z circuit; and tableau otherwise.  A reference on another
+    number of qubits, or a matrix that is not square, is a usage error
+    under every oracle.
     """
+    if isinstance(ref, BitMatrix) and ref.rows != ref.cols:
+        raise ValueError(f"a linear reference must be square, got {ref.rows}x{ref.cols}")
+    ref_n = ref.rows if isinstance(ref, BitMatrix) else ref.n
+    if circ.n != ref_n:
+        raise ValueError(f"the circuit has {circ.n} qubits, the reference {ref_n}")
     has_perm = circ.perm is not None or (isinstance(ref, Circuit) and ref.perm is not None)
     if oracle == "auto":
         if isinstance(ref, CliffordTableau):

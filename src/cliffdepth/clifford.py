@@ -108,10 +108,14 @@ class CliffordTableau:
         return BitMatrix(2 * self.n, 2 * self.n, self.X + self.Z).transpose().ints
 
     def is_symplectic(self) -> bool:
+        return self._symplectic(self.rows())
+
+    def _symplectic(self, rows: list[int]) -> bool:
+        """is_symplectic, given the tableau's rows."""
         # s Omega s^T must be Omega; s Omega is s with its x and z halves
         # swapped, and the columns X + Z are the rows of s^T
         n = self.n
-        swapped = [v >> n | (v & (1 << n) - 1) << n for v in self.rows()]
+        swapped = [v >> n | (v & (1 << n) - 1) << n for v in rows]
         prod = mat_mul(BitMatrix(2 * n, 2 * n, swapped), BitMatrix(2 * n, 2 * n, self.X + self.Z))
         return prod.ints == [1 << (r + n) % (2 * n) for r in range(2 * n)]
 
@@ -207,11 +211,11 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     must leave the identity bits; the signs left over are the leading Z
     mask (top rows) and X mask (bottom rows).
     """
-    if not t.is_symplectic():
+    rows = t.rows()
+    if not t._symplectic(rows):
         raise ValueError("tableau is not symplectic")
     n = t.n
     full = (1 << n) - 1
-    rows = t.rows()
     x = [v & full for v in rows]
     z = [v >> n for v in rows]
     e = [2 * (t.ph >> r & 1) + (a & b).bit_count() for r, (a, b) in enumerate(zip(x, z))]
@@ -321,7 +325,7 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     """
     layers = decompose_tableau(t)
     n = t.n
-    cz1 = _synth_gates(list(range(n)), layers.cz1.bits)
+    cz1 = _synth_gates(list(range(n)), layers.cz1.to_bitmatrix().ints)
     split = 0
     while split < len(cz1) and cz1[split].kind == "CNOT":
         split += 1
@@ -338,7 +342,7 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     gates += _linear_gates(r_comb, EXACT)[0]
     gates += rest
     gates += [h(q) for q in np.nonzero(layers.h_mask1)[0]]
-    gates += _synth_gates(list(range(n)), layers.cz2.bits)
+    gates += _synth_gates(list(range(n)), layers.cz2.to_bitmatrix().ints)
     gates += [h(q) for q in np.nonzero(layers.h_mask2)[0]]
     gates += [p(q) for q in np.nonzero(layers.p2_mask)[0]]
     return Circuit(n, gates)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from .circuit import Circuit, Gate, _gate, asap_finish, cnot, h
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
 from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_weights
-from .patterns import halve_with_rectangles, rectangle_finish
+from .patterns import halving_rectangles
+from .rectangles import rectangle_finish, rectangle_gates
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -44,15 +45,17 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
     by T + c + 1).  If d <= LB the direct form is returned and the reduced
     pattern is never colored; if d > UB the CZ form is, and C is never
     colored.  Only in between is D measured, by continuing the rectangles'
-    schedule over the colored layers.  The rectangles' gates are built
-    only for a returned CZ form, by halve_with_rectangles.
+    schedule over the colored layers.  C is halved once: t[q] and a
+    returned CZ form's rectangle gates come from the same rectangle pairs,
+    and the gates are built only for a returned CZ form.
     """
     if not any(p.rows):
         return []
     d_direct = max(*(v.bit_count() for v in p.rows), *p.col_degrees())
     hr = halve_weights(p)
+    rects = halving_rectangles(a, b, hr)
     t = [0] * (max(max(a), max(b)) + 1)
-    rectangle_finish(a, b, hr, t)
+    rectangle_finish(rects, t)
     reduced = hr.reduced
     deg = [v.bit_count() for v in reduced.rows + hr.cols]
     top = max(t)
@@ -66,7 +69,7 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
     if layers is None:
         # a and b are disjoint, so cnot's distinct-qubit check cannot fire
         return [_gate(("CNOT", b[j], a[i])) for cl in bipartite_edge_color(p) for i, j in cl]
-    return [h(q) for q in a] + halve_with_rectangles(a, b, p)[0] + layers + [h(q) for q in a]
+    return [h(q) for q in a] + rectangle_gates(rects) + layers + [h(q) for q in a]
 
 
 def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:

@@ -16,6 +16,10 @@ The cheapest is coloring for n <= 38 and two-step for every larger n, so
 one-step runs only when forced; it is the construction behind the
 cz-basic bound.  The realized two-qubit depth never exceeds the
 recursion table value for the register size.
+
+The recursion works on int rows in the ``gf2.BitMatrix`` format: each
+entry point converts its ``CzSpec`` once, and every node cuts its blocks
+out of its rows with shifts and masks.
 """
 
 from __future__ import annotations
@@ -113,14 +117,19 @@ def _coloring_classes(n: int) -> list[list[tuple[int, int]]]:
 
 def synth_cz_coloring(spec: CzSpec) -> Circuit:
     """Direct scheduling of the pattern pairs into matching layers."""
-    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.bits))
+    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.to_bitmatrix().ints))
 
 
-def _coloring_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
-    k = len(qubits)
+def _block(rows: list[int], r0: int, r1: int, c0: int, c1: int) -> list[int]:
+    """Rows r0..r1-1 of a pattern cut to columns c0..c1-1, as int rows from bit 0."""
+    mask = (1 << (c1 - c0)) - 1
+    return [v >> c0 & mask for v in rows[r0:r1]]
+
+
+def _coloring_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
     out: list[Gate] = []
-    for cl in _coloring_classes(k):
-        out += [cz(qubits[i], qubits[j]) for (i, j) in cl if bits[i, j]]
+    for cl in _coloring_classes(len(qubits)):
+        out += [cz(qubits[i], qubits[j]) for (i, j) in cl if rows[i] >> j & 1]
     return out
 
 
@@ -149,28 +158,28 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[Gate]:
     return out
 
 
-def _onestep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
-    h = (len(qubits) + 1) // 2
-    gates = m01_gates(qubits[:h], qubits[h:], M01Pattern.from_dense(bits[:h, h:]))
-    gates += _synth_gates(qubits[:h], bits[:h, :h])
-    gates += _synth_gates(qubits[h:], bits[h:, h:])
+def _onestep_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
+    k = len(qubits)
+    h = (k + 1) // 2
+    gates = m01_gates(qubits[:h], qubits[h:], M01Pattern(h, k - h, _block(rows, 0, h, h, k)))
+    gates += _synth_gates(qubits[:h], _block(rows, 0, h, 0, h))
+    gates += _synth_gates(qubits[h:], _block(rows, h, k, h, k))
     return gates
 
 
-def _twostep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
+def _twostep_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
     k = len(qubits)
     h = (k + 1) // 2
     m = k - h
-    hr1 = halve_weights(M01Pattern.from_dense(bits[:h, h:]))
-    flip1_a = set(hr1.row_flips)          # positions within 0..h-1
-    flip1_b = {h + j for j in hr1.col_flips}
+    hr1 = halve_weights(M01Pattern(h, m, _block(rows, 0, h, h, k)))
+    flip1 = set(hr1.row_flips) | {h + j for j in hr1.col_flips}
 
     qa = (h + 1) // 2
     qb = (m + 1) // 2
-    hr2a = halve_weights(M01Pattern.from_dense(bits[:qa, qa:h]))
-    hr2b = halve_weights(M01Pattern.from_dense(bits[h:h + qb, h + qb:]))
-    flip2_a = set(hr2a.row_flips) | {qa + j for j in hr2a.col_flips}
-    flip2_b = {h + i for i in hr2b.row_flips} | {h + qb + j for j in hr2b.col_flips}
+    hr2a = halve_weights(M01Pattern(qa, h - qa, _block(rows, 0, qa, qa, h)))
+    hr2b = halve_weights(M01Pattern(qb, m - qb, _block(rows, h, h + qb, h + qb, k)))
+    flip2 = (set(hr2a.row_flips) | {qa + j for j in hr2a.col_flips}
+             | {h + i for i in hr2b.row_flips} | {h + qb + j for j in hr2b.col_flips})
 
     # classify every position: side (0=A, 1=B), level-1 flip membership
     # (0=in flip set), level-2 quadrant class
@@ -179,21 +188,13 @@ def _twostep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
     sets: dict[tuple[int, int, int], list[int]] = {
         (s, j, c): [] for s in (0, 1) for j in (0, 1) for c in range(4)
     }
-    for pos in range(k):
-        side = 0 if pos < h else 1
-        j = 0 if (pos in flip1_a or pos in flip1_b) else 1
-        if side == 0:
-            first = pos < qa
-            flipped = pos in flip2_a
-        else:
-            first = pos < h + qb
-            flipped = pos in flip2_b
-        c = (0 if first else 2) + (0 if flipped else 1)
-        sets[(side, j, c)].append(qubits[pos])
+    for pos, q in enumerate(qubits):
+        side = int(pos >= h)
+        second = pos >= (h + qb if side else qa)
+        sets[(side, int(pos not in flip1), 2 * second + (pos not in flip2))].append(q)
 
-    order = [(s, j, c) for s in (0, 1) for j in (0, 1) for c in range(4)]
-    trees, reps = _tree_gates([sets[key] for key in order])
-    rep = {key: reps[i] for i, key in enumerate(order)}
+    trees, reps = _tree_gates(list(sets.values()))
+    rep = dict(zip(sets, reps))
 
     def live(side: int, j: int, cs) -> list[int]:
         return [rep[(side, j, c)] for c in cs if rep[(side, j, c)] is not None]
@@ -218,26 +219,26 @@ def _twostep_gates(qubits: list[int], bits: np.ndarray) -> list[Gate]:
     gates += cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced, cap2)
 
     # recurse on the four quarters in parallel
-    gates += _synth_gates(qubits[:qa], bits[:qa, :qa])
-    gates += _synth_gates(qubits[qa:h], bits[qa:h, qa:h])
-    gates += _synth_gates(qubits[h:h + qb], bits[h:h + qb, h:h + qb])
-    gates += _synth_gates(qubits[h + qb:], bits[h + qb:, h + qb:])
+    for lo, hi in ((0, qa), (qa, h), (h, h + qb), (h + qb, k)):
+        gates += _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi))
     return gates
 
 
 def _synth_gates(
-    qubits: list[int], bits: np.ndarray, strategy: str | None = None
+    qubits: list[int], rows: list[int], strategy: str | None = None
 ) -> list[Gate]:
+    """Gates for the pattern with these int rows (bit j of rows[i] pairs
+    qubits[i] with qubits[j])."""
     k = len(qubits)
-    if k <= 1 or not bits.any():
+    if k <= 1 or not any(rows):
         return []
     choice = strategy or (bounds.COLORING if k <= 3 else bounds.cz_choice(k))
     if choice == bounds.COLORING:
-        return _coloring_gates(qubits, bits)
+        return _coloring_gates(qubits, rows)
     if choice == bounds.ONESTEP:
-        return _onestep_gates(qubits, bits)
+        return _onestep_gates(qubits, rows)
     if choice == bounds.TWOSTEP:
-        return _twostep_gates(qubits, bits)
+        return _twostep_gates(qubits, rows)
     raise ValueError(f"unknown strategy {choice!r}")
 
 
@@ -252,5 +253,5 @@ def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
         raise ValueError(f"unknown strategy {strategy!r}")
     if forced in (bounds.ONESTEP, bounds.TWOSTEP) and spec.n < 4:
         forced = bounds.COLORING
-    gates = _synth_gates(list(range(spec.n)), spec.bits, strategy=forced)
+    gates = _synth_gates(list(range(spec.n)), spec.to_bitmatrix().ints, strategy=forced)
     return Circuit(spec.n, gates)

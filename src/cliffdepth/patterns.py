@@ -10,14 +10,14 @@ Patterns are int rows, in the format of ``gf2.BitMatrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import add
 
 import numpy as np
 
 from .circuit import Circuit, Gate, _gate
 from .gf2 import BitMatrix, bit_bytes, set_bits
-from .rectangles import check_qubit_set, rectangle_pairs, rectangle_parts
+from .rectangles import Pairs, check_qubit_set, rectangle_gates, rectangle_pairs
 
 
 @dataclass
@@ -191,56 +191,26 @@ def cz_layers(
             for cl in classes for i, j in cl]
 
 
-def _rectangle_sides(
-    a: list[int], b: list[int], hr: HalvingResult
-) -> list[tuple[list[int], list[int]]]:
-    """The nonempty rectangles undoing hr's flips: flipped rows x unflipped
-    columns, then unflipped rows x flipped columns."""
+def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pairs]:
+    """The rectangle_pairs of each nonempty rectangle undoing hr's flips:
+    flipped rows x unflipped columns, then unflipped rows x flipped columns."""
     flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
     a1 = [a[i] for i in hr.row_flips]
     a2 = [q for i, q in enumerate(a) if i not in flip_a]
     b1 = [b[j] for j in hr.col_flips]
     b2 = [q for j, q in enumerate(b) if j not in flip_b]
-    return [(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
-
-
-def rectangle_finish(a: list[int], b: list[int], hr: HalvingResult, t: list[int]) -> None:
-    """Advance t[q] as asap_finish would over the rectangles that
-    halve_with_rectangles builds for hr, building no gate.
-
-    The two rectangles share no qubit, so each runs through on its own.
-    """
-    for s, u in _rectangle_sides(a, b, hr):
-        trees, middle = rectangle_pairs(s, u)
-        for x, y in chain(trees, middle, reversed(trees)):
-            tx, ty = t[x], t[y]
-            t[x] = t[y] = (tx if tx > ty else ty) + 1
-
-
-def halve_with_rectangles(
-    a: list[int], b: list[int], p: M01Pattern
-) -> tuple[list[Gate], M01Pattern]:
-    """Halve p's weights and build the two rectangles that undo the flips.
-
-    The rectangles are flipped rows x unflipped columns and unflipped rows
-    x flipped columns.  They run side by side: both trees, both middles,
-    both uncomputes.  Returns their gates and the reduced pattern, whose
-    CZs complete p.
-    """
-    hr = halve_weights(p)
-    parts = [rectangle_parts(s, u) for s, u in _rectangle_sides(a, b, hr)]
-    gates = [g for r in parts for g in r.trees] + [g for r in parts for g in r.middle]
-    return gates + [g for r in parts for g in r.uncompute], hr.reduced
+    return [rectangle_pairs(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
 
 
 def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
     """Gates applying exactly the CZs marked in p between rows a and columns b.
 
-    The halving rectangles (see halve_with_rectangles), then the reduced
-    pattern's colored CZ layers.
+    Halve p's weights, undo the flips with the two halving rectangles run
+    side by side, then apply the reduced pattern's colored CZ layers.
     """
-    gates, reduced = halve_with_rectangles(a, b, p)
-    return gates + cz_layers(a, b, reduced, max(p.m // 2, p.k // 2))
+    hr = halve_weights(p)
+    gates = rectangle_gates(halving_rectangles(a, b, hr))
+    return gates + cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))
 
 
 def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -> Circuit:

@@ -6,13 +6,20 @@ representatives, and the trees are uncomputed.  The final tree layer on
 the deeper side is always a single CNOT; rewriting it together with the
 central CZ into a short CZ fragment saves one depth unit per side, giving
 total depth 2*max(ceil(log2 k), ceil(log2 m)).
+
+``rectangle_pairs`` is a rectangle's one schedule, as qubit pairs; its
+two readers are ``rectangle_gates``, which builds the gates of
+rectangles run side by side, and ``rectangle_finish``, which gives
+their ASAP finish times without building a gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import chain
 
-from .circuit import Circuit, Gate, cnot, cz
+from .circuit import Circuit, Gate, _gate, cnot, cz
+
+Pairs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
 def check_qubit_set(s: list[int]) -> None:
@@ -50,27 +57,7 @@ def parity_tree(s: list[int], n: int | None = None) -> tuple[Circuit, int]:
     return Circuit(n, gates), s[-1]
 
 
-@dataclass
-class RectangleParts:
-    """A rectangle split into its schedulable stages.
-
-    ``trees`` is a pure-CNOT prefix, ``middle`` is CZ-only, and
-    ``uncompute`` undoes ``trees``; concatenating the three is the full
-    rectangle.  Callers that run several rectangles in parallel merge the
-    stages of each so that ASAP scheduling overlaps them.
-    """
-
-    trees: list[Gate] = field(default_factory=list)
-    middle: list[Gate] = field(default_factory=list)
-    uncompute: list[Gate] = field(default_factory=list)
-
-    def all_gates(self) -> list[Gate]:
-        return self.trees + self.middle + self.uncompute
-
-
-def rectangle_pairs(
-    a: list[int], b: list[int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def rectangle_pairs(a: list[int], b: list[int]) -> Pairs:
     """The rectangle's tree CNOTs as (control, target) and its middle CZs as qubit pairs.
 
     The uncompute is the trees reversed.  The sets are not checked.
@@ -96,19 +83,41 @@ def rectangle_pairs(
     return trees, [(u, b[-1]), (r_deep, b[-1])]
 
 
-def rectangle_parts(a: list[int], b: list[int]) -> RectangleParts:
+def rectangle_gates(rects: list[Pairs]) -> list[Gate]:
+    """Gates of rectangles on disjoint qubit sets, each given as rectangle_pairs.
+
+    The rectangles run side by side, so that ASAP scheduling overlaps
+    them: every tree, then every middle, then each tree reversed.
+    """
+    trees = [[_gate(("CNOT", c, t)) for c, t in tr] for tr, _ in rects]
+    gates = [g for tr in trees for g in tr]
+    gates += [cz(x, y) for _, middle in rects for x, y in middle]
+    return gates + [g for tr in trees for g in reversed(tr)]
+
+
+def rectangle_finish(rects: list[Pairs], t: list[int]) -> None:
+    """Advance t[q] as asap_finish would over rectangle_gates(rects), building no gate.
+
+    The rectangles share no qubit, so each runs through on its own.
+    """
+    for trees, middle in rects:
+        for x, y in chain(trees, middle, reversed(trees)):
+            tx, ty = t[x], t[y]
+            t[x] = t[y] = (tx if tx > ty else ty) + 1
+
+
+def rectangle_parts(a: list[int], b: list[int]) -> list[Gate]:
+    """The gates of the rectangle a x b, after checking both qubit sets."""
     check_qubit_set(a)
     check_qubit_set(b)
     if set(a) & set(b):
         raise ValueError("rectangle sets must be disjoint")
-    trees, middle = rectangle_pairs(a, b)
-    tree_gates = [cnot(c, t) for c, t in trees]
-    return RectangleParts(tree_gates, [cz(x, y) for x, y in middle], tree_gates[::-1])
+    return rectangle_gates([rectangle_pairs(a, b)])
 
 
 def synth_rectangle(a: list[int], b: list[int], n: int | None = None) -> Circuit:
     """Depth-optimized circuit for the all-pairs CZ pattern A x B."""
-    parts = rectangle_parts(a, b)
+    gates = rectangle_parts(a, b)
     if n is None:
         n = max(max(a), max(b)) + 1
-    return Circuit(n, parts.all_gates())
+    return Circuit(n, gates)

@@ -239,3 +239,27 @@ def test_property_edge_coloring_matchings_1000():
             assert len(cols) == len(set(cols))
             covered += len(cl)
         assert covered == p.total_ones()
+
+
+def test_synthesis_never_packs_dense_blocks(monkeypatch):
+    """The CZ recursion and the CNOT blocks cut their patterns out of int rows:
+    no synthesizer packs a dense array into an M01Pattern."""
+    rng = np.random.default_rng(302)
+    spec = CzSpec.random(rng, 100)
+    m = random_invertible(rng, 128)
+    t = random_tableau(rng, 64)
+
+    def refuse(*args):
+        raise AssertionError("M01Pattern.from_dense called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(M01Pattern, "from_dense", refuse)
+        cz_circuits = [synth_cz(spec, strategy=s) for s in ("auto", "onestep", "twostep")]
+        cz_circuits.append(synth_cz_coloring(spec))
+        linear = synth_linear(m, EXACT)
+        cliff = synth_clifford(t)
+    direct = Circuit(spec.n, [cz_gate(i, j) for i, j in spec.pairs()])
+    for c in cz_circuits:
+        assert tableaux_equal(tableau_of_circuit(c), tableau_of_circuit(direct))
+    assert linear_action(linear) == m
+    assert tableaux_equal(tableau_of_circuit(cliff), t)

@@ -129,6 +129,16 @@ def test_construction_depth_families():
         bounds.construction_depth("nope")
 
 
+def test_construction_depth_is_cut_to_n_max():
+    """With the full tables cached, a short request still gets n_max + 1 entries."""
+    for fam in bounds.FORMULAS:
+        full = bounds.construction_depth(fam)
+        assert len(full) == bounds.N_MAX + 1
+        d = bounds.construction_depth(fam, 100)
+        assert len(d) == 101
+        assert np.array_equal(d, full[:101])
+
+
 def test_emit_comparison_csv():
     out = bounds.emit_comparison_csv(bounds.CNOT, 64, 70)
     lines = out.strip().splitlines()

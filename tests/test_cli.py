@@ -466,3 +466,21 @@ def test_verify_non_linear_reference_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(ref),
                        "--oracle", "linear")
     assert code == 2 and "not linear" in err
+
+
+@pytest.mark.parametrize("oracle", ["auto", "linear", "phase", "tableau"])
+@pytest.mark.parametrize("n, name, ref, message", [
+    (3, "p.mat", "1 1\n0\n", "3 qubits, the reference 1"),
+    (2, "m.mat", "2 3\n100\n010\n", "must be square"),
+    (3, "t.tab", CliffordTableau.identity(2).to_text(), "3 qubits, the reference 2"),
+    (3, "r.circ", "qubits 2\nCZ 0 1\n", "3 qubits, the reference 2"),
+], ids=["cz-pattern", "non-square-matrix", "tableau", "circuit"])
+def test_verify_qubit_count_mismatch_is_a_usage_error(capsys, tmp_path, oracle, n, name,
+                                                      ref, message):
+    circ = tmp_path / "c.circ"
+    circ.write_text(f"qubits {n}\nCZ 0 1\n")
+    path = tmp_path / name
+    path.write_text(ref)
+    code, out, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(path),
+                         "--oracle", oracle)
+    assert code == 2 and message in err and "MISMATCH" not in out

@@ -125,6 +125,25 @@ def test_decompose_and_synth_never_simulate(monkeypatch):
         assert tableaux_equal(tableau_of_circuit(c), t)
 
 
+def test_decompose_reads_the_rows_once(monkeypatch):
+    """The symplectic check and the peel share one transpose of the tableau."""
+    calls = []
+    rows = CliffordTableau.rows
+
+    def counted(self):
+        calls.append(self)
+        return rows(self)
+
+    monkeypatch.setattr(CliffordTableau, "rows", counted)
+    rng = np.random.default_rng(52)
+    for n in (1, 6, 40):
+        t = random_tableau(rng, n)
+        calls.clear()
+        layers = decompose_tableau(t)
+        assert calls == [t]
+        assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
+
+
 def test_synth_clifford_exact_small():
     rng = np.random.default_rng(44)
     for _ in range(60):

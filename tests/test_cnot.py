@@ -16,7 +16,9 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import M01Pattern, bipartite_edge_color, halve_with_rectangles, m01_gates
+from cliffdepth.patterns import (M01Pattern, bipartite_edge_color, halve_weights,
+                                 halving_rectangles, m01_gates)
+from cliffdepth.rectangles import rectangle_gates
 from cliffdepth.verify import linear_action
 
 blocks = st.integers(1, 24).flatmap(
@@ -55,7 +57,8 @@ def reference_block_add(a, b, c):
 
 def cz_form_bounds(a, b, c):
     """(LB, UB) on the CZ form's depth from the rectangle finish times and reduced degrees."""
-    rect, reduced = halve_with_rectangles(a, b, M01Pattern.from_dense(c))
+    hr = halve_weights(M01Pattern.from_dense(c))
+    rect, reduced = rectangle_gates(halving_rectangles(a, b, hr)), hr.reduced
     free = dict.fromkeys(a + b, 0)
     for g in rect:
         if g.kind in ("CZ", "CNOT"):
@@ -190,6 +193,32 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
     monkeypatch.undo()
     assert linear_action(c) == m
     assert tableau_of_circuit(cliff) == t
+
+
+def test_synth_linear_halves_each_block_once(monkeypatch):
+    """Each nonzero block is halved once, whichever staging it returns."""
+    import cliffdepth.cnot as cnot_mod
+    import cliffdepth.patterns as patterns_mod
+
+    counts = {"halvings": 0, "blocks": 0, "cz form": 0}
+    block_add = cnot_mod._block_add_gates
+
+    def counted_block(a, b, c):
+        counts["blocks"] += bool(any(c.rows))
+        gates = block_add(a, b, c)
+        counts["cz form"] += any(g.kind == "CZ" for g in gates)
+        return gates
+
+    for mod in (cnot_mod, patterns_mod):
+        monkeypatch.setattr(mod, "halve_weights",
+                            _counting(counts, "halvings", patterns_mod.halve_weights))
+    monkeypatch.setattr(cnot_mod, "_block_add_gates", counted_block)
+    m = random_invertible(np.random.default_rng(301), 256)
+    c = synth_linear(m, EXACT)
+    assert counts["cz form"] > 0
+    assert counts["halvings"] == counts["blocks"]
+    monkeypatch.undo()
+    assert linear_action(c) == m
 
 
 def random_unitriangular(rng, n):

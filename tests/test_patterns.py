@@ -10,11 +10,10 @@ from cliffdepth.patterns import (
     bipartite_edge_color,
     complete_bipartite_rounds,
     halve_weights,
-    halve_with_rectangles,
-    rectangle_finish,
+    halving_rectangles,
     synth_m01,
 )
-from cliffdepth.rectangles import tree_layers
+from cliffdepth.rectangles import rectangle_finish, rectangle_gates, tree_layers
 from cliffdepth.verify import phase_oracle
 from patterns_ref import reference_edge_color, reference_halve_weights
 
@@ -138,8 +137,8 @@ def _rectangle_kinds(a, b, hr):
 
 
 def test_rectangle_finish_matches_asap_over_halving_rectangles():
-    """The gate-free finish times equal asap_finish over halve_with_rectangles'
-    gates, on 1x1 rectangles and on equal and unequal tree depths."""
+    """The gate-free finish times equal asap_finish over the halving
+    rectangles' gates, on 1x1 rectangles and on equal and unequal tree depths."""
     rng = np.random.default_rng(13)
     kinds = set()
     for _ in range(400):
@@ -149,11 +148,10 @@ def test_rectangle_finish_matches_asap_over_halving_rectangles():
         a, b = qubits[:k], qubits[k:k + m]
         start = [int(v) for v in rng.integers(0, 3, size=k + m + 5)]
         want = list(start)
-        rect, _ = halve_with_rectangles(a, b, p)
-        asap_finish(rect, want)
-        got = list(start)
         hr = halve_weights(p)
-        rectangle_finish(a, b, hr, got)
+        asap_finish(rectangle_gates(halving_rectangles(a, b, hr)), want)
+        got = list(start)
+        rectangle_finish(halving_rectangles(a, b, hr), got)
         assert got == want
         kinds.update(_rectangle_kinds(a, b, hr))
     assert kinds == {"1x1", "equal", "unequal"}

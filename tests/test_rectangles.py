@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdepth.circuit import Circuit
+from cliffdepth.circuit import Circuit, cz
 from cliffdepth.rectangles import (
     check_qubit_set,
     parity_tree,
+    rectangle_pairs,
     rectangle_parts,
     synth_rectangle,
     tree_layers,
@@ -56,9 +57,9 @@ def test_tree_layers_are_disjoint(s):
 
 
 def test_rectangle_single_pair():
-    parts = rectangle_parts([4], [7])
-    assert parts.trees == [] and parts.uncompute == []
-    assert len(parts.middle) == 1
+    trees, middle = rectangle_pairs([4], [7])
+    assert trees == [] and len(middle) == 1
+    assert rectangle_parts([4], [7]) == [cz(4, 7)]
     assert synth_rectangle([4], [7]).two_qubit_depth() == 1
 
 
@@ -109,11 +110,17 @@ def test_rectangle_overlap_rejected():
 
 
 def test_rectangle_trees_are_pure_cnot_and_uncomputed():
-    parts = rectangle_parts(list(range(5)), list(range(5, 12)))
-    assert all(g.kind == "CNOT" for g in parts.trees)
-    assert all(g.kind == "CZ" for g in parts.middle)
+    a, b = list(range(5)), list(range(5, 12))
+    trees, middle = rectangle_pairs(a, b)
+    gates = rectangle_parts(a, b)
+    t = len(trees)
+    assert len(gates) == 2 * t + len(middle)
+    tree_gates, uncompute = gates[:t], gates[len(gates) - t:]
+    assert all(g.kind == "CNOT" for g in tree_gates + uncompute)
+    assert all(g.kind == "CZ" for g in gates[t:len(gates) - t])
+    assert uncompute == tree_gates[::-1]
     n = 12
-    tree_circ = Circuit(n, parts.trees + parts.uncompute)
+    tree_circ = Circuit(n, tree_gates + uncompute)
     from cliffdepth.gf2 import BitMatrix
 
     assert linear_action(tree_circ) == BitMatrix.identity(n)
