@@ -289,8 +289,8 @@ def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally
     computes n and log2(n) once for all families and evaluates every formula
     in place, in the operation order of BoundFormula.value, into buffers
     reused from run to run.  Values within 1e-6 of an integer take
-    BoundFormula._exact.  each_run(a, n, ln), if given, sees every run's
-    float n and log2(n).
+    BoundFormula._exact.  each_run(a, n, ln, tallies), if given, sees every
+    run's float n and log2(n), after the run's tallies.
     """
     tallies = {fam: _Tally(construction_depth(fam, hi), lo - 1)
                for fam, (lo, hi) in ranges.items()}
@@ -333,7 +333,7 @@ def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally
             tally.min_slack = min(tally.min_slack, low)
             tally.max_slack = max(tally.max_slack, t.max())
         if each_run is not None:
-            each_run(a, n, ln)
+            each_run(a, n, ln, tallies)
     return tallies
 
 
@@ -368,15 +368,15 @@ def crossover_scan() -> dict:
     A family's range start is the first n from which its closed form holds
     through N_MAX.
     """
-    d = get_table(CNOT)
     out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
 
-    def prior_art(a, n, ln):
+    def prior_art(a, n, ln, tallies):
         m = np.arange(a, a + len(n), dtype=np.int64)
         internal = _cnot_prior_internal(m)
+        ours = tallies[CNOT].depth[a: a + len(n)]
         # crossover = first size from which the improvement is permanent
         # (isolated earlier wins exist, e.g. around n = 56..64)
-        lose = np.flatnonzero(2 * d[a: a + len(n)] + 6 >= np.minimum(2 * m, internal))
+        lose = np.flatnonzero(ours >= np.minimum(2 * m, internal))
         if lose.size:
             out["cnot_crossover"] = a + int(lose[-1]) + 1
         if out["prior_internal_rounded"] is None:

@@ -1,5 +1,12 @@
 """Gate-level circuit representation and the two-qubit depth metric.
 
+A circuit is one (G, 3) int64 array, one row per gate in order: column 0
+holds the kind code, an index into ``KINDS``, and columns 1 and 2 the
+qubits a and b, with b = -1 for a one-qubit gate.  Synthesis builds these
+arrays block by block and joins each circuit's blocks once; the checks
+read the columns through ``tolist``.  ``Circuit.gates`` is a view that
+builds a fresh list of ``Gate`` tuples, for tests and the command line.
+
 Only two-qubit gates occupy schedule steps; single-qubit gates are free.
 Depth is computed by an ASAP scan over per-qubit counters, so synthesis
 code is responsible for emitting gates in an order that realizes the
@@ -8,9 +15,10 @@ claimed parallelism.
 
 from __future__ import annotations
 
-from functools import partial
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .gf2 import Permutation
 
@@ -21,23 +29,26 @@ class Gate(NamedTuple):
     b: int = -1
 
 
-TWO_QUBIT = ("CZ", "CNOT")
-ONE_QUBIT = ("H", "P", "X", "Z")
+KINDS = ("CZ", "CNOT", "H", "P", "X", "Z")
+CZ, CNOT, H, P, X, Z = range(len(KINDS))  # kind codes; the two-qubit kinds come first
+TWO_QUBIT = KINDS[:2]
+ONE_QUBIT = KINDS[2:]
+_CODE = {k: i for i, k in enumerate(KINDS)}
 
-# Gate from a full (kind, a, b) tuple, skipping NamedTuple's Python __new__
-_gate = partial(tuple.__new__, Gate)
+EMPTY = np.empty((0, 3), dtype=np.int64)
+EMPTY.flags.writeable = False
 
 
 def cz(i: int, j: int) -> Gate:
     if i == j:
         raise ValueError("CZ needs two distinct qubits")
-    return _gate(("CZ", i, j) if i < j else ("CZ", j, i))
+    return Gate("CZ", i, j) if i < j else Gate("CZ", j, i)
 
 
 def cnot(c: int, t: int) -> Gate:
     if c == t:
         raise ValueError("CNOT needs two distinct qubits")
-    return _gate(("CNOT", c, t))
+    return Gate("CNOT", c, t)
 
 
 def h(q: int) -> Gate:
@@ -56,71 +67,162 @@ def z(q: int) -> Gate:
     return Gate("Z", q)
 
 
+# ---------------------------------------------------------------------------
+# gate arrays
+# ---------------------------------------------------------------------------
+
+def gate_block(kind: int, a, b=-1) -> np.ndarray:
+    """The gates of one kind on qubit columns a and b (b = -1 for one qubit), in order."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.empty((a.size, 3), dtype=np.int64)
+    out[:, 0] = kind
+    out[:, 1] = a
+    out[:, 2] = b
+    return out
+
+
+def cz_block(a, b) -> np.ndarray:
+    """CZ gates on the qubit columns a and b, ends ordered as ``cz`` orders them."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return gate_block(CZ, np.minimum(a, b), np.maximum(a, b))
+
+
+def pair_columns(pairs: Iterable[tuple[int, int]], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second entries of count pairs, as two int arrays."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * count)
+    return flat[0::2], flat[1::2]
+
+
+def cnot_pairs(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """CNOT gates from (control, target) pairs, in order."""
+    return gate_block(CNOT, *pair_columns(pairs, len(pairs)))
+
+
+def cz_pairs(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """CZ gates on qubit pairs, in order, ends ordered as ``cz`` orders them."""
+    return cz_block(*pair_columns(pairs, len(pairs)))
+
+
+def join(blocks: list) -> np.ndarray:
+    """One gate array of the blocks, in order: gate arrays, or nonempty lists of
+    (kind, a, b) rows."""
+    return np.concatenate(blocks) if blocks else EMPTY
+
+
+def gate_array(gates: Iterable[Gate]) -> np.ndarray:
+    """The gate array of (kind, a, b) tuples; an unknown kind raises ValueError."""
+    gates = list(gates)
+    try:
+        codes = [_CODE[g[0]] for g in gates]
+    except KeyError:
+        bad = next(g for g in gates if g[0] not in _CODE)
+        raise ValueError(f"gate {bad} has unknown kind {bad[0]!r}") from None
+    out = np.empty((len(gates), 3), dtype=np.int64)
+    if gates:
+        out[:, 0] = codes
+        out[:, 1:] = [g[1:] for g in gates]
+    return out
+
+
+def gate_list(arr: np.ndarray) -> list[Gate]:
+    """The gates of a gate array as ``Gate`` tuples."""
+    return [Gate(KINDS[k], a, b) for k, a, b in arr.tolist()]
+
+
+def _check(arr: np.ndarray, n: int) -> None:
+    """Raise ValueError naming the first gate that is malformed or out of range."""
+    kind, a, b = arr.T
+    two = kind < 2
+    unknown = (kind < 0) | (kind >= len(KINDS))
+    same = two & (a == b)
+    stray = ~two & (b != -1)
+    out = (a < 0) | (a >= n) | two & ((b < 0) | (b >= n))
+    bad = unknown | same | stray | out
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    k, qa, qb = arr[i].tolist()
+    if unknown[i]:
+        raise ValueError(f"gate {i} has unknown kind code {k}")
+    g = Gate(KINDS[k], qa, qb)
+    if out[i]:
+        raise ValueError(f"gate {g} out of range for {n} qubits")
+    if same[i]:
+        raise ValueError(f"gate {g} needs two distinct qubits")
+    raise ValueError(f"gate {g} is a one-qubit gate with a second qubit")
+
+
 class Circuit:
-    """Ordered gate list over a fixed qubit register."""
+    """Ordered gates over a fixed qubit register, held as one (G, 3) gate array.
 
-    __slots__ = ("n", "gates", "perm")
+    ``gates`` may be a gate array, which is kept as it is and must not be
+    changed afterwards, or an iterable of ``Gate`` tuples, converted once.
+    """
 
-    def __init__(self, n: int, gates: Iterable[Gate] = (), perm: Permutation | None = None):
+    __slots__ = ("n", "array", "perm")
+
+    def __init__(self, n: int, gates: Iterable[Gate] | np.ndarray = (),
+                 perm: Permutation | None = None):
         self.n = n
-        self.gates: list[Gate] = list(gates)
+        if isinstance(gates, np.ndarray):
+            if gates.ndim != 2 or gates.shape[1] != 3 or gates.dtype.kind not in "iu":
+                raise ValueError(f"a gate array is (G, 3) ints, got {gates.dtype} {gates.shape}")
+            arr = gates.astype(np.int64, copy=False)
+        else:
+            arr = gate_array(gates)
+        _check(arr, n)
+        self.array = arr
         # Output qubit reordering reported by up-to-reordering synthesis.
         self.perm = perm
-        used = set(map(itemgetter(1), self.gates))
-        # b names a qubit only in a two-qubit gate
-        used.update([b for kind, _, b in self.gates if kind in TWO_QUBIT])
-        if used and (min(used) < 0 or max(used) >= n):
-            bad = next(g for g in self.gates
-                       if not (0 <= g.a < n and (g.kind not in TWO_QUBIT or 0 <= g.b < n)))
-            raise ValueError(f"gate {bad} out of range for {n} qubits")
+
+    @property
+    def gates(self) -> list[Gate]:
+        """A fresh list of the gates as ``Gate`` tuples."""
+        return gate_list(self.array)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.array)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Circuit) and self.n == other.n and self.gates == other.gates
+        return (isinstance(other, Circuit) and self.n == other.n
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self) -> str:
-        return f"Circuit(n={self.n}, gates={len(self.gates)})"
+        return f"Circuit(n={self.n}, gates={len(self.array)})"
 
     def count_two_qubit(self) -> int:
-        return sum(1 for g in self.gates if g.kind in TWO_QUBIT)
+        return int(np.count_nonzero(self.array[:, 0] < 2))
 
     def two_qubit_depth(self) -> int:
         """ASAP schedule length of the two-qubit gates."""
         d = [0] * self.n
-        asap_finish(self.gates, d)
+        asap_finish(self.array, d)
         return max(d, default=0)
 
 
-def asap_finish(gates: Iterable[Gate], d) -> None:
-    """Advance the finish times d[q] past the gates' two-qubit gates, each ASAP.
+def asap_finish(gates: np.ndarray, d) -> None:
+    """Advance the finish times d[q] past a gate array's two-qubit gates, each ASAP.
 
     d maps every qubit the gates touch to the step it is busy until; the
     schedule length is max(d) afterwards.
     """
-    for kind, a, b in gates:
-        if kind in TWO_QUBIT:
-            x = d[a]
-            y = d[b]
-            d[a] = d[b] = (x if x > y else y) + 1
+    two = gates[gates[:, 0] < 2]
+    for a, b in zip(two[:, 1].tolist(), two[:, 2].tolist()):
+        x = d[a]
+        y = d[b]
+        d[a] = d[b] = (x if x > y else y) + 1
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
     if a.n != b.n:
         raise ValueError("qubit counts differ")
-    return Circuit(a.n, a.gates + b.gates)
+    return Circuit(a.n, np.concatenate([a.array, b.array]))
 
 
 def invert(c: Circuit) -> Circuit:
     """Inverse circuit: reversed order; P becomes P,P,P (= P dagger)."""
-    out: list[Gate] = []
-    for g in reversed(c.gates):
-        if g.kind == "P":
-            out.extend([g, g, g])
-        else:
-            out.append(g)
-    return Circuit(c.n, out)
+    rev = c.array[::-1]
+    return Circuit(c.n, np.repeat(rev, np.where(rev[:, 0] == P, 3, 1), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +233,8 @@ def to_text(c: Circuit) -> str:
     lines = [f"qubits {c.n}"]
     if c.perm is not None:
         lines.append("perm " + " ".join(str(int(i)) for i in c.perm.map))
-    for g in c.gates:
-        if g.kind in TWO_QUBIT:
-            lines.append(f"{g.kind} {g.a} {g.b}")
-        else:
-            lines.append(f"{g.kind} {g.a}")
+    lines += [f"{KINDS[k]} {a} {b}" if k < 2 else f"{KINDS[k]} {a}"
+              for k, a, b in zip(*c.array.T.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +271,7 @@ def from_text(text: str) -> Circuit:
     gates: list[Gate] = []
     for no, ln in body:
         kind = ln.split()[0]
-        if kind not in TWO_QUBIT and kind not in ONE_QUBIT:
+        if kind not in _CODE:
             raise ValueError(f"line {no}: unknown gate line: {ln!r}")
         qs = _line_ints(no, ln, 2 if kind in TWO_QUBIT else 1)
         if not all(0 <= q < n for q in qs):
@@ -186,7 +285,7 @@ def from_text(text: str) -> Circuit:
     return Circuit(n, gates, perm=perm)
 
 
-_QASM_NAMES = {"CZ": "cz", "CNOT": "cx", "H": "h", "P": "s", "X": "x", "Z": "z"}
+_QASM_NAMES = ("cz", "cx", "h", "s", "x", "z")  # by kind code
 
 
 def to_qasm2(c: Circuit) -> str:
@@ -195,10 +294,7 @@ def to_qasm2(c: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{c.n}];",
     ]
-    for g in c.gates:
-        name = _QASM_NAMES[g.kind]
-        if g.kind in TWO_QUBIT:
-            lines.append(f"{name} q[{g.a}],q[{g.b}];")
-        else:
-            lines.append(f"{name} q[{g.a}];")
+    names = _QASM_NAMES
+    lines += [f"{names[k]} q[{a}],q[{b}];" if k < 2 else f"{names[k]} q[{a}];"
+              for k, a, b in zip(*c.array.T.tolist())]
     return "\n".join(lines) + "\n"

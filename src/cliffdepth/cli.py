@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bounds
-from .circuit import Circuit, from_text, to_qasm2, to_text
+from .circuit import KINDS, Circuit, from_text, to_qasm2, to_text
 from .clifford import CliffordTableau, random_tableau, synth_clifford, tableau_of_circuit
 from .cnot import EXACT, REORDER, remove_hadamards, synth_linear
 from .cz import CzSpec, synth_cz
@@ -91,7 +91,8 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
         elif has_perm or isinstance(ref, BitMatrix):
             oracle = "linear"
         elif (isinstance(ref, CzSpec) and ref.n <= 12
-              and {g.kind for g in circ.gates} <= {"CNOT", "CZ", "X", "Z"}):
+              and {KINDS[k] for k in np.unique(circ.array[:, 0]).tolist()}
+              <= {"CNOT", "CZ", "X", "Z"}):
             oracle = "phase"
         else:
             oracle = "tableau"

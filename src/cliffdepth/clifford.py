@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
+from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
 from .gf2 import BitMatrix, mat_inverse, mat_mul, rank_and_pivots, solve_right
@@ -60,26 +60,26 @@ class CliffordTableau:
         """Append the circuit's gates to the tableau, in place."""
         if c.n != self.n:
             raise ValueError("qubit counts differ")
-        X, Z, ph = self.X, self.Z, self.ph
-        for kind, a, b in c.gates:
-            if kind == "CNOT":
-                ph ^= X[a] & Z[b] & ~(X[b] ^ Z[a])
-                X[b] ^= X[a]
-                Z[a] ^= Z[b]
-            elif kind == "CZ":
-                ph ^= X[a] & X[b] & (Z[a] ^ Z[b])
-                Z[a] ^= X[b]
-                Z[b] ^= X[a]
-            elif kind == "H":
-                ph ^= X[a] & Z[a]
-                X[a], Z[a] = Z[a], X[a]
-            elif kind == "P":
-                ph ^= X[a] & Z[a]
-                Z[a] ^= X[a]
-            elif kind == "X":
-                ph ^= Z[a]
+        xs, zs, ph = self.X, self.Z, self.ph
+        for kind, a, b in zip(*c.array.T.tolist()):
+            if kind == CNOT:
+                ph ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+                xs[b] ^= xs[a]
+                zs[a] ^= zs[b]
+            elif kind == CZ:
+                ph ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+                zs[a] ^= xs[b]
+                zs[b] ^= xs[a]
+            elif kind == H:
+                ph ^= xs[a] & zs[a]
+                xs[a], zs[a] = zs[a], xs[a]
+            elif kind == P:
+                ph ^= xs[a] & zs[a]
+                zs[a] ^= xs[a]
+            elif kind == X:
+                ph ^= zs[a]
             else:  # Z
-                ph ^= X[a]
+                ph ^= xs[a]
         self.ph = ph
 
     def __eq__(self, other) -> bool:
@@ -325,24 +325,22 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     """
     layers = decompose_tableau(t)
     n = t.n
-    cz1 = _synth_gates(list(range(n)), layers.cz1.to_bitmatrix().ints)
-    split = 0
-    while split < len(cz1) and cz1[split].kind == "CNOT":
-        split += 1
-    prefix, rest = cz1[:split], cz1[split:]
+    blocks: list = []
+    _synth_gates(list(range(n)), layers.cz1.to_bitmatrix().ints, blocks)
+    cz1 = join(blocks)
+    split = np.flatnonzero(cz1[:, 0] != CNOT)
+    split = int(split[0]) if split.size else len(cz1)
     rows = [1 << q for q in range(n)]  # bit j of rows[i]: x_j feeds x_i
-    for _, ctrl, tgt in prefix:
+    for ctrl, tgt in cz1[:split, 1:].tolist():
         rows[tgt] ^= rows[ctrl]
     r_comb = mat_mul(BitMatrix(n, n, rows), layers.cx)
 
-    gates: list[Gate] = []
-    gates += [x_gate(q) for q in np.nonzero(layers.x_mask)[0]]
-    gates += [z_gate(q) for q in np.nonzero(layers.z_mask)[0]]
-    gates += [p(q) for q in np.nonzero(layers.p1_mask)[0]]
-    gates += _linear_gates(r_comb, EXACT)[0]
-    gates += rest
-    gates += [h(q) for q in np.nonzero(layers.h_mask1)[0]]
-    gates += _synth_gates(list(range(n)), layers.cz2.to_bitmatrix().ints)
-    gates += [h(q) for q in np.nonzero(layers.h_mask2)[0]]
-    gates += [p(q) for q in np.nonzero(layers.p2_mask)[0]]
-    return Circuit(n, gates)
+    out = [gate_block(X, np.flatnonzero(layers.x_mask)),
+           gate_block(Z, np.flatnonzero(layers.z_mask)),
+           gate_block(P, np.flatnonzero(layers.p1_mask))]
+    _linear_gates(r_comb, EXACT, out)
+    out += [cz1[split:], gate_block(H, np.flatnonzero(layers.h_mask1))]
+    _synth_gates(list(range(n)), layers.cz2.to_bitmatrix().ints, out)
+    out += [gate_block(H, np.flatnonzero(layers.h_mask2)),
+            gate_block(P, np.flatnonzero(layers.p2_mask))]
+    return Circuit(n, join(out))

@@ -8,9 +8,11 @@ matrix is split as permutation * lower * upper via LU decomposition.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, _gate, asap_finish, cnot, h
+import numpy as np
+
+from .circuit import CNOT, EMPTY, H, KINDS, Circuit, asap_finish, gate_block, join
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
-from .patterns import M01Pattern, bipartite_edge_color, cz_layers, halve_weights
+from .patterns import M01Pattern, bipartite_edge_color, color_columns, cz_layers, halve_weights
 from .patterns import halving_rectangles
 from .rectangles import rectangle_finish, rectangle_gates
 
@@ -29,8 +31,8 @@ _BASE3 = {
 }
 
 
-def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
-    """Gates realizing x_A += C x_B, for the block C = p, in the shallower of two stagings.
+def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
+    """The gate array realizing x_A += C x_B, for the block C = p, in the shallower of two stagings.
 
     Either schedule the commuting CNOTs (control in B, target in A)
     directly via edge coloring, or conjugate a CZ-pattern circuit for C by
@@ -50,7 +52,7 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
     and the gates are built only for a returned CZ form.
     """
     if not any(p.rows):
-        return []
+        return EMPTY
     d_direct = max(*(v.bit_count() for v in p.rows), *p.col_degrees())
     hr = halve_weights(p)
     rects = halving_rectangles(a, b, hr)
@@ -67,30 +69,35 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
             if d_direct <= max(t):
                 layers = None
     if layers is None:
-        # a and b are disjoint, so cnot's distinct-qubit check cannot fire
-        return [_gate(("CNOT", b[j], a[i])) for cl in bipartite_edge_color(p) for i, j in cl]
-    return [h(q) for q in a] + rectangle_gates(rects) + layers + [h(q) for q in a]
+        i, j = color_columns(bipartite_edge_color(p))
+        return gate_block(CNOT, np.asarray(b)[j], np.asarray(a)[i])
+    hs = gate_block(H, a)
+    return np.concatenate([hs, rectangle_gates(rects), layers, hs])
 
 
-def _tri_gates(qubits: list[int], r: list[int]) -> list[Gate]:
-    """Gates for the upper unitriangular matrix with int rows r on these qubits."""
+def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
+    """Append the gate blocks for the upper unitriangular matrix with int rows r
+    on these qubits to out; a base case appends its few gates as a list of rows."""
     k = len(qubits)
     if k <= 1:
-        return []
+        return
     if k == 2:
-        return [cnot(qubits[1], qubits[0])] if r[0] >> 1 & 1 else []
+        if r[0] >> 1 & 1:
+            out.append([(CNOT, qubits[1], qubits[0])])
+        return
     if k == 3:
         key = (r[0] >> 1 & 1, r[0] >> 2 & 1, r[1] >> 2 & 1)
-        return [cnot(qubits[c], qubits[t]) for (c, t) in _BASE3[key]]
+        if key != (0, 0, 0):
+            out.append([(CNOT, qubits[c], qubits[t]) for (c, t) in _BASE3[key]])
+        return
     h_ = (k + 1) // 2
     a, b = qubits[:h_], qubits[h_:]
     top = [v & ((1 << h_) - 1) for v in r[:h_]]
     # the top-left block is unitriangular, so the block C with top C = R[:h, h:] is unique
     c = back_substitute(top, [v >> h_ for v in r[:h_]])
-    gates = _block_add_gates(a, b, M01Pattern(h_, k - h_, c))
-    gates += _tri_gates(a, top)
-    gates += _tri_gates(b, [v >> h_ for v in r[h_:]])
-    return gates
+    out.append(_block_add_gates(a, b, M01Pattern(h_, k - h_, c)))
+    _tri_gates(a, top, out)
+    _tri_gates(b, [v >> h_ for v in r[h_:]], out)
 
 
 def synth_triangular(r: BitMatrix) -> Circuit:
@@ -104,36 +111,45 @@ def synth_triangular(r: BitMatrix) -> Circuit:
         raise ValueError("matrix must be square")
     if any(v & ((2 << i) - 1) != 1 << i for i, v in enumerate(r.ints)):
         raise ValueError("matrix must be upper triangular with unit diagonal")
-    return Circuit(r.rows, _tri_gates(list(range(r.rows)), r.ints))
+    out: list = []
+    _tri_gates(list(range(r.rows)), r.ints, out)
+    return Circuit(r.rows, join(out))
 
 
-def _strip_hadamards(gates: list[Gate], n: int) -> list[Gate]:
-    """The gates of remove_hadamards, for a gate list on n qubits."""
-    par = [0] * n
-    out: list[Gate] = []
-    for g in gates:
-        kind, a, b = g
-        if kind == "H":
-            par[a] ^= 1
-        elif kind == "CNOT":
-            pa, pb = par[a], par[b]
-            if pa and pb:
-                out.append(cnot(b, a))
-            elif not pa and not pb:
-                out.append(g)
-            else:
-                raise ValueError("CNOT with one conjugated end has no rewrite")
-        elif kind == "CZ":
-            pa, pb = par[a], par[b]
-            if pa ^ pb:
-                out.append(cnot(b, a) if pa else cnot(a, b))
-            else:
-                raise ValueError("CZ needs exactly one conjugated end")
-        else:
-            raise ValueError(f"cannot remove H around {kind} gate")
-    if any(par):
+def _strip_hadamards(gates: np.ndarray, n: int) -> np.ndarray:
+    """The gates of remove_hadamards, for a gate array on n qubits.
+
+    A two-qubit gate's end is conjugated when an odd number of earlier H
+    gates act on it; the earlier H gates on a qubit are counted by
+    searching the H gates, sorted by qubit and then by position.
+    """
+    kind, a, b = gates.T
+    is_h = kind == H
+    two = np.flatnonzero(kind < 2)
+    stride = len(gates) + 1
+    keys = np.sort(a[is_h] * stride + np.flatnonzero(is_h))
+
+    def parity(q: np.ndarray) -> np.ndarray:
+        return (np.searchsorted(keys, q * stride + two) - np.searchsorted(keys, q * stride)) & 1
+
+    ka, qa, qb = kind[two], a[two], b[two]
+    pa, pb = parity(qa), parity(qb)
+    # a CNOT needs both ends or neither conjugated, a CZ exactly one
+    bad = two[(pa == pb) != (ka == CNOT)]
+    other = np.flatnonzero(~is_h & (kind >= 2))
+    first = min(bad[:1].tolist() + other[:1].tolist(), default=None)
+    if first is not None:
+        if kind[first] == CNOT:
+            raise ValueError("CNOT with one conjugated end has no rewrite")
+        if kind[first] < 2:
+            raise ValueError("CZ needs exactly one conjugated end")
+        raise ValueError(f"cannot remove H around {KINDS[kind[first]]} gate")
+    if (np.bincount(a[is_h], minlength=n) & 1).any():
         raise ValueError("unmatched H gates remain")
-    return out
+    # a CNOT with both ends conjugated flips, and a CZ becomes a CNOT
+    # controlled on its bare end: a gate flips exactly when a is conjugated
+    flip = pa.astype(bool)
+    return gate_block(CNOT, np.where(flip, qb, qa), np.where(flip, qa, qb))
 
 
 def remove_hadamards(c: Circuit) -> Circuit:
@@ -146,33 +162,35 @@ def remove_hadamards(c: Circuit) -> Circuit:
     All H parities must cancel by the end of the circuit.  The output
     keeps the input's ``perm``.
     """
-    return Circuit(c.n, _strip_hadamards(c.gates, c.n), perm=c.perm)
+    return Circuit(c.n, _strip_hadamards(c.array, c.n), perm=c.perm)
 
 
 EXACT = "exact"
 REORDER = "reorder"
 
 
-def _transpose_trick(gates: list[Gate]) -> list[Gate]:
-    """Reverse order and swap control/target: realizes the transpose."""
-    return [_gate(("CNOT", b, a)) for _, a, b in reversed(gates)]
+def _transpose_trick(gates: np.ndarray) -> np.ndarray:
+    """Reverse the order of CNOT gates and swap control/target: realizes the transpose."""
+    return gates[::-1, [0, 2, 1]]
 
 
-def _linear_gates(r: BitMatrix, mode: str) -> tuple[list[Gate], Permutation | None]:
-    """The gates of synth_linear(r, mode), and the perm its circuit reports."""
+def _linear_gates(r: BitMatrix, mode: str, out: list) -> Permutation | None:
+    """Append the gate blocks of synth_linear(r, mode) to out; return the perm its
+    circuit reports."""
     n = r.rows
     perm, low, up = lu_decompose(r)
-    gates = _tri_gates(list(range(n)), up.ints)
+    _tri_gates(list(range(n)), up.ints, out)
     # lower factor: synthesize the transpose (upper triangular), strip its
     # H-conjugated stages, then reverse with controls and targets flipped
-    l_gates = _strip_hadamards(_tri_gates(list(range(n)), low.transpose().ints), n)
-    gates += _transpose_trick(l_gates)
+    lower: list = []
+    _tri_gates(list(range(n)), low.transpose().ints, lower)
+    out.append(_transpose_trick(_strip_hadamards(join(lower), n)))
     if mode == REORDER:
-        return gates, perm
-    for layer in perm_to_transposition_layers(perm):
-        for (i, j) in layer:
-            gates += [cnot(i, j), cnot(j, i), cnot(i, j)]
-    return gates, None
+        return perm
+    swaps = [pair for layer in perm_to_transposition_layers(perm) for pair in layer]
+    if swaps:  # each swap (i, j) is CNOT(i, j), CNOT(j, i), CNOT(i, j)
+        out.append([(CNOT, c, t) for i, j in swaps for c, t in ((i, j), (j, i), (i, j))])
+    return None
 
 
 def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:
@@ -187,5 +205,6 @@ def synth_linear(r: BitMatrix, mode: str = EXACT) -> Circuit:
         raise ValueError(f"unknown mode {mode!r}")
     if r.rows != r.cols:
         raise ValueError("matrix must be square")
-    gates, perm = _linear_gates(r, mode)
-    return Circuit(r.rows, gates, perm=perm)
+    out: list = []
+    perm = _linear_gates(r, mode, out)
+    return Circuit(r.rows, join(out), perm=perm)

@@ -25,13 +25,15 @@ out of its rows with shifts and masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import bounds
-from .circuit import Circuit, Gate, _gate, cz
+from .circuit import Circuit, cnot_pairs, cz_block, cz_pairs, join
 from .gf2 import BitMatrix
-from .patterns import M01Pattern, complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
+from .patterns import (M01Pattern, color_columns, complete_bipartite_rounds, cz_layers, halve_weights,
+                       m01_gates)
 from .rectangles import tree_layers
 
 
@@ -115,6 +117,14 @@ def _coloring_classes(n: int) -> list[list[tuple[int, int]]]:
     return classes
 
 
+@lru_cache(maxsize=16)
+def _coloring_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of _coloring_classes(n), class after class, as two int arrays."""
+    i, j = color_columns(_coloring_classes(n))
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
+
+
 def synth_cz_coloring(spec: CzSpec) -> Circuit:
     """Direct scheduling of the pattern pairs into matching layers."""
     return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.to_bitmatrix().ints))
@@ -126,48 +136,38 @@ def _block(rows: list[int], r0: int, r1: int, c0: int, c1: int) -> list[int]:
     return [v >> c0 & mask for v in rows[r0:r1]]
 
 
-def _coloring_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
-    out: list[Gate] = []
-    for cl in _coloring_classes(len(qubits)):
-        out += [cz(qubits[i], qubits[j]) for (i, j) in cl if rows[i] >> j & 1]
-    return out
+def _coloring_gates(qubits: list[int], rows: list[int]) -> np.ndarray:
+    i, j = _coloring_columns(len(qubits))
+    keep = BitMatrix(len(qubits), len(qubits), rows).to_dense()[i, j].astype(bool)
+    q = np.asarray(qubits)
+    return cz_block(q[i[keep]], q[j[keep]])
 
 
-def _tree_gates(sets: list[list[int]]) -> tuple[list[Gate], list[int | None]]:
+def _tree_gates(sets: list[list[int]]) -> tuple[np.ndarray, list[int | None]]:
     """Parallel parity-tree CNOTs for disjoint sets, plus representatives."""
-    gates: list[Gate] = []
-    reps: list[int | None] = []
-    for s in sets:
-        if not s:
-            reps.append(None)
-            continue
-        gates += [_gate(("CNOT", c, t)) for layer in tree_layers(s) for (c, t) in layer]
-        reps.append(s[-1])
-    return gates, reps
+    pairs = [pair for s in sets if s for layer in tree_layers(s) for pair in layer]
+    return cnot_pairs(pairs), [s[-1] if s else None for s in sets]
 
 
-def _bipartite_cz(left: list[int], right: list[int]) -> list[Gate]:
-    """All-pairs CZ between two representative sets, in matching rounds.
+def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
+    """All-pairs CZ between two representative sets, in matching rounds, as qubit pairs.
 
     Emitting round by round keeps the ASAP depth at max(|left|, |right|)
     instead of |left| + |right| - 1.
     """
-    out: list[Gate] = []
-    for rnd in complete_bipartite_rounds(len(left), len(right)):
-        out += [cz(left[i], right[j]) for (i, j) in rnd]
-    return out
+    return [(left[i], right[j])
+            for rnd in complete_bipartite_rounds(len(left), len(right)) for (i, j) in rnd]
 
 
-def _onestep_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
+def _onestep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     k = len(qubits)
     h = (k + 1) // 2
-    gates = m01_gates(qubits[:h], qubits[h:], M01Pattern(h, k - h, _block(rows, 0, h, h, k)))
-    gates += _synth_gates(qubits[:h], _block(rows, 0, h, 0, h))
-    gates += _synth_gates(qubits[h:], _block(rows, h, k, h, k))
-    return gates
+    out.append(m01_gates(qubits[:h], qubits[h:], M01Pattern(h, k - h, _block(rows, 0, h, h, k))))
+    _synth_gates(qubits[:h], _block(rows, 0, h, 0, h), out)
+    _synth_gates(qubits[h:], _block(rows, h, k, h, k), out)
 
 
-def _twostep_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
+def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     k = len(qubits)
     h = (k + 1) // 2
     m = k - h
@@ -199,47 +199,48 @@ def _twostep_gates(qubits: list[int], rows: list[int]) -> list[Gate]:
     def live(side: int, j: int, cs) -> list[int]:
         return [rep[(side, j, c)] for c in cs if rep[(side, j, c)] is not None]
 
-    gates = list(trees)
+    out.append(trees)
     # level-1 corrections: A' x (B \ B') and (A \ A') x B', as complete
     # bipartite CZ between at most 4 representatives per side
-    gates += _bipartite_cz(live(0, 0, range(4)), live(1, 1, range(4)))
-    gates += _bipartite_cz(live(0, 1, range(4)), live(1, 0, range(4)))
+    pairs = _bipartite_cz(live(0, 0, range(4)), live(1, 1, range(4)))
+    pairs += _bipartite_cz(live(0, 1, range(4)), live(1, 0, range(4)))
     # level-2 corrections inside each half, at most 2x2 each
     for side in (0, 1):
-        gates += _bipartite_cz(live(side, 0, (0,)) + live(side, 1, (0,)),
+        pairs += _bipartite_cz(live(side, 0, (0,)) + live(side, 1, (0,)),
                                live(side, 0, (3,)) + live(side, 1, (3,)))
-        gates += _bipartite_cz(live(side, 0, (1,)) + live(side, 1, (1,)),
+        pairs += _bipartite_cz(live(side, 0, (1,)) + live(side, 1, (1,)),
                                live(side, 0, (2,)) + live(side, 1, (2,)))
-    gates += reversed(trees)
+    out.append(cz_pairs(pairs))
+    out.append(trees[::-1])
 
     # reduced patterns as colored matching layers on the actual qubits
-    gates += cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2))
+    out.append(cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2)))
     cap2 = max(qa // 2, (h - qa) // 2, qb // 2, (m - qb) // 2)
-    gates += cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced, cap2)
-    gates += cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced, cap2)
+    out.append(cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced, cap2))
+    out.append(cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced, cap2))
 
     # recurse on the four quarters in parallel
     for lo, hi in ((0, qa), (qa, h), (h, h + qb), (h + qb, k)):
-        gates += _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi))
-    return gates
+        _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi), out)
 
 
 def _synth_gates(
-    qubits: list[int], rows: list[int], strategy: str | None = None
-) -> list[Gate]:
-    """Gates for the pattern with these int rows (bit j of rows[i] pairs
-    qubits[i] with qubits[j])."""
+    qubits: list[int], rows: list[int], out: list, strategy: str | None = None
+) -> None:
+    """Append the gate blocks for the pattern with these int rows (bit j of
+    rows[i] pairs qubits[i] with qubits[j]) to out."""
     k = len(qubits)
     if k <= 1 or not any(rows):
-        return []
+        return
     choice = strategy or (bounds.COLORING if k <= 3 else bounds.cz_choice(k))
     if choice == bounds.COLORING:
-        return _coloring_gates(qubits, rows)
-    if choice == bounds.ONESTEP:
-        return _onestep_gates(qubits, rows)
-    if choice == bounds.TWOSTEP:
-        return _twostep_gates(qubits, rows)
-    raise ValueError(f"unknown strategy {choice!r}")
+        out.append(_coloring_gates(qubits, rows))
+    elif choice == bounds.ONESTEP:
+        _onestep_gates(qubits, rows, out)
+    elif choice == bounds.TWOSTEP:
+        _twostep_gates(qubits, rows, out)
+    else:
+        raise ValueError(f"unknown strategy {choice!r}")
 
 
 def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
@@ -253,5 +254,6 @@ def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
         raise ValueError(f"unknown strategy {strategy!r}")
     if forced in (bounds.ONESTEP, bounds.TWOSTEP) and spec.n < 4:
         forced = bounds.COLORING
-    gates = _synth_gates(list(range(spec.n)), spec.to_bitmatrix().ints, strategy=forced)
-    return Circuit(spec.n, gates)
+    out: list = []
+    _synth_gates(list(range(spec.n)), spec.to_bitmatrix().ints, out, strategy=forced)
+    return Circuit(spec.n, join(out))

@@ -10,12 +10,12 @@ Patterns are int rows, in the format of ``gf2.BitMatrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import add
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _gate
+from .circuit import Circuit, cz_block, pair_columns
 from .gf2 import BitMatrix, bit_bytes, set_bits
 from .rectangles import Pairs, check_qubit_set, rectangle_gates, rectangle_pairs
 
@@ -177,18 +177,22 @@ def bipartite_edge_color(
     return [cl for cl in classes if cl]
 
 
+def color_columns(classes: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second entries of the pairs in classes of pairs (bipartite_edge_color's
+    rows i and columns j), class after class."""
+    return pair_columns(chain.from_iterable(classes), sum(map(len, classes)))
+
+
 def cz_layers(
     a: list[int], b: list[int], p: M01Pattern, cap: int | None = None
-) -> list[Gate]:
+) -> np.ndarray:
     """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
 
     A nonzero cap bounds the number of colors (see bipartite_edge_color).
-    The gates are built directly, ends ordered as ``cz`` orders them: a
-    and b are disjoint, so no gate can repeat a qubit.
+    Ends are ordered as ``cz`` orders them.
     """
-    classes = bipartite_edge_color(p, max_colors=cap or None)
-    return [_gate(("CZ", x, y) if (x := a[i]) < (y := b[j]) else ("CZ", y, x))
-            for cl in classes for i, j in cl]
+    i, j = color_columns(bipartite_edge_color(p, max_colors=cap or None))
+    return cz_block(np.asarray(a)[i], np.asarray(b)[j])
 
 
 def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pairs]:
@@ -202,15 +206,15 @@ def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pa
     return [rectangle_pairs(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
 
 
-def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> list[Gate]:
-    """Gates applying exactly the CZs marked in p between rows a and columns b.
+def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
+    """The gate array applying exactly the CZs marked in p between rows a and columns b.
 
     Halve p's weights, undo the flips with the two halving rectangles run
     side by side, then apply the reduced pattern's colored CZ layers.
     """
     hr = halve_weights(p)
-    gates = rectangle_gates(halving_rectangles(a, b, hr))
-    return gates + cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))
+    return np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)),
+                           cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))])
 
 
 def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -> Circuit:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .circuit import Circuit, Gate, _gate, cnot, cz
+import numpy as np
+
+from .circuit import Circuit, cnot_pairs, cz_pairs
 
 Pairs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
@@ -53,8 +55,7 @@ def parity_tree(s: list[int], n: int | None = None) -> tuple[Circuit, int]:
     check_qubit_set(s)
     if n is None:
         n = max(s) + 1
-    gates = [cnot(c, t) for layer in tree_layers(s) for (c, t) in layer]
-    return Circuit(n, gates), s[-1]
+    return Circuit(n, cnot_pairs([pair for layer in tree_layers(s) for pair in layer])), s[-1]
 
 
 def rectangle_pairs(a: list[int], b: list[int]) -> Pairs:
@@ -83,16 +84,17 @@ def rectangle_pairs(a: list[int], b: list[int]) -> Pairs:
     return trees, [(u, b[-1]), (r_deep, b[-1])]
 
 
-def rectangle_gates(rects: list[Pairs]) -> list[Gate]:
-    """Gates of rectangles on disjoint qubit sets, each given as rectangle_pairs.
+def rectangle_gates(rects: list[Pairs]) -> np.ndarray:
+    """The gate array of rectangles on disjoint qubit sets, each given as rectangle_pairs.
 
     The rectangles run side by side, so that ASAP scheduling overlaps
     them: every tree, then every middle, then each tree reversed.
     """
-    trees = [[_gate(("CNOT", c, t)) for c, t in tr] for tr, _ in rects]
-    gates = [g for tr in trees for g in tr]
-    gates += [cz(x, y) for _, middle in rects for x, y in middle]
-    return gates + [g for tr in trees for g in reversed(tr)]
+    return np.concatenate([
+        cnot_pairs([pair for trees, _ in rects for pair in trees]),
+        cz_pairs([pair for _, middle in rects for pair in middle]),
+        cnot_pairs([pair for trees, _ in rects for pair in reversed(trees)]),
+    ])
 
 
 def rectangle_finish(rects: list[Pairs], t: list[int]) -> None:
@@ -106,8 +108,8 @@ def rectangle_finish(rects: list[Pairs], t: list[int]) -> None:
             t[x] = t[y] = (tx if tx > ty else ty) + 1
 
 
-def rectangle_parts(a: list[int], b: list[int]) -> list[Gate]:
-    """The gates of the rectangle a x b, after checking both qubit sets."""
+def rectangle_parts(a: list[int], b: list[int]) -> np.ndarray:
+    """The gate array of the rectangle a x b, after checking both qubit sets."""
     check_qubit_set(a)
     check_qubit_set(b)
     if set(a) & set(b):

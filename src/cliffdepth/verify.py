@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import CNOT, CZ, H, KINDS, X, Z, Circuit
 from .clifford import tableau_of_circuit
 from .gf2 import BitMatrix
 
@@ -37,10 +37,10 @@ def linear_action(c: Circuit) -> BitMatrix:
     """
     rows = [1 << i for i in range(c.n)]  # bit j of rows[i] = R[i, j]
     par = [0] * c.n
-    for kind, a, b in c.gates:
-        if kind == "H":
+    for kind, a, b in zip(*c.array.T.tolist()):
+        if kind == H:
             par[a] ^= 1
-        elif kind == "CNOT":
+        elif kind == CNOT:
             pa, pb = par[a], par[b]
             if pa and pb:
                 rows[a] ^= rows[b]
@@ -48,7 +48,7 @@ def linear_action(c: Circuit) -> BitMatrix:
                 rows[b] ^= rows[a]
             else:
                 break
-        elif kind == "CZ":
+        elif kind == CZ:
             pa, pb = par[a], par[b]
             if not pa ^ pb:
                 break
@@ -92,17 +92,17 @@ def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:
     labels = np.arange(1 << c.n, dtype=np.uint32)
     cur = labels.copy()
     phase = np.zeros(labels.shape, dtype=np.uint8)
-    for g in c.gates:
-        if g.kind == "CNOT":
-            cur ^= ((cur >> np.uint32(g.a)) & np.uint32(1)) << np.uint32(g.b)
-        elif g.kind == "CZ":
-            phase ^= ((cur >> np.uint32(g.a)) & (cur >> np.uint32(g.b)) & np.uint32(1)).astype(np.uint8)
-        elif g.kind == "Z":
-            phase ^= ((cur >> np.uint32(g.a)) & np.uint32(1)).astype(np.uint8)
-        elif g.kind == "X":
-            cur ^= np.uint32(1 << g.a)
+    for kind, a, b in zip(*c.array.T.tolist()):
+        if kind == CNOT:
+            cur ^= ((cur >> np.uint32(a)) & np.uint32(1)) << np.uint32(b)
+        elif kind == CZ:
+            phase ^= ((cur >> np.uint32(a)) & (cur >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
+        elif kind == Z:
+            phase ^= ((cur >> np.uint32(a)) & np.uint32(1)).astype(np.uint8)
+        elif kind == X:
+            cur ^= np.uint32(1 << a)
         else:
-            raise ValueError(f"phase oracle cannot handle {g.kind} gate")
+            raise ValueError(f"phase oracle cannot handle {KINDS[kind]} gate")
     if not np.array_equal(cur, labels):
         raise NotDiagonalError("circuit permutes basis labels; phases not diagonal")
     return phase

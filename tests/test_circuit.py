@@ -10,6 +10,7 @@ from cliffdepth.circuit import (
     compose,
     cz,
     from_text,
+    gate_list,
     h,
     invert,
     p,
@@ -18,10 +19,13 @@ from cliffdepth.circuit import (
     x,
     z,
 )
-from cliffdepth.clifford import tableau_of_circuit
-from cliffdepth.cnot import _block_add_gates
-from cliffdepth.gf2 import Permutation
+from cliffdepth.clifford import (random_clifford_circuit, random_tableau, synth_clifford,
+                                 tableau_of_circuit)
+from cliffdepth.cnot import EXACT, REORDER, _block_add_gates, synth_linear
+from cliffdepth.cz import CzSpec, synth_cz
+from cliffdepth.gf2 import Permutation, random_invertible
 from cliffdepth.patterns import M01Pattern, cz_layers
+from cliffdepth.verify import NotLinearError, linear_action, phase_oracle
 
 
 def random_circuit(rng, n, g):
@@ -204,11 +208,77 @@ def test_gate_builders_make_plain_gates():
             bad(3, 3)
     # rows on the high qubits, so cz_layers must swap every pair's ends
     bits = np.ones((3, 2), dtype=np.uint8)
-    layers = cz_layers([7, 8, 9], [1, 2], M01Pattern.from_dense(bits))
+    layers = gate_list(cz_layers([7, 8, 9], [1, 2], M01Pattern.from_dense(bits)))
     assert sorted(layers) == [Gate("CZ", b, a) for b in (1, 2) for a in (7, 8, 9)]
     # a single edge per row and column: depth 1, so the direct form
-    direct = _block_add_gates([0, 1], [4, 5], M01Pattern.from_dense(np.eye(2, dtype=np.uint8)))
+    direct = gate_list(_block_add_gates([0, 1], [4, 5],
+                                        M01Pattern.from_dense(np.eye(2, dtype=np.uint8))))
     assert direct == [Gate("CNOT", 4, 0), Gate("CNOT", 5, 1)]
     for g in [cz(1, 0), cnot(0, 1), *layers, *direct]:
         assert type(g) is Gate
         assert g.b == g[2] and g.a == g[1] and g.kind == g[0]
+
+
+def test_unknown_gate_kind_rejected():
+    with pytest.raises(ValueError, match=r"unknown kind 'FOO'"):
+        Circuit(3, [h(0), Gate("FOO", 1, 2)])
+    with pytest.raises(ValueError, match=r"gate 1 has unknown kind code 6"):
+        Circuit(3, np.array([[2, 0, -1], [6, 1, 2]]))
+
+
+def test_two_qubit_gate_with_equal_ends_rejected():
+    with pytest.raises(ValueError, match=r"Gate\(kind='CZ', a=2, b=2\) needs two distinct qubits"):
+        Circuit(3, [cz(0, 1), Gate("CZ", 2, 2)])
+    with pytest.raises(ValueError, match=r"Gate\(kind='CNOT', a=1, b=1\) needs two distinct"):
+        Circuit(3, np.array([[1, 1, 1]]))
+
+
+def test_one_qubit_gate_with_second_qubit_rejected():
+    with pytest.raises(ValueError, match=r"Gate\(kind='H', a=1, b=7\) is a one-qubit gate"):
+        Circuit(3, [Gate("H", 1, 7)])
+    with pytest.raises(ValueError, match=r"Gate\(kind='Z', a=0, b=2\) is a one-qubit gate"):
+        Circuit(3, np.array([[5, 0, 2]]))
+
+
+def test_gate_array_shape_and_type_rejected():
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64),
+                np.zeros((1, 3), dtype=np.float64)):
+        with pytest.raises(ValueError, match=r"a gate array is \(G, 3\) ints"):
+            Circuit(3, bad)
+
+
+def test_gates_view_round_trip():
+    """Circuit(n, c.gates) holds the same array, and the text form round-trips."""
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 17, 40):
+        c = random_clifford_circuit(rng, n)
+        back = Circuit(n, c.gates)
+        assert back.array.dtype == c.array.dtype == np.int64
+        assert np.array_equal(back.array, c.array)
+        assert to_text(back) == to_text(c)
+        assert from_text(to_text(c)) == c
+
+
+def test_checks_never_build_the_gates_view(monkeypatch):
+    """Depth, the tableau and linear oracles, counting and text output read the array."""
+    rng = np.random.default_rng(22)
+    r = random_invertible(rng, 24)
+    spec = CzSpec.random(rng, 10)
+    cz_out = synth_cz(spec)
+    linear = [synth_linear(r, EXACT), synth_linear(r, REORDER)]
+    clifford_out = synth_clifford(random_tableau(rng, 16))
+
+    def refuse(self):
+        raise AssertionError("the gates view was built")
+
+    monkeypatch.setattr(Circuit, "gates", property(refuse))
+    for c in [cz_out, *linear, clifford_out]:
+        assert 0 < c.two_qubit_depth() <= c.count_two_qubit() <= len(c)
+        tableau_of_circuit(c)
+        assert to_text(c).count("\n") == len(c) + 1 + (c.perm is not None)
+    assert linear_action(linear[0]) == r
+    linear_action(linear[1])
+    for c in (cz_out, clifford_out):
+        with pytest.raises(NotLinearError):
+            linear_action(c)
+    phase_oracle(cz_out)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffdepth import bounds
-from cliffdepth.circuit import Circuit, cnot, h
+from cliffdepth.circuit import Circuit, Gate, cnot, gate_list, h
 from cliffdepth.clifford import random_tableau, synth_clifford, tableau_of_circuit
 from cliffdepth.cnot import (
     EXACT,
@@ -49,7 +51,8 @@ def reference_block_add(a, b, c):
     """
     n = max(a + b) + 1
     direct = direct_gates(a, b, c)
-    via_cz = [h(q) for q in a] + m01_gates(a, b, M01Pattern.from_dense(c)) + [h(q) for q in a]
+    via_cz = ([h(q) for q in a] + gate_list(m01_gates(a, b, M01Pattern.from_dense(c)))
+              + [h(q) for q in a])
     d_direct = Circuit(n, direct).two_qubit_depth()
     d_via = Circuit(n, via_cz).two_qubit_depth()
     return (direct if d_direct <= d_via else via_cz), d_direct, d_via
@@ -58,7 +61,7 @@ def reference_block_add(a, b, c):
 def cz_form_bounds(a, b, c):
     """(LB, UB) on the CZ form's depth from the rectangle finish times and reduced degrees."""
     hr = halve_weights(M01Pattern.from_dense(c))
-    rect, reduced = rectangle_gates(halving_rectangles(a, b, hr)), hr.reduced
+    rect, reduced = gate_list(rectangle_gates(halving_rectangles(a, b, hr))), hr.reduced
     free = dict.fromkeys(a + b, 0)
     for g in rect:
         if g.kind in ("CZ", "CNOT"):
@@ -109,13 +112,13 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
         k, m = c.shape
         a, b = list(range(3, 3 + k)), list(range(3 + k, 3 + k + m))
         if not c.any():
-            assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == []
+            assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == []
             continue
         want, d_direct, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper, (c.shape, lower, d_via, upper)
         colored.update(direct=0, reduced=0)
-        assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
+        assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
         if d_direct <= lower:
             branches.add("direct")
             assert colored == {"direct": 1, "reduced": 0}
@@ -147,7 +150,7 @@ def test_block_add_all_ones_blocks(k, d_direct, lower, upper, form):
     assert (d, cz_form_bounds(a, b, c)) == (d_direct, (lower, upper))
     assert lower <= d_via <= upper
     assert (want == direct_gates(a, b, c)) == (form == "direct")
-    assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
+    assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
 
 
 def test_block_add_odd_blocks():
@@ -161,7 +164,7 @@ def test_block_add_odd_blocks():
         want, _, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper
-        assert _block_add_gates(a, b, M01Pattern.from_dense(c)) == want
+        assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
         forms.add("direct" if want == direct_gates(a, b, c) else "cz")
     assert forms == {"direct", "cz"}
 
@@ -206,7 +209,7 @@ def test_synth_linear_halves_each_block_once(monkeypatch):
     def counted_block(a, b, c):
         counts["blocks"] += bool(any(c.rows))
         gates = block_add(a, b, c)
-        counts["cz form"] += any(g.kind == "CZ" for g in gates)
+        counts["cz form"] += any(g.kind == "CZ" for g in gate_list(gates))
         return gates
 
     for mod in (cnot_mod, patterns_mod):
@@ -277,6 +280,51 @@ def test_remove_hadamards_preserves_action_count_depth():
         assert linear_action(stripped) == m
         assert stripped.count_two_qubit() == c.count_two_qubit()
         assert stripped.two_qubit_depth() == c.two_qubit_depth()
+
+
+def reference_remove_hadamards(gates):
+    """The H-parity rewrite gate by gate: the CNOT gates, or the first error's message."""
+    par = {}
+    out = []
+    for g in gates:
+        pa, pb = par.get(g.a, 0), par.get(g.b, 0)
+        if g.kind == "H":
+            par[g.a] = 1 - pa
+        elif g.kind == "CNOT" and pa == pb:
+            out.append(cnot(g.b, g.a) if pa else g)
+        elif g.kind == "CNOT":
+            return "CNOT with one conjugated end has no rewrite"
+        elif g.kind == "CZ" and pa != pb:
+            out.append(cnot(g.b, g.a) if pa else cnot(g.a, g.b))
+        elif g.kind == "CZ":
+            return "CZ needs exactly one conjugated end"
+        else:
+            return f"cannot remove H around {g.kind} gate"
+    return "unmatched H gates remain" if any(par.values()) else out
+
+
+def test_remove_hadamards_matches_gate_by_gate_rewrite():
+    """On random H/CNOT/CZ/P circuits, the rewrite or its first error is the
+    gate-by-gate one; every error occurs, and rewrites with and without a CZ."""
+    rng = np.random.default_rng(35)
+    seen = set()
+    for _ in range(3000):
+        n = int(rng.integers(2, 5))
+        gates = []
+        for _ in range(int(rng.integers(0, 9))):
+            kind = rng.choice(["H", "H", "CNOT", "CZ", "P"], p=[0.3, 0.2, 0.2, 0.25, 0.05])
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append(Gate(kind, a, b) if kind in ("CNOT", "CZ") else Gate(kind, a))
+        want = reference_remove_hadamards(gates)
+        c = Circuit(n, gates)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                remove_hadamards(c)
+            seen.add(want)
+        else:
+            assert remove_hadamards(c).gates == want
+            seen.add("with CZ" if any(g.kind == "CZ" for g in gates) else "without CZ")
+    assert len(seen) == 6, seen
 
 
 def test_synth_linear_exact():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdepth.circuit import Circuit, cz
+from cliffdepth.circuit import Circuit, cz, gate_list
 from cliffdepth.rectangles import (
     check_qubit_set,
     parity_tree,
@@ -59,7 +59,7 @@ def test_tree_layers_are_disjoint(s):
 def test_rectangle_single_pair():
     trees, middle = rectangle_pairs([4], [7])
     assert trees == [] and len(middle) == 1
-    assert rectangle_parts([4], [7]) == [cz(4, 7)]
+    assert gate_list(rectangle_parts([4], [7])) == [cz(4, 7)]
     assert synth_rectangle([4], [7]).two_qubit_depth() == 1
 
 
@@ -112,7 +112,7 @@ def test_rectangle_overlap_rejected():
 def test_rectangle_trees_are_pure_cnot_and_uncomputed():
     a, b = list(range(5)), list(range(5, 12))
     trees, middle = rectangle_pairs(a, b)
-    gates = rectangle_parts(a, b)
+    gates = gate_list(rectangle_parts(a, b))
     t = len(trees)
     assert len(gates) == 2 * t + len(middle)
     tree_gates, uncompute = gates[:t], gates[len(gates) - t:]
