@@ -36,13 +36,13 @@ from .gf2 import (
     perm_to_transposition_layers,
     random_invertible,
 )
-from .patterns import M01Pattern, bipartite_edge_color, halve_weights, synth_m01
+from .patterns import bipartite_edge_color, halve_weights, synth_m01
 from .rectangles import parity_tree, synth_rectangle
 from .verify import linear_action, phase_oracle, tableaux_equal
 
 __all__ = [
     "BitMatrix", "BoundFormula", "Circuit", "CliffordLayers", "CliffordTableau",
-    "CzSpec", "Gate", "M01Pattern", "Permutation", "SingularMatrixError",
+    "CzSpec", "Gate", "Permutation", "SingularMatrixError",
     "active_backend", "bipartite_edge_color", "cnot_depth_recursion", "compose",
     "crossover_scan", "cz_depth_recursion", "decompose_tableau",
     "emit_comparison_csv", "from_text", "halve_weights", "invert",

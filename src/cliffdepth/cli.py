@@ -53,7 +53,7 @@ def _bound(family: str, n: int) -> int:
 def _cz_tableau(spec: CzSpec) -> CliffordTableau:
     """Tableau of the CZ pattern: X_i -> X_i times Z of its partners, Z fixed, signs +."""
     n = spec.n
-    pattern = spec.to_bitmatrix().ints  # symmetric, so row q is column q
+    pattern = spec.mat.ints  # symmetric, so row q is column q
     return CliffordTableau(n, [1 << q for q in range(n)],
                            [1 << (n + q) | v for q, v in enumerate(pattern)], 0)
 
@@ -63,7 +63,7 @@ def _as_matrix(x) -> BitMatrix:
     if isinstance(x, BitMatrix):
         return x
     if isinstance(x, CzSpec):
-        return x.to_bitmatrix()
+        return x.mat
     rows = linear_action(x).ints
     if x.perm is not None:  # row perm[i] of the result is row i
         rows = [rows[i] for i in np.argsort(x.perm.map).tolist()]
@@ -196,7 +196,7 @@ def _cmd_gen(args) -> int:
                          f"got {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "cz":
-        text = CzSpec.random(rng, args.n).to_bitmatrix().to_text()
+        text = CzSpec.random(rng, args.n).mat.to_text()
     elif args.kind == "linear":
         text = random_invertible(rng, args.n).to_text()
     else:

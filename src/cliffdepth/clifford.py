@@ -273,8 +273,8 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
         z_mask=signs[:n],
         p1_mask=masks[0],
         cx=r_cx,
-        cz1=CzSpec(n, BitMatrix(n, n, gamma1).to_dense()),
-        cz2=CzSpec(n, BitMatrix(n, n, gamma2).to_dense()),
+        cz1=CzSpec.from_bitmatrix(BitMatrix(n, n, gamma1)),
+        cz2=CzSpec.from_bitmatrix(BitMatrix(n, n, gamma2)),
         h_mask1=masks[1],
         h_mask2=masks[2],
         p2_mask=masks[3],
@@ -326,7 +326,7 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
     layers = decompose_tableau(t)
     n = t.n
     blocks: list = []
-    _synth_gates(list(range(n)), layers.cz1.to_bitmatrix().ints, blocks)
+    _synth_gates(list(range(n)), layers.cz1.mat.ints, blocks)
     cz1 = join(blocks)
     split = np.flatnonzero(cz1[:, 0] != CNOT)
     split = int(split[0]) if split.size else len(cz1)
@@ -340,7 +340,7 @@ def synth_clifford(t: CliffordTableau) -> Circuit:
            gate_block(P, np.flatnonzero(layers.p1_mask))]
     _linear_gates(r_comb, EXACT, out)
     out += [cz1[split:], gate_block(H, np.flatnonzero(layers.h_mask1))]
-    _synth_gates(list(range(n)), layers.cz2.to_bitmatrix().ints, out)
+    _synth_gates(list(range(n)), layers.cz2.mat.ints, out)
     out += [gate_block(H, np.flatnonzero(layers.h_mask2)),
             gate_block(P, np.flatnonzero(layers.p2_mask))]
     return Circuit(n, join(out))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .circuit import CNOT, EMPTY, H, KINDS, Circuit, asap_finish, gate_block, join
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
-from .patterns import M01Pattern, bipartite_edge_color, color_columns, cz_layers, halve_weights
+from .patterns import bipartite_edge_color, col_degrees, color_columns, cz_layers, halve_weights
 from .patterns import halving_rectangles
 from .rectangles import rectangle_finish, rectangle_gates
 
@@ -31,7 +31,13 @@ _BASE3 = {
 }
 
 
-def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
+def _direct_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
+    """x_A += C x_B for the block C = p, one matching of CNOTs per color class of C."""
+    i, j = color_columns(bipartite_edge_color(p))
+    return gate_block(CNOT, np.asarray(b)[j], np.asarray(a)[i])
+
+
+def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """The gate array realizing x_A += C x_B, for the block C = p, in the shallower of two stagings.
 
     Either schedule the commuting CNOTs (control in B, target in A)
@@ -39,7 +45,8 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
     Hadamards on A and strip them again.  The second is asymptotically
     shallower but loses on small or sparse blocks; ties go to the direct
     form.  The direct form is one matching per color class, so its depth
-    is d, the max degree of C.  The CZ form is the halving rectangles,
+    is d, the max degree of C; at d = 1 it is a matching, which nothing
+    beats, so C is not even halved.  The CZ form is the halving rectangles,
     finishing qubit q at t[q] (T = max t), then the reduced pattern's
     color classes, so its depth D satisfies
     LB = max(T, max_q t[q] + deg(q)) <= D <= T + Delta = UB, with deg and
@@ -51,26 +58,26 @@ def _block_add_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
     returned CZ form's rectangle gates come from the same rectangle pairs,
     and the gates are built only for a returned CZ form.
     """
-    if not any(p.rows):
+    if not any(p.ints):
         return EMPTY
-    d_direct = max(*(v.bit_count() for v in p.rows), *p.col_degrees())
+    d_direct = max(*(v.bit_count() for v in p.ints), *col_degrees(p))
+    if d_direct == 1:
+        return _direct_gates(a, b, p)
     hr = halve_weights(p)
     rects = halving_rectangles(a, b, hr)
     t = [0] * (max(max(a), max(b)) + 1)
     rectangle_finish(rects, t)
-    reduced = hr.reduced
-    deg = [v.bit_count() for v in reduced.rows + hr.cols]
+    deg = [v.bit_count() for v in hr.reduced.ints + hr.cols]
     top = max(t)
     layers = None
     if d_direct > max(top, *(t[q] + d for q, d in zip(a + b, deg))):
-        layers = cz_layers(a, b, reduced)
+        layers = cz_layers(a, b, hr.reduced)
         if d_direct <= top + max(deg):  # between the bounds: measure
             asap_finish(layers, t)
             if d_direct <= max(t):
                 layers = None
     if layers is None:
-        i, j = color_columns(bipartite_edge_color(p))
-        return gate_block(CNOT, np.asarray(b)[j], np.asarray(a)[i])
+        return _direct_gates(a, b, p)
     hs = gate_block(H, a)
     return np.concatenate([hs, rectangle_gates(rects), layers, hs])
 
@@ -95,7 +102,7 @@ def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
     top = [v & ((1 << h_) - 1) for v in r[:h_]]
     # the top-left block is unitriangular, so the block C with top C = R[:h, h:] is unique
     c = back_substitute(top, [v >> h_ for v in r[:h_]])
-    out.append(_block_add_gates(a, b, M01Pattern(h_, k - h_, c)))
+    out.append(_block_add_gates(a, b, BitMatrix(h_, k - h_, c)))
     _tri_gates(a, top, out)
     _tri_gates(b, [v >> h_ for v in r[h_:]], out)
 

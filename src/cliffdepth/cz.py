@@ -17,74 +17,91 @@ one-step runs only when forced; it is the construction behind the
 cz-basic bound.  The realized two-qubit depth never exceeds the
 recursion table value for the register size.
 
-The recursion works on int rows in the ``gf2.BitMatrix`` format: each
-entry point converts its ``CzSpec`` once, and every node cuts its blocks
-out of its rows with shifts and masks.
+A ``CzSpec`` holds its pattern as a ``gf2.BitMatrix``, and the recursion
+runs on those int rows: every node cuts its blocks out of its rows with
+shifts and masks, and no entry point builds a dense array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bounds
 from .circuit import Circuit, cnot_pairs, cz_block, cz_pairs, join
-from .gf2 import BitMatrix
-from .patterns import (M01Pattern, color_columns, complete_bipartite_rounds, cz_layers, halve_weights,
-                       m01_gates)
+from .gf2 import BitMatrix, set_bits
+from .patterns import color_columns, complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
 from .rectangles import tree_layers
 
 
-@dataclass
 class CzSpec:
-    """Symmetric zero-diagonal 0/1 pattern of CZ pairs on n qubits."""
+    """Symmetric zero-diagonal 0/1 pattern of CZ pairs on n qubits.
 
-    n: int
-    bits: np.ndarray  # (n, n) uint8
+    ``mat`` holds the pattern as int rows: bit j of ``mat.ints[i]`` pairs
+    qubits i and j.  ``CzSpec(n, bits)`` takes a dense (n, n) 0/1 array;
+    it and ``from_bitmatrix`` check the pattern on its rows.
+    """
 
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=np.uint8) & 1
-        if self.bits.shape != (self.n, self.n):
-            raise ValueError("pattern shape does not match qubit count")
-        if not np.array_equal(self.bits, self.bits.T):
-            raise ValueError("pattern must be symmetric")
-        if self.bits.diagonal().any():
-            raise ValueError("pattern diagonal must be zero")
+    __slots__ = ("mat",)
+
+    def __init__(self, n: int, bits) -> None:
+        dense = np.asarray(bits)
+        if not np.isin(dense, (0, 1)).all():
+            raise ValueError("pattern entries must be 0 or 1")
+        self.mat = _checked(n, BitMatrix.from_dense(dense))
+
+    @classmethod
+    def from_bitmatrix(cls, mat: BitMatrix) -> "CzSpec":
+        """The pattern with mat's rows, which it keeps without copying."""
+        spec = cls.__new__(cls)
+        spec.mat = _checked(mat.rows, mat)
+        return spec
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "CzSpec":
         bits = np.zeros((n, n), dtype=np.uint8)
         for (i, j) in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair ({i}, {j}) has a qubit outside 0..{n - 1}")
             if i == j:
                 raise ValueError("diagonal pair")
             bits[i, j] = bits[j, i] = 1
         return cls(n, bits)
 
     @classmethod
-    def from_bitmatrix(cls, mat: BitMatrix) -> "CzSpec":
-        if mat.rows != mat.cols:
-            raise ValueError("pattern matrix must be square")
-        return cls(mat.rows, mat.to_dense())
-
-    def to_bitmatrix(self) -> BitMatrix:
-        return BitMatrix.from_dense(self.bits)
-
-    @classmethod
     def all_ones(cls, n: int) -> "CzSpec":
-        bits = np.ones((n, n), dtype=np.uint8)
-        np.fill_diagonal(bits, 0)
-        return cls(n, bits)
+        return cls.from_bitmatrix(BitMatrix(n, n, [((1 << n) - 1) ^ 1 << i for i in range(n)]))
 
     @classmethod
     def random(cls, rng: np.random.Generator, n: int) -> "CzSpec":
         u = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
         return cls(n, u | u.T)
 
+    @property
+    def n(self) -> int:
+        return self.mat.rows
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The pattern as a read-only (n, n) uint8 array, derived from the rows."""
+        out = self.mat.to_dense()
+        out.flags.writeable = False
+        return out
+
     def pairs(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.bits, 1))
-        return list(zip(i.tolist(), j.tolist()))
+        return [(i, j) for i, v in enumerate(self.mat.ints) for j in set_bits(v >> i << i)]
+
+
+def _checked(n: int, mat: BitMatrix) -> BitMatrix:
+    """mat, once found n x n, symmetric and zero on the diagonal."""
+    if (mat.rows, mat.cols) != (n, n):
+        raise ValueError(f"pattern shape {(mat.rows, mat.cols)} does not match qubit count {n}")
+    if mat.transpose() != mat:
+        raise ValueError("pattern must be symmetric")
+    if any(v >> i & 1 for i, v in enumerate(mat.ints)):
+        raise ValueError("pattern diagonal must be zero")
+    return mat
 
 
 def _coloring_classes(n: int) -> list[list[tuple[int, int]]]:
@@ -127,7 +144,7 @@ def _coloring_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def synth_cz_coloring(spec: CzSpec) -> Circuit:
     """Direct scheduling of the pattern pairs into matching layers."""
-    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.to_bitmatrix().ints))
+    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.mat.ints))
 
 
 def _block(rows: list[int], r0: int, r1: int, c0: int, c1: int) -> list[int]:
@@ -162,7 +179,7 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
 def _onestep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     k = len(qubits)
     h = (k + 1) // 2
-    out.append(m01_gates(qubits[:h], qubits[h:], M01Pattern(h, k - h, _block(rows, 0, h, h, k))))
+    out.append(m01_gates(qubits[:h], qubits[h:], BitMatrix(h, k - h, _block(rows, 0, h, h, k))))
     _synth_gates(qubits[:h], _block(rows, 0, h, 0, h), out)
     _synth_gates(qubits[h:], _block(rows, h, k, h, k), out)
 
@@ -171,13 +188,13 @@ def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     k = len(qubits)
     h = (k + 1) // 2
     m = k - h
-    hr1 = halve_weights(M01Pattern(h, m, _block(rows, 0, h, h, k)))
+    hr1 = halve_weights(BitMatrix(h, m, _block(rows, 0, h, h, k)))
     flip1 = set(hr1.row_flips) | {h + j for j in hr1.col_flips}
 
     qa = (h + 1) // 2
     qb = (m + 1) // 2
-    hr2a = halve_weights(M01Pattern(qa, h - qa, _block(rows, 0, qa, qa, h)))
-    hr2b = halve_weights(M01Pattern(qb, m - qb, _block(rows, h, h + qb, h + qb, k)))
+    hr2a = halve_weights(BitMatrix(qa, h - qa, _block(rows, 0, qa, qa, h)))
+    hr2b = halve_weights(BitMatrix(qb, m - qb, _block(rows, h, h + qb, h + qb, k)))
     flip2 = (set(hr2a.row_flips) | {qa + j for j in hr2a.col_flips}
              | {h + i for i in hr2b.row_flips} | {h + qb + j for j in hr2b.col_flips})
 
@@ -255,5 +272,5 @@ def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
     if forced in (bounds.ONESTEP, bounds.TWOSTEP) and spec.n < 4:
         forced = bounds.COLORING
     out: list = []
-    _synth_gates(list(range(spec.n)), spec.to_bitmatrix().ints, out, strategy=forced)
+    _synth_gates(list(range(spec.n)), spec.mat.ints, out, strategy=forced)
     return Circuit(spec.n, join(out))

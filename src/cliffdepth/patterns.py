@@ -4,7 +4,7 @@ The halving step complements rows/columns until every row weight is at
 most m/2 and every column weight at most k/2; the complement corrections
 are two parallel rectangles, and the reduced pattern is scheduled as CZ
 layers given by a bipartite edge coloring with max-degree many colors.
-Patterns are int rows, in the format of ``gf2.BitMatrix``.
+A k x m pattern is a k x m ``gf2.BitMatrix``: bit j of row i marks CZ(a_i, b_j).
 """
 
 from __future__ import annotations
@@ -20,36 +20,9 @@ from .gf2 import BitMatrix, bit_bytes, set_bits
 from .rectangles import Pairs, check_qubit_set, rectangle_gates, rectangle_pairs
 
 
-@dataclass
-class M01Pattern:
-    """k x m bipartite 0/1 pattern; bit j of rows[i] marks CZ(a_i, b_j)."""
-
-    k: int
-    m: int
-    rows: list[int]
-
-    @classmethod
-    def from_dense(cls, bits: np.ndarray) -> "M01Pattern":
-        mat = BitMatrix.from_dense(bits)
-        return cls(mat.rows, mat.cols, mat.ints)
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, k: int, m: int) -> "M01Pattern":
-        return cls.from_dense(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
-
-    @property
-    def bits(self) -> np.ndarray:
-        """The pattern as a read-only (k, m) uint8 array, derived from the rows."""
-        out = BitMatrix(self.k, self.m, self.rows).to_dense()
-        out.flags.writeable = False
-        return out
-
-    def col_degrees(self) -> list[int]:
-        """The number of ones in each column."""
-        return _column_sums([bit_bytes(v) for v in self.rows], self.m)
-
-    def total_ones(self) -> int:
-        return sum(v.bit_count() for v in self.rows)
+def col_degrees(p: BitMatrix) -> list[int]:
+    """The number of ones in each column of p."""
+    return _column_sums([bit_bytes(v) for v in p.ints], p.cols)
 
 
 def _column_sums(digits: list[bytes], m: int) -> list[int]:
@@ -64,13 +37,13 @@ def _column_sums(digits: list[bytes], m: int) -> list[int]:
 
 @dataclass
 class HalvingResult:
-    reduced: M01Pattern
+    reduced: BitMatrix
     row_flips: list[int]  # A'
     col_flips: list[int]  # B'
     cols: list[int]  # the reduced pattern's columns as ints, bit i holding row i
 
 
-def halve_weights(p: M01Pattern) -> HalvingResult:
+def halve_weights(p: BitMatrix) -> HalvingResult:
     """Greedy line complementing until all weights are at most half.
 
     Alternates a pass over the rows with a pass over the columns; a line
@@ -81,8 +54,8 @@ def halve_weights(p: M01Pattern) -> HalvingResult:
     and columns are kept as ints side by side: a pass complements its
     heavy lines and xors their mask into every crossing line.
     """
-    k, m = p.k, p.m
-    rows, cols = list(p.rows), BitMatrix(k, m, p.rows).transpose().ints
+    k, m = p.rows, p.cols
+    rows, cols = list(p.ints), p.transpose().ints
     full_r, full_c = (1 << m) - 1, (1 << k) - 1
     half_r, half_c = m // 2, k // 2
     rowflip = colflip = 0
@@ -109,11 +82,11 @@ def halve_weights(p: M01Pattern) -> HalvingResult:
         changed = bool(heavy_r or heavy_c)
     assert max(v.bit_count() for v in rows) <= half_r
     assert max(v.bit_count() for v in cols) <= half_c
-    return HalvingResult(M01Pattern(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
+    return HalvingResult(BitMatrix(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
 
 
 def bipartite_edge_color(
-    p: M01Pattern, max_colors: int | None = None
+    p: BitMatrix, max_colors: int | None = None
 ) -> list[list[tuple[int, int]]]:
     """Partition the 1-entries into matchings using Delta colors.
 
@@ -130,17 +103,17 @@ def bipartite_edge_color(
         p: bipartite pattern (rows vs columns).
         max_colors: optional cap; a max degree above the cap is an error.
     """
-    digits = [bit_bytes(v) for v in p.rows]
+    digits = [bit_bytes(v) for v in p.ints]
     adj = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
     delta = max(map(len, adj))
     if delta == 0:
         return []
-    delta = max(delta, *_column_sums(digits, p.m))
+    delta = max(delta, *_column_sums(digits, p.cols))
     if max_colors is not None and delta > max_colors:
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
-    at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
-    at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
-    used_col = [0] * p.m
+    at_row = [[-1] * delta for _ in range(p.rows)]  # color -> col
+    at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
+    used_col = [0] * p.cols
 
     for i, (row, js) in enumerate(zip(at_row, adj)):
         for fi, j in enumerate(js):
@@ -184,7 +157,7 @@ def color_columns(classes: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.
 
 
 def cz_layers(
-    a: list[int], b: list[int], p: M01Pattern, cap: int | None = None
+    a: list[int], b: list[int], p: BitMatrix, cap: int | None = None
 ) -> np.ndarray:
     """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
 
@@ -206,7 +179,7 @@ def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pa
     return [rectangle_pairs(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
 
 
-def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
+def m01_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """The gate array applying exactly the CZs marked in p between rows a and columns b.
 
     Halve p's weights, undo the flips with the two halving rectangles run
@@ -214,16 +187,16 @@ def m01_gates(a: list[int], b: list[int], p: M01Pattern) -> np.ndarray:
     """
     hr = halve_weights(p)
     return np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)),
-                           cz_layers(a, b, hr.reduced, max(p.m // 2, p.k // 2))])
+                           cz_layers(a, b, hr.reduced, max(p.cols // 2, p.rows // 2))])
 
 
-def synth_m01(a: list[int], b: list[int], p: M01Pattern, n: int | None = None) -> Circuit:
+def synth_m01(a: list[int], b: list[int], p: BitMatrix, n: int | None = None) -> Circuit:
     """Circuit applying exactly the CZ gates marked in p between a and b."""
     check_qubit_set(a)
     check_qubit_set(b)
     if set(a) & set(b):
         raise ValueError("qubit sets overlap")
-    if p.k != len(a) or p.m != len(b):
+    if p.rows != len(a) or p.cols != len(b):
         raise ValueError("pattern dimensions do not match qubit sets")
     if n is None:
         n = max(max(a), max(b)) + 1

@@ -18,7 +18,7 @@ stops, so a test can check that its patterns drive both kinds of path.
 
 import numpy as np
 
-from cliffdepth.patterns import M01Pattern
+from cliffdepth.gf2 import BitMatrix
 
 
 def reference_halve_weights(
@@ -51,22 +51,22 @@ def reference_halve_weights(
 
 
 def reference_edge_color(
-    p: M01Pattern, max_colors: int | None = None, path_ends: dict | None = None
+    p: BitMatrix, max_colors: int | None = None, path_ends: dict | None = None
 ) -> list[list[tuple[int, int]]]:
     """The earlier loop; path_ends, if given, counts paths ending at a row or a column."""
-    deg_r = p.bits.sum(axis=1).astype(int)
-    deg_c = p.bits.sum(axis=0).astype(int)
+    deg_r = p.to_dense().sum(axis=1).astype(int)
+    deg_c = p.to_dense().sum(axis=0).astype(int)
     delta = int(max(deg_r.max(initial=0), deg_c.max(initial=0)))
     if delta == 0:
         return []
     if max_colors is not None and delta > max_colors:
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
-    at_row = [[-1] * delta for _ in range(p.k)]  # color -> col
-    at_col = [[-1] * delta for _ in range(p.m)]  # color -> row
-    used_row = [0] * p.k
-    used_col = [0] * p.m
+    at_row = [[-1] * delta for _ in range(p.rows)]  # color -> col
+    at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
+    used_row = [0] * p.rows
+    used_col = [0] * p.cols
 
-    rows, cols = np.nonzero(p.bits)
+    rows, cols = np.nonzero(p.to_dense())
     for i, j in zip(rows.tolist(), cols.tolist()):
         u = used_row[i]
         fi = ((u + 1) & ~u).bit_length() - 1

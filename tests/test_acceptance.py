@@ -14,8 +14,8 @@ from cliffdepth.clifford import (
 )
 from cliffdepth.cnot import EXACT, REORDER, remove_hadamards, synth_linear, synth_triangular
 from cliffdepth.cz import CzSpec, synth_cz, synth_cz_coloring
-from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import M01Pattern, bipartite_edge_color, halve_weights, synth_m01
+from cliffdepth.gf2 import BitMatrix, random_invertible, random_matrix
+from cliffdepth.patterns import bipartite_edge_color, halve_weights, synth_m01
 from cliffdepth.rectangles import synth_rectangle, tree_layers
 from cliffdepth.verify import cz_pattern_phases, linear_action, phase_oracle, tableaux_equal
 
@@ -66,10 +66,10 @@ def test_m01_depth_and_equivalence_bulk(size):
     b = list(range(k, k + m))
     bound = max(m // 2, k // 2) + 2 * max(ceil_log2(k), ceil_log2(m))
     for _ in range(500):
-        p = M01Pattern.random(rng, k, m)
+        p = random_matrix(rng, k, m)
         circ = synth_m01(a, b, p, k + m)
         assert circ.two_qubit_depth() <= bound
-        bits = p.bits
+        bits = p.to_dense()
         direct = Circuit(
             k + m,
             [cz_gate(a[i], b[j]) for i in range(k) for j in range(m) if bits[i, j]],
@@ -207,9 +207,9 @@ def test_property_halving_postconditions_1000():
     for _ in range(1000):
         k = int(rng.integers(1, 20))
         m = int(rng.integers(1, 20))
-        p = M01Pattern.random(rng, k, m)
+        p = random_matrix(rng, k, m)
         hr = halve_weights(p)
-        red = hr.reduced.bits
+        red = hr.reduced.to_dense()
         assert red.sum(axis=1).max(initial=0) <= m // 2
         assert red.sum(axis=0).max(initial=0) <= k // 2
         recon = red.copy()
@@ -217,7 +217,7 @@ def test_property_halving_postconditions_1000():
             recon[i] ^= 1
         for j in hr.col_flips:
             recon[:, j] ^= 1
-        assert np.array_equal(recon, p.bits)
+        assert np.array_equal(recon, p.to_dense())
 
 
 def test_property_edge_coloring_matchings_1000():
@@ -225,10 +225,11 @@ def test_property_edge_coloring_matchings_1000():
     for _ in range(1000):
         k = int(rng.integers(1, 20))
         m = int(rng.integers(1, 20))
-        p = M01Pattern.random(rng, k, m)
+        p = random_matrix(rng, k, m)
         classes = bipartite_edge_color(p)
+        bits = p.to_dense()
         delta = int(
-            max(p.bits.sum(axis=1).max(initial=0), p.bits.sum(axis=0).max(initial=0))
+            max(bits.sum(axis=1).max(initial=0), bits.sum(axis=0).max(initial=0))
         )
         assert len(classes) <= delta
         covered = 0
@@ -238,22 +239,22 @@ def test_property_edge_coloring_matchings_1000():
             assert len(rows) == len(set(rows))
             assert len(cols) == len(set(cols))
             covered += len(cl)
-        assert covered == p.total_ones()
+        assert covered == bits.sum()
 
 
 def test_synthesis_never_packs_dense_blocks(monkeypatch):
     """The CZ recursion and the CNOT blocks cut their patterns out of int rows:
-    no synthesizer packs a dense array into an M01Pattern."""
+    no synthesizer packs a dense array into a BitMatrix, a CzSpec's included."""
     rng = np.random.default_rng(302)
     spec = CzSpec.random(rng, 100)
     m = random_invertible(rng, 128)
     t = random_tableau(rng, 64)
 
     def refuse(*args):
-        raise AssertionError("M01Pattern.from_dense called")
+        raise AssertionError("BitMatrix.from_dense called")
 
     with monkeypatch.context() as patch:
-        patch.setattr(M01Pattern, "from_dense", refuse)
+        patch.setattr(BitMatrix, "from_dense", refuse)
         cz_circuits = [synth_cz(spec, strategy=s) for s in ("auto", "onestep", "twostep")]
         cz_circuits.append(synth_cz_coloring(spec))
         linear = synth_linear(m, EXACT)

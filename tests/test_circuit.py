@@ -23,8 +23,8 @@ from cliffdepth.clifford import (random_clifford_circuit, random_tableau, synth_
                                  tableau_of_circuit)
 from cliffdepth.cnot import EXACT, REORDER, _block_add_gates, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
-from cliffdepth.gf2 import Permutation, random_invertible
-from cliffdepth.patterns import M01Pattern, cz_layers
+from cliffdepth.gf2 import BitMatrix, Permutation, random_invertible
+from cliffdepth.patterns import cz_layers
 from cliffdepth.verify import NotLinearError, linear_action, phase_oracle
 
 
@@ -208,11 +208,11 @@ def test_gate_builders_make_plain_gates():
             bad(3, 3)
     # rows on the high qubits, so cz_layers must swap every pair's ends
     bits = np.ones((3, 2), dtype=np.uint8)
-    layers = gate_list(cz_layers([7, 8, 9], [1, 2], M01Pattern.from_dense(bits)))
+    layers = gate_list(cz_layers([7, 8, 9], [1, 2], BitMatrix.from_dense(bits)))
     assert sorted(layers) == [Gate("CZ", b, a) for b in (1, 2) for a in (7, 8, 9)]
     # a single edge per row and column: depth 1, so the direct form
     direct = gate_list(_block_add_gates([0, 1], [4, 5],
-                                        M01Pattern.from_dense(np.eye(2, dtype=np.uint8))))
+                                        BitMatrix.from_dense(np.eye(2, dtype=np.uint8))))
     assert direct == [Gate("CNOT", 4, 0), Gate("CNOT", 5, 1)]
     for g in [cz(1, 0), cnot(0, 1), *layers, *direct]:
         assert type(g) is Gate

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -33,6 +34,16 @@ def test_gen_is_deterministic(capsys, tmp_path):
     c = gen(capsys, tmp_path, "cz", 10, 8, "c.mat")
     assert a.read_text() == b.read_text()
     assert a.read_text() != c.read_text()
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (64, 5, "12710b8faf8da5579d0c502bd4d1fe355f828d51b19b8244d59b58e5236ee546"),
+    (257, 9, "4a2cd9a39b38b30a91c9a95d07746f0d4f02ddcaba1f92c4c1dc2171520b05c2"),
+])
+def test_gen_cz_output_is_pinned(capsys, tmp_path, n, seed, digest):
+    """gen --kind cz writes the same pattern text as when these digests were recorded."""
+    path = gen(capsys, tmp_path, "cz", n, seed, "p.mat")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])
@@ -419,7 +430,7 @@ def test_verify_phase_oracle_usage_errors_exit_2(capsys, tmp_path, n, body, mess
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[0, 1] = bits[1, 0] = 1
     mat = tmp_path / "p.mat"
-    mat.write_text(CzSpec(n, bits).to_bitmatrix().to_text())
+    mat.write_text(CzSpec(n, bits).mat.to_text())
     code, _, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat),
                        "--oracle", "phase")
     assert code == 2 and message in err

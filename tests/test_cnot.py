@@ -18,8 +18,7 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import (M01Pattern, bipartite_edge_color, halve_weights,
-                                 halving_rectangles, m01_gates)
+from cliffdepth.patterns import bipartite_edge_color, halve_weights, halving_rectangles, m01_gates
 from cliffdepth.rectangles import rectangle_gates
 from cliffdepth.verify import linear_action
 
@@ -31,7 +30,7 @@ blocks = st.integers(1, 24).flatmap(
 
 
 def direct_gates(a, b, c):
-    classes = bipartite_edge_color(M01Pattern.from_dense(c))
+    classes = bipartite_edge_color(BitMatrix.from_dense(c))
     return [cnot(b[j], a[i]) for cl in classes for (i, j) in cl]
 
 
@@ -51,7 +50,7 @@ def reference_block_add(a, b, c):
     """
     n = max(a + b) + 1
     direct = direct_gates(a, b, c)
-    via_cz = ([h(q) for q in a] + gate_list(m01_gates(a, b, M01Pattern.from_dense(c)))
+    via_cz = ([h(q) for q in a] + gate_list(m01_gates(a, b, BitMatrix.from_dense(c)))
               + [h(q) for q in a])
     d_direct = Circuit(n, direct).two_qubit_depth()
     d_via = Circuit(n, via_cz).two_qubit_depth()
@@ -60,13 +59,14 @@ def reference_block_add(a, b, c):
 
 def cz_form_bounds(a, b, c):
     """(LB, UB) on the CZ form's depth from the rectangle finish times and reduced degrees."""
-    hr = halve_weights(M01Pattern.from_dense(c))
+    hr = halve_weights(BitMatrix.from_dense(c))
     rect, reduced = gate_list(rectangle_gates(halving_rectangles(a, b, hr))), hr.reduced
     free = dict.fromkeys(a + b, 0)
     for g in rect:
         if g.kind in ("CZ", "CNOT"):
             free[g.a] = free[g.b] = max(free[g.a], free[g.b]) + 1
-    deg = dict(zip(a + b, reduced.bits.sum(axis=1).tolist() + reduced.bits.sum(axis=0).tolist()))
+    red = reduced.to_dense()
+    deg = dict(zip(a + b, red.sum(axis=1).tolist() + red.sum(axis=0).tolist()))
     top = max(free.values())
     return max(top, *(free[q] + deg[q] for q in a + b)), top + max(deg.values())
 
@@ -112,13 +112,13 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
         k, m = c.shape
         a, b = list(range(3, 3 + k)), list(range(3 + k, 3 + k + m))
         if not c.any():
-            assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == []
+            assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == []
             continue
         want, d_direct, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper, (c.shape, lower, d_via, upper)
         colored.update(direct=0, reduced=0)
-        assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
+        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
         if d_direct <= lower:
             branches.add("direct")
             assert colored == {"direct": 1, "reduced": 0}
@@ -150,7 +150,7 @@ def test_block_add_all_ones_blocks(k, d_direct, lower, upper, form):
     assert (d, cz_form_bounds(a, b, c)) == (d_direct, (lower, upper))
     assert lower <= d_via <= upper
     assert (want == direct_gates(a, b, c)) == (form == "direct")
-    assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
+    assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
 
 
 def test_block_add_odd_blocks():
@@ -164,9 +164,29 @@ def test_block_add_odd_blocks():
         want, _, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper
-        assert gate_list(_block_add_gates(a, b, M01Pattern.from_dense(c))) == want
+        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
         forms.add("direct" if want == direct_gates(a, b, c) else "cz")
     assert forms == {"direct", "cz"}
+
+
+def test_block_add_matching_is_not_halved(monkeypatch):
+    """A block of max degree 1 is a matching, which no CZ form beats: its
+    direct gates come back without a halving."""
+    import cliffdepth.cnot as cnot_mod
+    import cliffdepth.patterns as patterns_mod
+
+    def refuse(p):
+        raise AssertionError("halve_weights called")
+
+    for mod in (cnot_mod, patterns_mod):
+        monkeypatch.setattr(mod, "halve_weights", refuse)
+    a, b = [0, 1, 2], [3, 4, 5, 6]
+    for ones in ([(0, 2), (1, 0), (2, 3)], [(1, 2)]):
+        c = np.zeros((3, 4), dtype=np.uint8)
+        c[tuple(zip(*ones))] = 1
+        want = direct_gates(a, b, c)
+        assert len(want) == len(ones)
+        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
 
 
 def test_synth_linear_builds_no_block_candidates(monkeypatch):
@@ -182,7 +202,7 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
                             _counting(counts, "colorings", patterns_mod.bipartite_edge_color))
     monkeypatch.setattr(cnot_mod, "_block_add_gates",
                         _counting(counts, "blocks", cnot_mod._block_add_gates,
-                                  when=lambda a, b, c: any(c.rows)))
+                                  when=lambda a, b, c: any(c.ints)))
     m = random_invertible(np.random.default_rng(128), 128)
     c = synth_linear(m, EXACT)
     assert counts["blocks"] > 100
@@ -199,15 +219,19 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
 
 
 def test_synth_linear_halves_each_block_once(monkeypatch):
-    """Each nonzero block is halved once, whichever staging it returns."""
+    """Each block of max degree at least 2 is halved once, whichever staging
+    it returns; a matching is never halved."""
     import cliffdepth.cnot as cnot_mod
     import cliffdepth.patterns as patterns_mod
 
-    counts = {"halvings": 0, "blocks": 0, "cz form": 0}
+    counts = {"halvings": 0, "blocks": 0, "matchings": 0, "cz form": 0}
     block_add = cnot_mod._block_add_gates
 
     def counted_block(a, b, c):
-        counts["blocks"] += bool(any(c.rows))
+        dense = c.to_dense()
+        degree = max(dense.sum(axis=0).max(), dense.sum(axis=1).max())
+        counts["blocks"] += bool(degree)
+        counts["matchings"] += bool(degree == 1)
         gates = block_add(a, b, c)
         counts["cz form"] += any(g.kind == "CZ" for g in gate_list(gates))
         return gates
@@ -218,8 +242,8 @@ def test_synth_linear_halves_each_block_once(monkeypatch):
     monkeypatch.setattr(cnot_mod, "_block_add_gates", counted_block)
     m = random_invertible(np.random.default_rng(301), 256)
     c = synth_linear(m, EXACT)
-    assert counts["cz form"] > 0
-    assert counts["halvings"] == counts["blocks"]
+    assert counts["cz form"] > 0 and counts["matchings"] > 0
+    assert counts["halvings"] == counts["blocks"] - counts["matchings"]
     monkeypatch.undo()
     assert linear_action(c) == m
 

@@ -3,6 +3,7 @@ import pytest
 
 from cliffdepth import bounds
 from cliffdepth.cz import CzSpec, synth_cz, synth_cz_coloring
+from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import cz_pattern_phases, phase_oracle
 
 
@@ -15,13 +16,43 @@ def test_spec_validation():
         CzSpec(3, np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         CzSpec.from_pairs(3, [(1, 1)])
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        CzSpec(2, [[0, 2], [2, 0]])  # would mask to the empty pattern
+    for pair in ((0, -1), (0, 3), (3, 0)):  # (0, -1) would wrap to (0, 2)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            CzSpec.from_pairs(3, [pair])
+
+
+@pytest.mark.parametrize("dense", [
+    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # not symmetric
+    [[0, 1, 0], [1, 1, 0], [0, 0, 0]],  # diagonal
+    [[0, 1, 0], [1, 0, 0]],             # not square
+], ids=["asymmetric", "diagonal", "non-square"])
+def test_from_bitmatrix_checks_as_the_dense_constructor(dense):
+    """from_bitmatrix checks the rows it wraps, with the dense constructor's message."""
+    dense = np.array(dense, dtype=np.uint8)
+    with pytest.raises(ValueError) as want:
+        CzSpec(len(dense), dense)
+    with pytest.raises(ValueError) as got:
+        CzSpec.from_bitmatrix(BitMatrix.from_dense(dense))
+    assert str(got.value) == str(want.value)
 
 
 def test_spec_roundtrips():
     rng = np.random.default_rng(20)
     s = CzSpec.random(rng, 9)
     assert np.array_equal(CzSpec.from_pairs(9, s.pairs()).bits, s.bits)
-    assert np.array_equal(CzSpec.from_bitmatrix(s.to_bitmatrix()).bits, s.bits)
+    assert np.array_equal(CzSpec.from_bitmatrix(s.mat).bits, s.bits)
+    assert CzSpec(9, s.bits).mat == s.mat == CzSpec.from_pairs(9, s.pairs()).mat
+    assert s.pairs() == list(zip(*(v.tolist() for v in np.nonzero(np.triu(s.bits, 1)))))
+
+
+def test_bits_is_a_read_only_view_of_the_rows():
+    s = CzSpec.random(np.random.default_rng(3), 11)
+    assert s.bits.shape == (11, 11) and s.bits.dtype == np.uint8
+    assert BitMatrix.from_dense(s.bits) == s.mat
+    with pytest.raises(ValueError):
+        s.bits[0, 1] ^= 1
 
 
 def test_coloring_all_ones_depth():
