@@ -75,6 +75,8 @@ class BitMatrix:
             r, c = (int(t) for t in head.split())
         except ValueError:
             raise ValueError(f"line {no}: expected 'rows cols', got {head!r}") from None
+        if r < 1 or c < 1:
+            raise ValueError(f"line {no}: matrix dimensions must be positive")
         if len(lines) - 1 != r:
             raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
         for i, (no, row) in enumerate(lines[1:]):

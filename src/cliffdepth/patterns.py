@@ -95,40 +95,35 @@ def bipartite_edge_color(
     column's first free color fj are swapped along the maximal alternating
     path from the column.  That path enters rows by fi-edges, so it never
     reaches the row being filled, where fi is free: the row's t-th edge
-    takes color t, and only columns need a bitmask of used colors (fj is
-    its lowest clear bit).  Each vertex keeps a color -> neighbour list
-    (-1 where free).
+    takes color t, so the row's columns, padded with -1 to Delta, become
+    its color -> column list once the row is done.  Each column keeps a
+    color -> row list, and its first free color is its first -1.
 
     Args:
         p: bipartite pattern (rows vs columns).
         max_colors: optional cap; a max degree above the cap is an error.
     """
     digits = [bit_bytes(v) for v in p.ints]
-    adj = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
-    delta = max(map(len, adj))
+    at_row = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
+    delta = max(map(len, at_row))
     if delta == 0:
         return []
     delta = max(delta, *_column_sums(digits, p.cols))
     if max_colors is not None and delta > max_colors:
         raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
-    at_row = [[-1] * delta for _ in range(p.rows)]  # color -> col
     at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
-    used_col = [0] * p.cols
 
-    for i, (row, js) in enumerate(zip(at_row, adj)):
+    for i, js in enumerate(at_row):
         for fi, j in enumerate(js):
             col = at_col[j]
-            u = used_col[j]
             v = col[fi]
             if v >= 0:
                 # fi is taken at column j, so fj != fi.  Walk the path a row
                 # and a column per step: a row is entered by fi and left by fj,
                 # a column the other way; exchanging a vertex's two entries
-                # recolors both of its path edges.  Only the end vertex changes
-                # which colors it uses, and only a column end has a mask.
-                fj = ((u + 1) & ~u).bit_length() - 1
-                col[fj] = v  # fj was free at j
-                used_col[j] = u | 1 << fj
+                # recolors both of its path edges.
+                fj = col.index(-1)
+                col[fj] = v
                 while True:
                     entry = at_row[v]
                     c = entry[fj]
@@ -139,12 +134,9 @@ def bipartite_edge_color(
                     v = entry[fi]
                     entry[fi], entry[fj] = entry[fj], v
                     if v < 0:
-                        used_col[c] ^= 1 << fi | 1 << fj
                         break
-            else:
-                used_col[j] = u | 1 << fi
-            row[fi] = j
             col[fi] = i
+        js += [-1] * (delta - len(js))  # now the row's color -> col table
 
     classes = [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
     return [cl for cl in classes if cl]

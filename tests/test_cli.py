@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,24 @@ def test_bounds_validate_violation_exits_1(capsys, monkeypatch):
     assert sum("VIOLATED" in line for line in lines) == 1
 
 
+def test_python_m_runs_the_cli(tmp_path):
+    """``python -m cliffdepth`` works from the source tree, without installing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "cliffdepth", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    proc = cli_run("bounds", "--family", "cz", "--from", "2", "--to", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n,prior,closed_form,construction"
+    proc = cli_run("gen", "--kind", "cz", "--n", "0", "--seed", "1")
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "synth-cz", "--input", str(tmp_path / "no.mat"))
     assert code == 2
@@ -278,6 +300,19 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, whe
     code, _, err = run(capsys, cmd, "--input", str(path))
     assert code == 2
     assert where in err
+
+
+@pytest.mark.parametrize("head", ["-1 2", "0 0", "2 0", "0 3"])
+def test_nonpositive_matrix_header_is_usage_error(capsys, tmp_path, head):
+    mat = tmp_path / "m.mat"
+    mat.write_text(f"{head}\n")
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    for argv in (("synth-cnot", "--input", str(mat)),
+                 ("verify", "--circuit", str(circ), "--against", str(mat))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "line 1: matrix dimensions must be positive" in err
 
 
 @pytest.mark.parametrize("text, where", [

@@ -72,6 +72,11 @@ def test_edge_coloring_respects_cap():
     with pytest.raises(ValueError):
         bipartite_edge_color(p, max_colors=2)
     assert len(bipartite_edge_color(p, max_colors=3)) == 3
+    # Delta set by a column: 6 x 2 with one full column
+    p = BitMatrix.from_dense(np.array([[1, 0]] * 6, dtype=np.uint8))
+    with pytest.raises(ValueError, match="max degree 6 exceeds allowed colors 5"):
+        bipartite_edge_color(p, max_colors=5)
+    assert len(bipartite_edge_color(p, max_colors=6)) == 6
 
 
 def _halving_patterns():
@@ -173,6 +178,33 @@ def test_edge_color_matches_reference_loop():
     for p in _reference_patterns():
         assert bipartite_edge_color(p) == reference_edge_color(p, path_ends=ends)
     assert ends["row"] > 0 and ends["col"] > 0
+
+
+def _full_table_patterns():
+    """Circulant d-regular k x k patterns with d = 1, k // 2 and k, where
+    every column's color table fills; a 40 x 5 pattern whose Delta comes
+    only from one all-ones column, and its transpose; an unhalved 128 x 128
+    block at density 1/2, as the direct CNOT form colors."""
+    rng = np.random.default_rng(75)
+    for k in (31, 64):
+        for d in (1, k // 2, k):
+            yield BitMatrix(k, k, [sum(1 << (i + s) % k for s in range(d)) for i in range(k)])
+    tall = rng.random((40, 5)) < 0.5
+    tall[:, 2] = True
+    yield BitMatrix.from_dense(tall.astype(np.uint8))
+    yield BitMatrix.from_dense(tall.T.astype(np.uint8))
+    yield random_matrix(rng, 128, 128)
+
+
+def test_edge_color_full_tables_match_reference_loop():
+    """Where a column's table fills, its first free color is its last
+    slot; the classes still match the reference loop, Delta of them."""
+    for p in _full_table_patterns():
+        bits = p.to_dense()
+        delta = int(max(bits.sum(axis=0).max(), bits.sum(axis=1).max()))
+        classes = bipartite_edge_color(p)
+        assert classes == reference_edge_color(p)
+        assert len(classes) == delta
 
 
 def test_synth_m01_phases_exhaustive():
