@@ -289,6 +289,9 @@ _QASM_NAMES = ("cz", "cx", "h", "s", "x", "z")  # by kind code
 
 
 def to_qasm2(c: Circuit) -> str:
+    """The circuit as OpenQASM 2.0; a circuit with a perm has no QASM form."""
+    if c.perm is not None:
+        raise ValueError("OpenQASM 2.0 cannot state a qubit permutation; use the circ format")
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',

@@ -12,6 +12,11 @@ instance size, the cheapest of three constructions:
 * ``twostep``   - two nested halvings whose correction rectangles share
   one pool of parity trees, then recurse on the four quarters.
 
+Each schedule is built in the form it is emitted: the round-robin as two
+read-only index arrays per size, class after class, and the two-step's
+correction stage as one ``rectangle_gates`` schedule (the 16 sets' parity
+trees, the CZs between their representatives, the trees reversed).
+
 The cheapest is coloring for n <= 38 and two-step for every larger n, so
 one-step runs only when forced; it is the construction behind the
 cz-basic bound.  The realized two-qubit depth never exceeds the
@@ -19,7 +24,8 @@ recursion table value for the register size.
 
 A ``CzSpec`` holds its pattern as a ``gf2.BitMatrix``, and the recursion
 runs on those int rows: every node cuts its blocks out of its rows with
-shifts and masks, and no entry point builds a dense array.
+shifts and masks, and only a coloring node densifies its block, to read
+the round-robin pairs it marks.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import bounds
-from .circuit import Circuit, cnot_pairs, cz_block, cz_pairs, join
+from .circuit import Circuit, cz_block, join
 from .gf2 import BitMatrix, set_bits
-from .patterns import color_columns, complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
-from .rectangles import tree_layers
+from .patterns import complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
+from .rectangles import rectangle_gates, tree_layers
 
 
 class CzSpec:
@@ -104,47 +110,30 @@ def _checked(n: int, mat: BitMatrix) -> BitMatrix:
     return mat
 
 
-def _coloring_classes(n: int) -> list[list[tuple[int, int]]]:
-    """Round-robin partition of all pairs on n points into matchings.
-
-    Odd n: class r holds pairs with a+b = r (mod n), giving n classes.
-    Even n: point n-1 is a hub paired with r in class r; the remaining
-    pairs satisfy a+b = 2r (mod n-1), giving n-1 classes.
-    """
-    if n < 2:
-        return []
-    classes: list[list[tuple[int, int]]] = []
-    if n % 2:
-        for r in range(n):
-            cl = []
-            for a in range(n):
-                b = (r - a) % n
-                if a < b:
-                    cl.append((a, b))
-            classes.append(cl)
-    else:
-        m = n - 1
-        for r in range(m):
-            cl = [(r, n - 1)]
-            for a in range(m):
-                b = (2 * r - a) % m
-                if a < b:
-                    cl.append((a, b))
-            classes.append(cl)
-    return classes
-
-
 @lru_cache(maxsize=16)
 def _coloring_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of _coloring_classes(n), class after class, as two int arrays."""
-    i, j = color_columns(_coloring_classes(n))
+    """Round-robin partition of all pairs on n points into matchings, as the
+    pairs' two read-only int arrays (i, j), i < j, class after class.
+
+    Odd n: class r holds the pairs with i + j = r (mod n), giving n classes.
+    Even n: point n-1 is a hub paired with r first in class r; the other
+    pairs have i + j = 2r (mod n-1), giving n-1 classes.
+    """
+    m = n - 1 + n % 2  # the class count and the modulus
+    r = np.arange(m)[:, None]
+    i = np.broadcast_to(np.arange(m), (m, m))
+    j = ((2 - n % 2) * r - i) % m
+    if n % 2 == 0:
+        i, j = np.hstack([r, i]), np.hstack([np.full_like(r, n - 1), j])
+    keep = i < j
+    i, j = i[keep], j[keep]
     i.flags.writeable = j.flags.writeable = False  # shared by every caller
     return i, j
 
 
 def synth_cz_coloring(spec: CzSpec) -> Circuit:
     """Direct scheduling of the pattern pairs into matching layers."""
-    return Circuit(spec.n, _coloring_gates(list(range(spec.n)), spec.mat.ints))
+    return synth_cz(spec, bounds.COLORING)
 
 
 def _block(rows: list[int], r0: int, r1: int, c0: int, c1: int) -> list[int]:
@@ -158,12 +147,6 @@ def _coloring_gates(qubits: list[int], rows: list[int]) -> np.ndarray:
     keep = BitMatrix(len(qubits), len(qubits), rows).to_dense()[i, j].astype(bool)
     q = np.asarray(qubits)
     return cz_block(q[i[keep]], q[j[keep]])
-
-
-def _tree_gates(sets: list[list[int]]) -> tuple[np.ndarray, list[int | None]]:
-    """Parallel parity-tree CNOTs for disjoint sets, plus representatives."""
-    pairs = [pair for s in sets if s for layer in tree_layers(s) for pair in layer]
-    return cnot_pairs(pairs), [s[-1] if s else None for s in sets]
 
 
 def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
@@ -202,21 +185,20 @@ def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     # (0=in flip set), level-2 quadrant class
     #   0: first level-2 half, flipped    1: first half, unflipped
     #   2: second level-2 half, flipped   3: second half, unflipped
-    sets: dict[tuple[int, int, int], list[int]] = {
-        (s, j, c): [] for s in (0, 1) for j in (0, 1) for c in range(4)
-    }
+    sets = {(s, j, c): [] for s in (0, 1) for j in (0, 1) for c in range(4)}
     for pos, q in enumerate(qubits):
         side = int(pos >= h)
         second = pos >= (h + qb if side else qa)
         sets[(side, int(pos not in flip1), 2 * second + (pos not in flip2))].append(q)
 
-    trees, reps = _tree_gates(list(sets.values()))
-    rep = dict(zip(sets, reps))
+    # one rectangle schedule: every set's parity tree folds it into its last
+    # qubit, the representatives' CZs run, and the trees are uncomputed
+    trees = [pair for s in sets.values() for layer in tree_layers(s) for pair in layer]
+    rep = {key: s[-1] for key, s in sets.items() if s}
 
     def live(side: int, j: int, cs) -> list[int]:
-        return [rep[(side, j, c)] for c in cs if rep[(side, j, c)] is not None]
+        return [rep[(side, j, c)] for c in cs if (side, j, c) in rep]
 
-    out.append(trees)
     # level-1 corrections: A' x (B \ B') and (A \ A') x B', as complete
     # bipartite CZ between at most 4 representatives per side
     pairs = _bipartite_cz(live(0, 0, range(4)), live(1, 1, range(4)))
@@ -227,8 +209,7 @@ def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
                                live(side, 0, (3,)) + live(side, 1, (3,)))
         pairs += _bipartite_cz(live(side, 0, (1,)) + live(side, 1, (1,)),
                                live(side, 0, (2,)) + live(side, 1, (2,)))
-    out.append(cz_pairs(pairs))
-    out.append(trees[::-1])
+    out.append(rectangle_gates([(trees, pairs)]))
 
     # reduced patterns as colored matching layers on the actual qubits
     out.append(cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2)))
@@ -241,23 +222,19 @@ def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
         _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi), out)
 
 
-def _synth_gates(
-    qubits: list[int], rows: list[int], out: list, strategy: str | None = None
-) -> None:
+def _synth_gates(qubits: list[int], rows: list[int], out: list, strategy: str | None = None) -> None:
     """Append the gate blocks for the pattern with these int rows (bit j of
     rows[i] pairs qubits[i] with qubits[j]) to out."""
     k = len(qubits)
     if k <= 1 or not any(rows):
         return
-    choice = strategy or (bounds.COLORING if k <= 3 else bounds.cz_choice(k))
+    choice = strategy or bounds.cz_choice(k)
     if choice == bounds.COLORING:
         out.append(_coloring_gates(qubits, rows))
     elif choice == bounds.ONESTEP:
         _onestep_gates(qubits, rows, out)
-    elif choice == bounds.TWOSTEP:
-        _twostep_gates(qubits, rows, out)
     else:
-        raise ValueError(f"unknown strategy {choice!r}")
+        _twostep_gates(qubits, rows, out)
 
 
 def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:

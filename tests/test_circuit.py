@@ -107,6 +107,16 @@ def test_qasm_output():
     assert "cz q[0],q[1];" in q
 
 
+def test_qasm_refuses_a_permutation():
+    # QASM has no way to state the relabeling, so the gates alone would
+    # realize the matrix only up to an unstated qubit order.
+    c = synth_linear(random_invertible(np.random.default_rng(3), 6), REORDER)
+    assert c.perm is not None
+    with pytest.raises(ValueError, match="permutation"):
+        to_qasm2(c)
+    assert to_qasm2(Circuit(c.n, c.array)).startswith("OPENQASM 2.0;")
+
+
 def test_compose_and_invert_cancel():
     rng = np.random.default_rng(11)
     for _ in range(40):

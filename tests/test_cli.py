@@ -211,6 +211,20 @@ def test_qasm_output(capsys, tmp_path):
     assert (tmp_path / "p.qasm").read_text().startswith("OPENQASM 2.0;")
 
 
+def test_qasm_refuses_perm_mode(capsys, tmp_path):
+    mat = gen(capsys, tmp_path, "linear", 6, 3, "m.mat")
+    out = tmp_path / "p.qasm"
+    code, _, err = run(capsys, "synth-cnot", "--input", str(mat), "--mode", "perm",
+                       "--format", "qasm2", "--out", str(out))
+    assert code == 2
+    assert "permutation" in err
+    assert not out.exists()
+    code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--format", "qasm2",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_text().startswith("OPENQASM 2.0;")
+
+
 def test_bounds_csv(capsys, tmp_path):
     out_path = tmp_path / "cmp.csv"
     code, _, _ = run(capsys, "bounds", "--family", "cnot", "--from", "64",

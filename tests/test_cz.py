@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from cliffdepth import bounds
-from cliffdepth.cz import CzSpec, synth_cz, synth_cz_coloring
+from cliffdepth.circuit import Circuit, cz_pairs, to_text
+from cliffdepth.clifford import tableau_of_circuit
+from cliffdepth.cz import CzSpec, _coloring_columns, synth_cz, synth_cz_coloring
 from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import cz_pattern_phases, phase_oracle
+
+from cz_ref import reference_coloring_classes
 
 
 def test_spec_validation():
@@ -60,6 +64,23 @@ def test_coloring_all_ones_depth():
     for n in range(2, 101):
         d = synth_cz_coloring(CzSpec.all_ones(n)).two_qubit_depth()
         assert d == (n - 1 if n % 2 == 0 else n)
+
+
+def test_coloring_columns_match_reference_round_robin():
+    for n in range(1, 81):
+        i, j = _coloring_columns(n)
+        want = [pair for cl in reference_coloring_classes(n) for pair in cl]
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            i[:1] = 0
+
+
+def test_coloring_entry_point_is_forced_coloring():
+    rng = np.random.default_rng(26)
+    for n in range(1, 41):
+        for s in (CzSpec.random(rng, n), CzSpec.all_ones(n), CzSpec(n, np.zeros((n, n), int))):
+            assert to_text(synth_cz_coloring(s)) == to_text(synth_cz(s, "coloring"))
 
 
 def test_coloring_phases_exhaustive():
@@ -126,3 +147,29 @@ def test_tableau_equivalence_medium():
 def test_empty_pattern():
     c = synth_cz(CzSpec(5, np.zeros((5, 5), dtype=np.uint8)))
     assert c.two_qubit_depth() == 0
+
+
+def _adversarial_patterns(n: int) -> dict[str, list[tuple[int, int]]]:
+    """Structured patterns that stress the recursion's splits at size n."""
+    h = (n + 1) // 2
+    qa, qb = (h + 1) // 2, (n - h + 1) // 2
+    quarters = [(0, qa), (qa, h), (h, h + qb), (h + qb, n)]
+    return {
+        "empty": [],
+        "single pair": [(0, n - 1)],
+        "perfect matching": [(i, n - 1 - i) for i in range(n // 2)],
+        "complete bipartite across the halving": [(i, j) for i in range(h) for j in range(h, n)],
+        "block-diagonal quarters": [(i, j) for lo, hi in quarters
+                                    for i in range(lo, hi) for j in range(i + 1, hi)],
+        "all ones": [(i, j) for i in range(n) for j in range(i + 1, n)],
+    }
+
+
+@pytest.mark.parametrize("n", [39, 40, 64, 77, 130])
+def test_adversarial_patterns_verify_within_recursion(n):
+    bound = bounds.cz_depth_recursion(n)
+    for name, pairs in _adversarial_patterns(n).items():
+        c = synth_cz(CzSpec.from_pairs(n, pairs))
+        direct = Circuit(n, cz_pairs(pairs))
+        assert tableau_of_circuit(c) == tableau_of_circuit(direct), name
+        assert c.two_qubit_depth() <= bound, name

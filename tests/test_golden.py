@@ -42,6 +42,31 @@ def test_synth_cz_golden(n, seed, strategy, digest):
     assert sha(to_text(synth_cz(spec, strategy=strategy))) == digest
 
 
+def sparse_spec(seed: int, n: int, density: float) -> CzSpec:
+    u = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1).astype(np.uint8)
+    return CzSpec(n, u | u.T)
+
+
+# Recorded before the round-robin became index arrays and the two-step's
+# correction stage one rectangle schedule. n = 39 and 41 are the first
+# two-step sizes, with uneven quarters (10/10/10/9 and 11/10/10/10); the
+# 0.05-density pattern at n = 64 leaves 12 of the top node's 16 tree sets
+# empty; two-step is forced at its smallest sizes and coloring past its range.
+@pytest.mark.parametrize("n, seed, density, strategy, digest", [
+    (39, 15, None, "auto", "cb959ca8e027ab96b649dbfb0a68144a5317ee719e4213e2feb623f1c0af9e00"),
+    (41, 16, None, "auto", "59c1583b469fab06a718f5b5b4ea6ae1bdfaf25f95533dc87cb9a63d9c94c3f4"),
+    (77, 17, None, "auto", "5b91c5f6f5f77ed2c37466f5d724432c9245038e85ed20331f33e208bb65864b"),
+    (64, 18, 0.05, "auto", "a3060729da5234d2936a4f607e35350f3622d03307bd8088358b06f9162ec9e5"),
+    (4, 19, None, "twostep", "ee6ce5de834aeae195701a336e06c869d66a0bbddf2c79bfd66608efd3571e9d"),
+    (5, 20, None, "twostep", "4d12d77dd3895093c65c4788b59089bf7807a65dd5f849ef1d2ac9e1595f7bb4"),
+    (39, 21, None, "coloring", "c3a2cd7585bce008e1cca81ce57d9cb6519333aa20e950762ee312c8e6e41d52"),
+])
+def test_synth_cz_golden_branches(n, seed, density, strategy, digest):
+    spec = (CzSpec.random(np.random.default_rng(seed), n) if density is None
+            else sparse_spec(seed, n, density))
+    assert sha(to_text(synth_cz(spec, strategy=strategy))) == digest
+
+
 @pytest.mark.parametrize("mode, digest", [
     (EXACT, "419e21e806ac811376588eafd3fa75873c1fc1e3216803d01257b3964b7582b6"),
     (REORDER, "fc0eea126ea16cd23d519f75c89ec788226d0487ef62be3d3eae16694cc38f89"),
