@@ -214,13 +214,18 @@ def asap_finish(gates: np.ndarray, d) -> None:
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
+    """a, then b; a circuit with a perm raises ValueError, as the result would drop it."""
     if a.n != b.n:
         raise ValueError("qubit counts differ")
+    if a.perm is not None or b.perm is not None:
+        raise ValueError("cannot compose a circuit that carries a qubit permutation")
     return Circuit(a.n, np.concatenate([a.array, b.array]))
 
 
 def invert(c: Circuit) -> Circuit:
-    """Inverse circuit: reversed order; P becomes P,P,P (= P dagger)."""
+    """Inverse circuit: reversed order, P becomes P,P,P (= P dagger); a perm raises ValueError."""
+    if c.perm is not None:
+        raise ValueError("cannot invert a circuit that carries a qubit permutation")
     rev = c.array[::-1]
     return Circuit(c.n, np.repeat(rev, np.where(rev[:, 0] == P, 3, 1), axis=0))
 
@@ -268,21 +273,21 @@ def from_text(text: str) -> Circuit:
         if len(perm) != n:
             raise ValueError(f"line {no}: perm has {len(perm)} entries for {n} qubits")
         body = body[1:]
-    gates: list[Gate] = []
+    flat: list[int] = []  # (kind, a, b) rows, b = -1 for a one-qubit gate
     for no, ln in body:
         kind = ln.split()[0]
-        if kind not in _CODE:
+        code = _CODE.get(kind)
+        if code is None:
             raise ValueError(f"line {no}: unknown gate line: {ln!r}")
-        qs = _line_ints(no, ln, 2 if kind in TWO_QUBIT else 1)
+        qs = _line_ints(no, ln, 2 if code < 2 else 1)
         if not all(0 <= q < n for q in qs):
             raise ValueError(f"line {no}: qubit out of range for {n} qubits in {ln!r}")
         if len(set(qs)) < len(qs):
             raise ValueError(f"line {no}: {kind} needs two distinct qubits in {ln!r}")
-        if kind in TWO_QUBIT:
-            gates.append(cz(*qs) if kind == "CZ" else cnot(*qs))
-        else:
-            gates.append(Gate(kind, qs[0]))
-    return Circuit(n, gates, perm=perm)
+        if code == CZ:
+            qs.sort()  # as ``cz`` orders the ends
+        flat += [code, *qs] if code < 2 else [code, qs[0], -1]
+    return Circuit(n, np.array(flat, dtype=np.int64).reshape(-1, 3), perm=perm)
 
 
 _QASM_NAMES = ("cz", "cx", "h", "s", "x", "z")  # by kind code

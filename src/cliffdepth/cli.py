@@ -153,13 +153,15 @@ def _cmd_verify(args) -> int:
         ref = CliffordTableau.from_text(text)
     elif args.against.endswith(".mat"):
         ref = BitMatrix.from_text(text)
-        try:  # a symmetric zero-diagonal matrix is a CZ pattern
+        try:  # a symmetric zero-diagonal matrix is a CZ pattern, or a linear map
             ref = CzSpec.from_bitmatrix(ref)
         except ValueError:
             pass
     else:
         ref = from_text(text)
     ok = _matches(circ, ref, args.oracle)
+    if not ok and args.oracle == "auto" and isinstance(ref, CzSpec):
+        ok = _matches(circ, ref.mat, "linear")  # the same file read as a linear map
     print("verified" if ok else "MISMATCH")
     return 0 if ok else 1
 

@@ -29,7 +29,7 @@ import numpy as np
 from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
-from .gf2 import BitMatrix, mat_inverse, mat_mul, rank_and_pivots, solve_right
+from .gf2 import BitMatrix, mat_inverse, mat_mul, parse_bit_rows, rank_and_pivots, solve_right
 
 
 class CliffordTableau:
@@ -120,11 +120,9 @@ class CliffordTableau:
         return prod.ints == [1 << (r + n) % (2 * n) for r in range(2 * n)]
 
     def to_text(self) -> str:
-        s, phases = self.to_dense()
-        lines = [str(self.n)]
-        lines += ["".join(str(int(b)) for b in row) for row in s]
-        lines.append("".join(str(int(b)) for b in phases))
-        return "\n".join(lines) + "\n"
+        w = 2 * self.n
+        rows = self.rows() + [self.ph]
+        return f"{self.n}\n" + "".join(format(v, f"0{w}b")[::-1] + "\n" for v in rows)
 
     @classmethod
     def from_text(cls, text: str) -> "CliffordTableau":
@@ -145,12 +143,9 @@ class CliffordTableau:
             raise ValueError(f"line {no}: qubit count must be positive")
         if len(lines) != 2 * n + 2:
             raise ValueError("tableau file must hold 2n bit rows plus a phase row")
-        for no, ln in lines[1:]:
-            if len(ln) != 2 * n or set(ln) - {"0", "1"}:
-                raise ValueError(f"line {no}: expected {2 * n} bits, got {ln!r}")
-        s = np.array([[int(c) for c in ln] for _, ln in lines[1:-1]], dtype=np.uint8)
-        phases = np.array([int(c) for c in lines[-1][1]], dtype=np.uint8)
-        return cls.from_dense(s, phases)
+        rows = parse_bit_rows(lines[1:], 2 * n)
+        cols = BitMatrix(2 * n, 2 * n, rows[:-1]).transpose().ints
+        return cls(n, cols[:n], cols[n:], rows[-1])
 
 
 def tableau_of_circuit(c: Circuit) -> CliffordTableau:

@@ -3,11 +3,12 @@
 ``BitMatrix`` stores each row as one Python int: entry (i, j) is bit j of
 ``ints[i]``.  That is the package's public GF(2) format, which the other
 modules build and shift directly; numpy arrays enter only through
-``from_dense`` and ``to_dense``.  The product combines rows of the right
-factor eight at a time through lookup tables (the method of four
-Russians); inverse, solve and rank share one Gauss-Jordan elimination,
-LU eliminates on the same rows, and a unitriangular system is solved by
-back-substitution.
+``from_dense`` and ``to_dense``; text I/O reads and writes the int rows
+(``parse_bit_rows`` checks them for both matrix and tableau files).  The
+product combines rows of the right factor eight at a time through lookup
+tables (the method of four Russians); inverse, solve and rank share one
+Gauss-Jordan elimination, LU eliminates on the same rows, and a
+unitriangular system is solved by back-substitution.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def _rows_to_dense(ints: list[int], cols: int) -> np.ndarray:
     buf = b"".join(v.to_bytes(size, "little") for v in ints)
     as_bytes = np.frombuffer(buf, dtype=np.uint8).reshape(len(ints), size)
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[:, :cols]
+
+
+def parse_bit_rows(lines: list[tuple[int, str]], width: int) -> list[int]:
+    """Numbered lines as int rows, character j as bit j; a line that is not ``width``
+    0/1 characters raises ValueError naming it (``int(s, 2)`` alone accepts ``1_0``)."""
+    for no, row in lines:
+        if len(row) != width or set(row) - {"0", "1"}:
+            raise ValueError(f"line {no}: expected {width} bits, got {row!r}")
+    return [int(row[::-1], 2) for _, row in lines]
 
 
 class BitMatrix:
@@ -79,11 +89,7 @@ class BitMatrix:
             raise ValueError(f"line {no}: matrix dimensions must be positive")
         if len(lines) - 1 != r:
             raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
-        for i, (no, row) in enumerate(lines[1:]):
-            if len(row) != c or set(row) - {"0", "1"}:
-                raise ValueError(f"line {no}: bad matrix row {i}: {row!r}")
-        dense = np.array([[int(ch) for ch in row] for _, row in lines[1:]], dtype=np.uint8)
-        return cls.from_dense(dense.reshape(r, c))
+        return cls(r, c, parse_bit_rows(lines[1:], c))
 
     # -- access ------------------------------------------------------------
 
@@ -108,10 +114,8 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
     def to_text(self) -> str:
-        dense = self.to_dense()
-        head = f"{self.rows} {self.cols}"
-        body = "\n".join("".join("1" if b else "0" for b in row) for row in dense)
-        return head + "\n" + body + "\n"
+        w = self.cols
+        return f"{self.rows} {w}\n" + "".join(format(v, f"0{w}b")[::-1] + "\n" for v in self.ints)
 
     # -- algebra -----------------------------------------------------------
 

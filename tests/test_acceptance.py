@@ -4,9 +4,10 @@ full table range, worked-example depths, and bulk randomized properties."""
 import numpy as np
 import pytest
 
-from cliffdepth import bounds
-from cliffdepth.circuit import Circuit, cz as cz_gate
+from cliffdepth import bounds, circuit
+from cliffdepth.circuit import Circuit, cz as cz_gate, from_text, to_text
 from cliffdepth.clifford import (
+    CliffordTableau,
     random_clifford_circuit,
     random_tableau,
     synth_clifford,
@@ -264,3 +265,31 @@ def test_synthesis_never_packs_dense_blocks(monkeypatch):
         assert tableaux_equal(tableau_of_circuit(c), tableau_of_circuit(direct))
     assert linear_action(linear) == m
     assert tableaux_equal(tableau_of_circuit(cliff), t)
+
+
+def test_text_formats_build_no_dense_array_or_gate_tuple(monkeypatch):
+    """.mat and .tab text goes to and from int rows, and .circ text to and from
+    the gate array: no dense 0/1 array and no Gate tuple is made on the way."""
+    rng = np.random.default_rng(303)
+    m = random_matrix(rng, 9, 70)
+    t = random_tableau(rng, 33)
+    circuits = [random_clifford_circuit(rng, 8),
+                synth_linear(random_invertible(rng, 12), REORDER)]
+    assert circuits[1].perm is not None
+
+    def refuse(*args):
+        raise AssertionError("a dense array or a Gate tuple was built")
+
+    texts = [m.to_text(), t.to_text()] + [to_text(c) for c in circuits]
+    with monkeypatch.context() as patch:
+        for owner in (BitMatrix, CliffordTableau):
+            patch.setattr(owner, "from_dense", refuse)
+            patch.setattr(owner, "to_dense", refuse)
+        patch.setattr(circuit, "gate_array", refuse)
+        patch.setattr(circuit, "Gate", refuse)
+        back = [BitMatrix.from_text(texts[0]), CliffordTableau.from_text(texts[1])]
+        back += [from_text(text) for text in texts[2:]]
+        assert [back[0].to_text(), back[1].to_text()] + [to_text(c) for c in back[2:]] == texts
+    assert back[:2] == [m, t]
+    for c, b in zip(circuits, back[2:]):
+        assert b == c and b.perm == c.perm

@@ -117,6 +117,33 @@ def test_qasm_refuses_a_permutation():
     assert to_qasm2(Circuit(c.n, c.array)).startswith("OPENQASM 2.0;")
 
 
+@pytest.mark.parametrize("op", ["compose_first", "compose_second", "invert"])
+def test_compose_and_invert_refuse_a_permutation(op):
+    # The result would drop the relabeling, and with it the map the circuit realizes.
+    c = synth_linear(random_invertible(np.random.default_rng(3), 6), REORDER)
+    assert c.perm is not None
+    plain = Circuit(6)
+    call = {"compose_first": lambda: compose(c, plain),
+            "compose_second": lambda: compose(plain, c),
+            "invert": lambda: invert(c)}[op]
+    with pytest.raises(ValueError, match="permutation"):
+        call()
+    unpermuted = Circuit(6, c.array)
+    assert len(compose(plain, unpermuted)) == len(invert(unpermuted)) == len(c)
+
+
+def test_from_text_builds_the_gate_array():
+    """CZ ends are sorted as ``cz`` sorts them, and a one-qubit gate has b = -1."""
+    c = from_text("qubits 4\nCZ 3 1\nCNOT 3 1\nH 2\nP 0\nX 3\nZ 1\n")
+    assert c.array.dtype == np.int64
+    assert c.array.tolist() == [[0, 1, 3], [1, 3, 1], [2, 2, -1], [3, 0, -1], [4, 3, -1],
+                                [5, 1, -1]]
+    assert c == Circuit(4, [cz(3, 1), cnot(3, 1), h(2), p(0), x(3), z(1)])
+    for n in (0, 3):
+        empty = from_text(f"qubits {n}\n")
+        assert (empty.n, empty.array.shape) == (n, (0, 3))
+
+
 def test_compose_and_invert_cancel():
     rng = np.random.default_rng(11)
     for _ in range(40):

@@ -50,6 +50,19 @@ def test_gen_cz_output_is_pinned(capsys, tmp_path, n, seed, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind, n, seed, digest", [
+    ("linear", 64, 5, "ee4d2b775916fd334fe79fda08734f1ece046fbd0733c8fc8686851a597b358f"),
+    ("linear", 257, 9, "b7aed212a58dd6351b5f928a49b851ef0cf9db380da2aadf98c1f413d7a01a31"),
+    ("tableau", 64, 5, "e6a4a4fb0d69263e248ca3f060f069d55fb40b539debe46e197f1a3e0facb27f"),
+    ("tableau", 257, 9, "f9be34411252e5dd82025c1fd629a03848279beeb0c649a4844b945e5395c808"),
+])
+def test_gen_linear_and_tableau_output_is_pinned(capsys, kind, n, seed, digest):
+    """gen --kind linear/tableau print the same text as when these digests were recorded."""
+    code, out, _ = run(capsys, "gen", "--kind", kind, "--n", str(n), "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])
 def test_gen_rejects_n_above_table_range(capsys, tmp_path, monkeypatch, kind):
     """--n past N_MAX is a usage error, raised before any instance is made."""
@@ -193,6 +206,29 @@ def test_verify_mismatch_exits_1(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("rows", [["01", "10"], ["0100", "1000", "0001", "0010"]])
+def test_verify_reads_a_symmetric_matrix_both_ways(capsys, tmp_path, rows):
+    """A symmetric zero-diagonal .mat is a CZ pattern and a linear map: under
+    --oracle auto, both synth-cz's and synth-cnot's circuits for it verify."""
+    n = len(rows)
+    mat = tmp_path / "s.mat"
+    mat.write_text(f"{n} {n}\n" + "\n".join(rows) + "\n")
+    for cmd in ("synth-cnot", "synth-cz"):
+        circ = tmp_path / f"{cmd}.circ"
+        code, out, _ = run(capsys, cmd, "--input", str(mat), "--out", str(circ))
+        assert code == 0 and "verified=yes" in out
+        code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
+        assert (code, out) == (0, "verified\n")
+    # an explicit oracle keeps the CZ reading
+    code, out, _ = run(capsys, "verify", "--circuit", str(tmp_path / "synth-cnot.circ"),
+                       "--against", str(mat), "--oracle", "tableau")
+    assert (code, out) == (1, "MISMATCH\n")
+    bad = tmp_path / "bad.circ"
+    bad.write_text(f"qubits {n}\nCNOT 0 1\nCNOT 1 0\n")
+    code, out, _ = run(capsys, "verify", "--circuit", str(bad), "--against", str(mat))
+    assert (code, out) == (1, "MISMATCH\n")
+
+
 def test_verify_linear_oracle(capsys, tmp_path):
     circ = tmp_path / "c.circ"
     circ.write_text("qubits 2\nCNOT 0 1\n")
@@ -307,6 +343,13 @@ def test_bad_flag_is_usage_error(capsys):
     ("synth-clifford", ".tab", "", "empty"),
     ("synth-clifford", ".tab", "1\n10\n0\n00\n", "line 3"),
     ("synth-clifford", ".tab", "x\n", "line 1"),
+    # rows that are not width characters from {0, 1}; int(row[::-1], 2) alone
+    # would accept the ones with "_"
+    ("synth-cnot", ".mat", "2 3\n010\n0_1\n", "line 3"),
+    ("synth-cnot", ".mat", "2 3\n+01\n010\n", "line 2"),
+    ("synth-cnot", ".mat", "2 3\n010\n1 0\n", "line 3"),
+    ("synth-cnot", ".mat", "2 3\n\n0b1\n010\n", "line 3"),
+    ("synth-clifford", ".tab", "2\n1000\n1_01\n0010\n0001\n0000\n", "line 3"),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, where):
     path = tmp_path / f"in{suffix}"
@@ -373,7 +416,7 @@ def test_bounds_range_edges_accepted(capsys, tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789 -\nqubitspermCZHNOT", max_size=60))
+@given(st.text(alphabet="0123456789 -\nqubitspermCZHNOT_+b", max_size=60))
 def test_parsers_raise_only_value_error(text):
     for parse in (BitMatrix.from_text, from_text, CliffordTableau.from_text):
         try:

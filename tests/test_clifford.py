@@ -72,6 +72,22 @@ def test_text_roundtrip():
         assert CliffordTableau.from_text(t.to_text()) == t
 
 
+@pytest.mark.parametrize("n", [1, 4, 32, 33])
+def test_text_roundtrip_zero_edge_columns(n):
+    """Text row r is tableau row r, character j its bit j, then the phase row,
+    through zero first and last columns (the bits need not be symplectic)."""
+    rng = np.random.default_rng(n)
+    s = rng.integers(0, 2, size=(2 * n, 2 * n), dtype=np.uint8)
+    ph = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+    s[:, [0, -1]] = 0
+    ph[[0, -1]] = 0
+    t = CliffordTableau.from_dense(s, ph)
+    text = t.to_text()
+    bits = ["".join(map(str, r)) for r in np.vstack([s, ph]).tolist()]
+    assert text.splitlines() == [str(n)] + bits
+    assert CliffordTableau.from_text(text) == t
+
+
 def test_tableau_product_is_composition():
     rng = np.random.default_rng(42)
     for _ in range(60):

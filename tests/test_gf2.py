@@ -81,6 +81,17 @@ def test_text_roundtrip():
     assert BitMatrix.from_text(m.to_text()) == m
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65])
+def test_text_roundtrip_widths(width):
+    """Character j of a row is column j, through zero first and last columns."""
+    dense = np.random.default_rng(width).integers(0, 2, size=(5, width), dtype=np.uint8)
+    dense[:, [0, -1]] = 0
+    m = BitMatrix.from_dense(dense)
+    text = m.to_text()
+    assert text.splitlines() == [f"5 {width}"] + ["".join(map(str, r)) for r in dense.tolist()]
+    assert BitMatrix.from_text(text) == m
+
+
 def test_text_rejects_bad_rows():
     with pytest.raises(ValueError):
         BitMatrix.from_text("2 2\n10\n1")
