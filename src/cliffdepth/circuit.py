@@ -3,8 +3,8 @@
 A circuit is one (G, 3) int64 array, one row per gate in order: column 0
 holds the kind code, an index into ``KINDS``, and columns 1 and 2 the
 qubits a and b, with b = -1 for a one-qubit gate.  Synthesis builds these
-arrays block by block and joins each circuit's blocks once; the checks
-read the columns through ``tolist``.  ``Circuit.gates`` is a view that
+arrays block by block, joined once, and ``from_text`` one row per line;
+``Circuit``'s check validates both.  ``Circuit.gates`` is a view that
 builds a fresh list of ``Gate`` tuples, for tests and the command line.
 
 Only two-qubit gates occupy schedule steps; single-qubit gates are free.
@@ -15,12 +15,13 @@ claimed parallelism.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .gf2 import Permutation
+from .gf2 import Permutation, int_fields, numbered_lines
 
 
 class Gate(NamedTuple):
@@ -129,8 +130,9 @@ def gate_list(arr: np.ndarray) -> list[Gate]:
     return [Gate(KINDS[k], a, b) for k, a, b in arr.tolist()]
 
 
-def _check(arr: np.ndarray, n: int) -> None:
-    """Raise ValueError naming the first gate that is malformed or out of range."""
+def _check(arr: np.ndarray, n: int) -> tuple[int, str] | None:
+    """The row of the first gate that is malformed or out of range and what is
+    wrong with it, naming the gate; None when every gate is well formed."""
     kind, a, b = arr.T
     two = kind < 2
     unknown = (kind < 0) | (kind >= len(KINDS))
@@ -139,17 +141,17 @@ def _check(arr: np.ndarray, n: int) -> None:
     out = (a < 0) | (a >= n) | two & ((b < 0) | (b >= n))
     bad = unknown | same | stray | out
     if not bad.any():
-        return
+        return None
     i = int(bad.argmax())
     k, qa, qb = arr[i].tolist()
     if unknown[i]:
-        raise ValueError(f"gate {i} has unknown kind code {k}")
+        return i, f"gate {i} has unknown kind code {k}"
     g = Gate(KINDS[k], qa, qb)
     if out[i]:
-        raise ValueError(f"gate {g} out of range for {n} qubits")
+        return i, f"gate {g} out of range for {n} qubits"
     if same[i]:
-        raise ValueError(f"gate {g} needs two distinct qubits")
-    raise ValueError(f"gate {g} is a one-qubit gate with a second qubit")
+        return i, f"gate {g} needs two distinct qubits"
+    return i, f"gate {g} is a one-qubit gate with a second qubit"
 
 
 class Circuit:
@@ -163,6 +165,8 @@ class Circuit:
 
     def __init__(self, n: int, gates: Iterable[Gate] | np.ndarray = (),
                  perm: Permutation | None = None):
+        if n < 0:
+            raise ValueError(f"negative qubit count {n}")
         self.n = n
         if isinstance(gates, np.ndarray):
             if gates.ndim != 2 or gates.shape[1] != 3 or gates.dtype.kind not in "iu":
@@ -170,7 +174,8 @@ class Circuit:
             arr = gates.astype(np.int64, copy=False)
         else:
             arr = gate_array(gates)
-        _check(arr, n)
+        if (bad := _check(arr, n)) is not None:
+            raise ValueError(bad[1])
         self.array = arr
         # Output qubit reordering reported by up-to-reordering synthesis.
         self.perm = perm
@@ -243,51 +248,41 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _line_ints(no: int, ln: str, count: int | None = None) -> list[int]:
-    """The integer fields after the keyword of one text line."""
-    fields = ln.split()[1:]
-    if count is not None and len(fields) != count:
-        raise ValueError(f"line {no}: expected {count} integer field(s) in {ln!r}")
-    try:
-        return [int(t) for t in fields]
-    except ValueError:
-        raise ValueError(f"line {no}: non-integer field in {ln!r}") from None
+# a two-qubit kind and two integer fields or a one-qubit kind and one, as int_fields reads them
+_GATE_LINE = re.compile(r"(CZ|CNOT)\s+(-?[0-9]+)\s+(-?[0-9]+)|([HPXZ])\s+(-?[0-9]+)")
 
 
 def from_text(text: str) -> Circuit:
     """Parse the ``to_text`` form; malformed input raises ValueError naming its line."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = numbered_lines(text)
     if not lines or lines[0][1].split()[0] != "qubits":
         raise ValueError("circuit file must start with 'qubits n'")
-    (n,) = _line_ints(*lines[0], 1)
-    if n < 0:
-        raise ValueError(f"line {lines[0][0]}: negative qubit count")
-    perm = None
-    body = lines[1:]
+    (n,) = int_fields(lines[0][0], lines[0][1].split()[1:], 1)
+    perm, body = None, lines[1:]
     if body and body[0][1].split()[0] == "perm":
-        no, ln = body[0]
-        try:
-            perm = Permutation(_line_ints(no, ln))
-        except (ValueError, OverflowError) as e:
-            raise ValueError(f"line {no}: {e}") from None
-        if len(perm) != n:
-            raise ValueError(f"line {no}: perm has {len(perm)} entries for {n} qubits")
-        body = body[1:]
+        no, ln = body.pop(0)
+        entries = int_fields(no, ln.split()[1:])
+        if len(entries) != n or sorted(entries) != list(range(n)):
+            raise ValueError(f"line {no}: perm is not a permutation of the {n} qubits")
+        perm = Permutation(entries)
     flat: list[int] = []  # (kind, a, b) rows, b = -1 for a one-qubit gate
     for no, ln in body:
-        kind = ln.split()[0]
-        code = _CODE.get(kind)
-        if code is None:
-            raise ValueError(f"line {no}: unknown gate line: {ln!r}")
-        qs = _line_ints(no, ln, 2 if code < 2 else 1)
-        if not all(0 <= q < n for q in qs):
-            raise ValueError(f"line {no}: qubit out of range for {n} qubits in {ln!r}")
-        if len(set(qs)) < len(qs):
-            raise ValueError(f"line {no}: {kind} needs two distinct qubits in {ln!r}")
-        if code == CZ:
-            qs.sort()  # as ``cz`` orders the ends
-        flat += [code, *qs] if code < 2 else [code, qs[0], -1]
-    return Circuit(n, np.array(flat, dtype=np.int64).reshape(-1, 3), perm=perm)
+        if (m := _GATE_LINE.fullmatch(ln)) is None:
+            raise ValueError(f"line {no}: expected a gate such as 'CZ a b' or 'H a', got {ln!r}")
+        two, a, b, one, q = m.groups()
+        flat += (_CODE[two], int(a), int(b)) if two else (_CODE[one], int(q), -1)
+    try:
+        arr = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # a qubit beyond int64: the strict reader names its line
+        for no, ln in body:
+            int_fields(no, ln.split()[1:])
+        raise
+    arr[:, 1:] = np.where(arr[:, :1] == CZ, np.sort(arr[:, 1:], axis=1), arr[:, 1:])  # cz() order
+    try:
+        return Circuit(n, arr, perm=perm)
+    except ValueError as e:  # the qubit count, or a bad gate: row i is body line i
+        no = lines[0][0] if n < 0 else body[_check(arr, n)[0]][0]
+        raise ValueError(f"line {no}: {e}") from None
 
 
 _QASM_NAMES = ("cz", "cx", "h", "s", "x", "z")  # by kind code

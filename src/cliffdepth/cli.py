@@ -151,6 +151,8 @@ def _cmd_verify(args) -> int:
     text = open(args.against).read()
     if args.against.endswith(".tab"):
         ref = CliffordTableau.from_text(text)
+        if not ref.is_symplectic():  # as synth-clifford rejects it
+            raise ValueError("tableau is not symplectic")
     elif args.against.endswith(".mat"):
         ref = BitMatrix.from_text(text)
         try:  # a symmetric zero-diagonal matrix is a CZ pattern, or a linear map

@@ -29,7 +29,8 @@ import numpy as np
 from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
-from .gf2 import BitMatrix, mat_inverse, mat_mul, parse_bit_rows, rank_and_pivots, solve_right
+from .gf2 import (BitMatrix, int_fields, mat_inverse, mat_mul, numbered_lines, parse_bit_rows,
+                  rank_and_pivots)
 
 
 class CliffordTableau:
@@ -126,19 +127,12 @@ class CliffordTableau:
 
     @classmethod
     def from_text(cls, text: str) -> "CliffordTableau":
-        """Parse n, 2n rows of 2n bits and a phase row of 2n bits.
-
-        Blank lines are skipped; malformed input raises ValueError naming
-        its line.
-        """
-        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        """Parse n, 2n rows of 2n bits and a sign row; an error names its line."""
+        lines = numbered_lines(text)
         if not lines:
             raise ValueError("empty tableau file")
         no, head = lines[0]
-        try:
-            n = int(head)
-        except ValueError:
-            raise ValueError(f"line {no}: expected the qubit count, got {head!r}") from None
+        (n,) = int_fields(no, head.split(), 1)
         if n < 1:
             raise ValueError(f"line {no}: qubit count must be positive")
         if len(lines) != 2 * n + 2:
@@ -201,10 +195,10 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     an invertible matrix X2; the quotient Theta = X2^{-1} Z2 is symmetric
     and supplies the second CZ pattern and final P mask.  Peeling those
     layers and H1 off every row, each kept as i^e X^x Z^z, leaves (0|K)
-    at the bottom, so K^{-1} is the CX stage, and (K^{-T}|T) at the top,
-    where K^T T fixes the first P mask and CZ pattern.  Peeling those too
-    must leave the identity bits; the signs left over are the leading Z
-    mask (top rows) and X mask (bottom rows).
+    at the bottom, where K = X2 makes X2^{-1} the CX stage, and (K^{-T}|T)
+    at the top, where K^T T fixes the first P mask and CZ pattern.  Peeling
+    those too must leave the identity bits; the signs left over are the
+    leading Z mask (top rows) and X mask (bottom rows).
     """
     rows = t.rows()
     if not t._symplectic(rows):
@@ -220,7 +214,8 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     e2 = full ^ sum(1 << q for q in pivots)
     x2 = [u & ~e2 | v & e2 for u, v in zip(c, d)]
     z2 = [v & ~e2 | u & e2 for u, v in zip(c, d)]
-    theta = solve_right(BitMatrix(n, n, x2), BitMatrix(n, n, z2)).ints
+    r_cx = mat_inverse(BitMatrix(n, n, x2))  # basis matrix of the CX stage
+    theta = mat_mul(r_cx, BitMatrix(n, n, z2)).ints
     # on E2 the columns of C are sums of pivot columns, which X2 keeps in
     # place, so theta vanishes on E2 x E2 and d2 lies outside E2
     d2 = sum(v & 1 << q for q, v in enumerate(theta))
@@ -231,7 +226,7 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     e1, e2 = full ^ cancel, e2 ^ cancel
 
     # peel P2, H2, CZ2, H1 off all rows, each row as i^e X^x Z^z (Y = iXZ);
-    # the bottom rows must leave (0|K)
+    # the bottom rows must leave (0|K), K = X2 (the identity check tests it)
     _peel_p(x, z, e, d2)
     _peel_h(x, z, e, e2)
     _peel_cz(x, z, e, gamma2)
@@ -240,7 +235,6 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
         raise ValueError("decomposition failed: residual x-part")
     k = BitMatrix(n, n, z[n:])
     k_t = k.transpose()
-    r_cx = mat_inverse(k)  # basis matrix of the CX stage
 
     # the top rows are (K^{-T} | T) with K^T T = K^T diag(d1) K + Gamma1;
     # pick d1 to hit the diagonal and let the first CZ pattern absorb the

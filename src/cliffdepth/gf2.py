@@ -3,8 +3,9 @@
 ``BitMatrix`` stores each row as one Python int: entry (i, j) is bit j of
 ``ints[i]``.  That is the package's public GF(2) format, which the other
 modules build and shift directly; numpy arrays enter only through
-``from_dense`` and ``to_dense``; text I/O reads and writes the int rows
-(``parse_bit_rows`` checks them for both matrix and tableau files).  The
+``from_dense`` and ``to_dense``.  The matrix, tableau and circuit text
+formats share one grammar, kept here: ``numbered_lines``, strict integer
+fields (``int_fields``) and 0/1 rows as int rows (``parse_bit_rows``).  The
 product combines rows of the right factor eight at a time through lookup
 tables (the method of four Russians); inverse, solve and rank share one
 Gauss-Jordan elimination, LU eliminates on the same rows, and a
@@ -13,6 +14,7 @@ unitriangular system is solved by back-substitution.
 
 from __future__ import annotations
 
+import re
 from itertools import compress, count
 
 import numpy as np
@@ -30,6 +32,23 @@ def _rows_to_dense(ints: list[int], cols: int) -> np.ndarray:
     buf = b"".join(v.to_bytes(size, "little") for v in ints)
     as_bytes = np.frombuffer(buf, dtype=np.uint8).reshape(len(ints), size)
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[:, :cols]
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped non-blank lines of text, each with its 1-based line number."""
+    return [(no, s) for no, ln in enumerate(text.splitlines(), 1) if (s := ln.strip())]
+
+
+_INT = re.compile(r"-?[0-9]+")  # ASCII digits only, unlike int()
+
+
+def int_fields(no: int, fields: list[str], count: int | None = None) -> list[int]:
+    """Line no's fields as ints, count of them if given: ASCII ``-?[0-9]+`` within int64,
+    else ValueError naming the line (``int()`` alone takes ``1_0``, ``+9``, non-ASCII digits)."""
+    vals = [v for t in fields if _INT.fullmatch(t) and -1 << 63 <= (v := int(t)) < 1 << 63]
+    if len(vals) < len(fields) or count not in (None, len(vals)):
+        raise ValueError(f"line {no}: expected {count or 'only'} int64 field(s), got {fields}")
+    return vals
 
 
 def parse_bit_rows(lines: list[tuple[int, str]], width: int) -> list[int]:
@@ -72,19 +91,12 @@ class BitMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
-        """Parse ``rows cols`` followed by one 0/1 string per row.
-
-        Blank lines are skipped; malformed input raises ValueError naming
-        its line.
-        """
-        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        """Parse ``rows cols`` and one 0/1 string per row; an error names its line."""
+        lines = numbered_lines(text)
         if not lines:
             raise ValueError("empty matrix file")
         no, head = lines[0]
-        try:
-            r, c = (int(t) for t in head.split())
-        except ValueError:
-            raise ValueError(f"line {no}: expected 'rows cols', got {head!r}") from None
+        r, c = int_fields(no, head.split(), 2)
         if r < 1 or c < 1:
             raise ValueError(f"line {no}: matrix dimensions must be positive")
         if len(lines) - 1 != r:
@@ -248,8 +260,6 @@ def back_substitute(top: list[int], rhs: list[int]) -> list[int]:
 
 
 def mat_inverse(a: BitMatrix) -> BitMatrix:
-    if a.rows != a.cols:
-        raise ValueError("only square matrices can be inverted")
     return solve_right(a, BitMatrix.identity(a.rows))
 
 
@@ -265,7 +275,11 @@ class Permutation:
     __slots__ = ("map",)
 
     def __init__(self, mapping):
-        arr = np.asarray(mapping, dtype=np.int64)
+        arr = np.asarray(mapping)  # [0, True] reads as ints, and [] as floats
+        if arr.size and (arr.dtype.kind not in "iu"
+                         or any(isinstance(v, (bool, np.bool_)) for v in mapping)):
+            raise ValueError("permutation entries must be integers, not floats or bools")
+        arr = arr.astype(np.int64)
         if sorted(arr.tolist()) != list(range(len(arr))):
             raise ValueError("not a permutation")
         self.map = arr

@@ -144,6 +144,17 @@ def test_from_text_builds_the_gate_array():
         assert (empty.n, empty.array.shape) == (n, (0, 3))
 
 
+def test_text_roundtrip_of_synthesized_circuits():
+    """from_text(to_text(c)) == c for synthesized CZ, CNOT (exact and perm) and
+    Clifford circuits, perm included."""
+    rng = np.random.default_rng(23)
+    r = random_invertible(rng, 20)
+    for c in (synth_cz(CzSpec.random(rng, 20)), synth_linear(r, EXACT),
+              synth_linear(r, REORDER), synth_clifford(random_tableau(rng, 12))):
+        back = from_text(to_text(c))
+        assert back == c and back.perm == c.perm
+
+
 def test_compose_and_invert_cancel():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -275,6 +286,25 @@ def test_one_qubit_gate_with_second_qubit_rejected():
         Circuit(3, [Gate("H", 1, 7)])
     with pytest.raises(ValueError, match=r"Gate\(kind='Z', a=0, b=2\) is a one-qubit gate"):
         Circuit(3, np.array([[5, 0, 2]]))
+
+
+def test_negative_qubit_count_rejected():
+    for gates in ((), np.zeros((0, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"negative qubit count -1"):
+            Circuit(-1, gates)
+    assert len(Circuit(0)) == 0
+
+
+def test_from_text_reports_a_bad_gate_by_its_line():
+    """The gate array's own check rejects a parsed gate, and the error names its line."""
+    for text, msg in [
+        ("qubits 2\nH 0\n\nCZ 5 0\n", r"^line 4: gate Gate\(kind='CZ', a=0, b=5\) out of range"),
+        ("qubits 3\nperm 0 2 1\nCNOT 2 2\n", r"^line 3: gate Gate\(kind='CNOT', a=2, b=2\) needs two"),
+        ("qubits 2\nH -1\n", r"^line 2: gate Gate\(kind='H', a=-1, b=-1\) out of range"),
+        ("\nqubits -2\n", r"^line 2: negative qubit count -2"),
+    ]:
+        with pytest.raises(ValueError, match=msg):
+            from_text(text)
 
 
 def test_gate_array_shape_and_type_rejected():

@@ -206,6 +206,19 @@ def test_verify_mismatch_exits_1(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
+def test_non_symplectic_tableau_reference_is_usage_error(capsys, tmp_path):
+    """verify rejects a .tab that is no Clifford tableau, as synth-clifford does."""
+    tab = tmp_path / "t.tab"
+    tab.write_text("1\n11\n11\n00\n")
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 1\nH 0\n")
+    for argv in (("synth-clifford", "--input", str(tab)),
+                 ("verify", "--circuit", str(circ), "--against", str(tab))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "tableau is not symplectic" in err
+
+
 @pytest.mark.parametrize("rows", [["01", "10"], ["0100", "1000", "0001", "0010"]])
 def test_verify_reads_a_symmetric_matrix_both_ways(capsys, tmp_path, rows):
     """A symmetric zero-diagonal .mat is a CZ pattern and a linear map: under
@@ -350,6 +363,12 @@ def test_bad_flag_is_usage_error(capsys):
     ("synth-cnot", ".mat", "2 3\n010\n1 0\n", "line 3"),
     ("synth-cnot", ".mat", "2 3\n\n0b1\n010\n", "line 3"),
     ("synth-clifford", ".tab", "2\n1000\n1_01\n0010\n0001\n0000\n", "line 3"),
+    # headers that int() alone would read as 10x10, 1x1 and n = 1
+    ("synth-cnot", ".mat", "1_0 10\n" + "".join("0" * i + "1" + "0" * (9 - i) + "\n"
+                                                for i in range(10)), "line 1"),
+    ("synth-cnot", ".mat", "+1 1\n1\n", "line 1"),
+    ("synth-clifford", ".tab", "+1\n10\n01\n00\n", "line 1"),
+    ("synth-clifford", ".tab", "\u0661\n10\n01\n00\n", "line 1"),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, cmd, suffix, text, where):
     path = tmp_path / f"in{suffix}"
@@ -382,6 +401,15 @@ def test_nonpositive_matrix_header_is_usage_error(capsys, tmp_path, head):
     ("qubits 2\nH 0\nCZ 0 5\n", "line 3"),
     ("qubits 2\nCNOT 1 1\n", "line 2"),
     ("qubits 3\nperm 0 1\nCZ 0 1\n", "line 2"),
+    # integer fields that int() alone would read as 10, +1, 1 and a perm
+    ("qubits 1_0\nH 0\n", "line 1"),
+    ("qubits 2\nCZ 0 +1\n", "line 2"),
+    ("qubits 2\nH \u0661\n", "line 2"),
+    ("qubits 2\nperm +1 0\n", "line 2"),
+    # beyond int64, in the header and in a gate
+    ("qubits 99999999999999999999\nH 99999999999999999998\n", "line 1"),
+    ("qubits 2\n\nH 99999999999999999998\n", "line 3"),
+    ("qubits -1\n", "line 1"),
 ])
 def test_malformed_circuit_is_usage_error(capsys, tmp_path, text, where):
     mat = tmp_path / "m.mat"
@@ -416,7 +444,7 @@ def test_bounds_range_edges_accepted(capsys, tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789 -\nqubitspermCZHNOT_+b", max_size=60))
+@given(st.text(alphabet="0123456789 -\nqubitspermCZHNOT_+b\u0661\t\u00a0", max_size=60))
 def test_parsers_raise_only_value_error(text):
     for parse in (BitMatrix.from_text, from_text, CliffordTableau.from_text):
         try:

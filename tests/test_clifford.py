@@ -3,7 +3,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from cliffdepth import bounds, verify
+from cliffdepth import bounds, gf2, verify
 from cliffdepth.circuit import Circuit, cnot, cz, h, p, x, z
 from cliffdepth.clifford import (
     CliffordTableau,
@@ -157,6 +157,26 @@ def test_decompose_reads_the_rows_once(monkeypatch):
         calls.clear()
         layers = decompose_tableau(t)
         assert calls == [t]
+        assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
+
+
+def test_decompose_runs_two_eliminations(monkeypatch):
+    """One Gauss-Jordan elimination finds the Hadamard set E2 and one inverts X2,
+    which is also the CX stage's K: no third solve."""
+    calls = []
+    eliminate = gf2._gauss_jordan
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(gf2, "_gauss_jordan", counted)
+    rng = np.random.default_rng(53)
+    for n in (1, 6, 40):
+        t = random_tableau(rng, n)
+        calls.clear()
+        layers = decompose_tableau(t)
+        assert calls == [n, n]
         assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
 
 

@@ -11,10 +11,12 @@ from cliffdepth.gf2 import (
     Permutation,
     SingularMatrixError,
     back_substitute,
+    int_fields,
     lu_decompose,
     mat_inverse,
     mat_mul,
     mat_vec,
+    numbered_lines,
     perm_to_transposition_layers,
     random_invertible,
     _rows_from_dense,
@@ -255,6 +257,43 @@ def test_perm_transposition_layers():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+    # numpy would truncate the floats and read the bools as 0 and 1
+    for bad in ([0.9, 1.2], [True, False], [0, True], np.array([1.0, 0.0]),
+                np.array([False, True])):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(bad)
+    assert len(Permutation([])) == 0
+    assert Permutation(np.array([1, 0], dtype=np.uint8)) == Permutation([1, 0])
+
+
+def test_numbered_lines():
+    assert numbered_lines("") == []
+    assert numbered_lines("\n a b \n\t\n\u00a0c\r\n") == [(2, "a b"), (4, "c")]
+
+
+@pytest.mark.parametrize("fields, want", [
+    (["0", "-0", "007", "-12"], [0, 0, 7, -12]),
+    (["9223372036854775807", "-9223372036854775808"], [2**63 - 1, -2**63]),
+    ([], []),
+])
+def test_int_fields_reads_ascii_int64(fields, want):
+    assert int_fields(3, fields) == want
+
+
+@pytest.mark.parametrize("fields", [
+    ["1_0"], ["+1"], ["\u0661"], ["1", "x"], ["0x1"], ["1.0"], ["-"], [""],
+    ["9223372036854775808"], ["-9223372036854775809"], ["99999999999999999999"],
+])
+def test_int_fields_rejects_the_rest(fields):
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        int_fields(3, fields)
+
+
+def test_int_fields_counts():
+    assert int_fields(1, ["4", "5"], 2) == [4, 5]
+    for fields in (["4"], ["4", "5", "6"]):
+        with pytest.raises(ValueError, match=r"^line 1: expected 2 int64 field"):
+            int_fields(1, fields, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 130])
