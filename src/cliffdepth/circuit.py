@@ -167,6 +167,8 @@ class Circuit:
                  perm: Permutation | None = None):
         if n < 0:
             raise ValueError(f"negative qubit count {n}")
+        if perm is not None and len(perm) != n:
+            raise ValueError(f"perm of {len(perm)} qubits for a circuit on {n}")
         self.n = n
         if isinstance(gates, np.ndarray):
             if gates.ndim != 2 or gates.shape[1] != 3 or gates.dtype.kind not in "iu":

@@ -23,14 +23,15 @@ code with the linear oracle in ``verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
-from .gf2 import (BitMatrix, int_fields, mat_inverse, mat_mul, numbered_lines, parse_bit_rows,
-                  rank_and_pivots)
+from .gf2 import (BitMatrix, SingularMatrixError, int_fields, mat_inverse, mat_mul, numbered_lines,
+                  parse_bit_rows, rank_and_pivots)
 
 
 class CliffordTableau:
@@ -109,14 +110,10 @@ class CliffordTableau:
         return BitMatrix(2 * self.n, 2 * self.n, self.X + self.Z).transpose().ints
 
     def is_symplectic(self) -> bool:
-        return self._symplectic(self.rows())
-
-    def _symplectic(self, rows: list[int]) -> bool:
-        """is_symplectic, given the tableau's rows."""
         # s Omega s^T must be Omega; s Omega is s with its x and z halves
         # swapped, and the columns X + Z are the rows of s^T
         n = self.n
-        swapped = [v >> n | (v & (1 << n) - 1) << n for v in rows]
+        swapped = [v >> n | (v & (1 << n) - 1) << n for v in self.rows()]
         prod = mat_mul(BitMatrix(2 * n, 2 * n, swapped), BitMatrix(2 * n, 2 * n, self.X + self.Z))
         return prod.ints == [1 << (r + n) % (2 * n) for r in range(2 * n)]
 
@@ -199,10 +196,17 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     at the top, where K^T T fixes the first P mask and CZ pattern.  Peeling
     those too must leave the identity bits; the signs left over are the
     leading Z mask (top rows) and X mask (bottom rows).
+
+    The peels check that s is symplectic.  Each multiplies the rows on the
+    right by a matrix M, symplectic for every P or H mask, for a CZ layer
+    z -> z + x Gamma exactly when Gamma is symmetric (``CzSpec`` checks),
+    and for the CX peel (x -> x K^T, z -> z X2^{-1}) exactly when K = X2.
+    Past those checks the rows left are s M with M symplectic: the identity
+    only if s = M^{-1} is symplectic, and a symplectic s passes every check.
+    Any failure, a singular X2 included, raises ValueError("tableau is not
+    symplectic").
     """
     rows = t.rows()
-    if not t._symplectic(rows):
-        raise ValueError("tableau is not symplectic")
     n = t.n
     full = (1 << n) - 1
     x = [v & full for v in rows]
@@ -214,7 +218,10 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     e2 = full ^ sum(1 << q for q in pivots)
     x2 = [u & ~e2 | v & e2 for u, v in zip(c, d)]
     z2 = [v & ~e2 | u & e2 for u, v in zip(c, d)]
-    r_cx = mat_inverse(BitMatrix(n, n, x2))  # basis matrix of the CX stage
+    try:
+        r_cx = mat_inverse(BitMatrix(n, n, x2))  # basis matrix of the CX stage
+    except SingularMatrixError:
+        raise ValueError("tableau is not symplectic") from None
     theta = mat_mul(r_cx, BitMatrix(n, n, z2)).ints
     # on E2 the columns of C are sums of pivot columns, which X2 keeps in
     # place, so theta vanishes on E2 x E2 and d2 lies outside E2
@@ -226,22 +233,21 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     e1, e2 = full ^ cancel, e2 ^ cancel
 
     # peel P2, H2, CZ2, H1 off all rows, each row as i^e X^x Z^z (Y = iXZ);
-    # the bottom rows must leave (0|K), K = X2 (the identity check tests it)
+    # the bottom rows must leave (0|K) with K = X2
     _peel_p(x, z, e, d2)
     _peel_h(x, z, e, e2)
     _peel_cz(x, z, e, gamma2)
     _peel_h(x, z, e, e1)
-    if any(x[n:]):
-        raise ValueError("decomposition failed: residual x-part")
-    k = BitMatrix(n, n, z[n:])
+    if any(x[n:]) or z[n:] != x2:
+        raise ValueError("tableau is not symplectic")
+    k = BitMatrix(n, n, x2)
     k_t = k.transpose()
 
     # the top rows are (K^{-T} | T) with K^T T = K^T diag(d1) K + Gamma1;
-    # pick d1 to hit the diagonal and let the first CZ pattern absorb the
-    # off-diagonal remainder
+    # d1 = R^T diag(q1), the xor of the rows of R that diag(q1) selects,
+    # hits the diagonal and the first CZ pattern absorbs the remainder
     q1 = mat_mul(k_t, BitMatrix(n, n, z[:n])).ints
-    # d1 = R^T diag(q1), as the row vector diag(q1) R
-    d1 = mat_mul(BitMatrix(1, n, [sum(v & 1 << j for j, v in enumerate(q1))]), r_cx).ints[0]
+    d1 = reduce(int.__xor__, (v for j, v in enumerate(r_cx.ints) if q1[j] >> j & 1), 0)
     kdk = mat_mul(BitMatrix(n, n, [v & d1 for v in k_t.ints]), k)
     gamma1 = [u ^ v for u, v in zip(q1, kdk.ints)]
 
@@ -252,22 +258,17 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     z = mat_mul(BitMatrix(2 * n, n, z), r_cx).ints
     _peel_p(x, z, e, d1)
     if any(u | v << n != 1 << r for r, (u, v) in enumerate(zip(x, z))):
-        raise ValueError("decomposition failed: residual is not the identity")
+        raise ValueError("tableau is not symplectic")
+    try:  # CzSpec refuses an asymmetric Theta or Gamma1: a CZ peel that was not symplectic
+        cz1, cz2 = (CzSpec.from_bitmatrix(BitMatrix(n, n, g)) for g in (gamma1, gamma2))
+    except ValueError:
+        raise ValueError("tableau is not symplectic") from None
     assert not any(v & 1 for v in e)
     masks = BitMatrix(4, n, [d1, e1, e2, d2]).to_dense()
     signs = np.array([v >> 1 & 1 for v in e], dtype=np.uint8)
-
-    return CliffordLayers(
-        x_mask=signs[n:],
-        z_mask=signs[:n],
-        p1_mask=masks[0],
-        cx=r_cx,
-        cz1=CzSpec.from_bitmatrix(BitMatrix(n, n, gamma1)),
-        cz2=CzSpec.from_bitmatrix(BitMatrix(n, n, gamma2)),
-        h_mask1=masks[1],
-        h_mask2=masks[2],
-        p2_mask=masks[3],
-    )
+    return CliffordLayers(x_mask=signs[n:], z_mask=signs[:n], p1_mask=masks[0], cx=r_cx,
+                          cz1=cz1, cz2=cz2, h_mask1=masks[1], h_mask2=masks[2],
+                          p2_mask=masks[3])
 
 
 # Conjugating a row i^e X^x Z^z by the inverse of a layer, in place: the
@@ -295,13 +296,12 @@ def _peel_cz(x: list[int], z: list[int], e: list[int], gamma: list[int]) -> None
     """CZ pattern gamma (its rows): X_a -> X_a Z^gamma_a; reordering to
     X^x Z^z costs (-1)^(x_a x_b) for every pair a < b of gamma."""
     n = len(gamma)
-    rows = BitMatrix(len(x), n, x)
-    lower = [v & ((1 << a) - 1) for a, v in enumerate(gamma)]
-    pairs = mat_mul(rows, BitMatrix(n, n, lower)).ints
-    flips = mat_mul(rows, BitMatrix(n, n, gamma)).ints
-    for r, u in enumerate(x):
-        e[r] += 2 * ((u & pairs[r]).bit_count() & 1)
-        z[r] ^= flips[r]
+    # one product against [lower | gamma]: bits < n pair, bits >= n flip
+    both = [v & ((1 << a) - 1) | v << n for a, v in enumerate(gamma)]
+    prod = mat_mul(BitMatrix(len(x), n, x), BitMatrix(n, 2 * n, both)).ints
+    for r, (u, v) in enumerate(zip(x, prod)):
+        e[r] += 2 * ((u & v).bit_count() & 1)
+        z[r] ^= v >> n
 
 
 def synth_clifford(t: CliffordTableau) -> Circuit:

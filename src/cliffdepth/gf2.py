@@ -2,14 +2,15 @@
 
 ``BitMatrix`` stores each row as one Python int: entry (i, j) is bit j of
 ``ints[i]``.  That is the package's public GF(2) format, which the other
-modules build and shift directly; numpy arrays enter only through
-``from_dense`` and ``to_dense``.  The matrix, tableau and circuit text
-formats share one grammar, kept here: ``numbered_lines``, strict integer
-fields (``int_fields``) and 0/1 rows as int rows (``parse_bit_rows``).  The
-product combines rows of the right factor eight at a time through lookup
-tables (the method of four Russians); inverse, solve and rank share one
-Gauss-Jordan elimination, LU eliminates on the same rows, and a
-unitriangular system is solved by back-substitution.
+modules build and shift directly; numpy arrays enter through ``from_dense``
+and ``to_dense``, and inside the product.  The matrix, tableau and circuit
+text formats share one grammar, kept here: ``numbered_lines``, strict
+integer fields (``int_fields``) and 0/1 rows as int rows
+(``parse_bit_rows``).  The product takes and returns int rows but computes
+on uint64 word rows: it combines rows of the right factor eight at a time
+through lookup tables (the method of four Russians).  Inverse, solve and
+rank share one Gauss-Jordan elimination on int rows, LU eliminates on the
+same rows, and a unitriangular system is solved by back-substitution.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ def _rows_from_dense(dense: np.ndarray) -> list[int]:
 
 def _rows_to_dense(ints: list[int], cols: int) -> np.ndarray:
     """Inverse of ``_rows_from_dense``: (len(ints), cols) uint8 array."""
-    size = (cols + 7) // 8
-    buf = b"".join(v.to_bytes(size, "little") for v in ints)
-    as_bytes = np.frombuffer(buf, dtype=np.uint8).reshape(len(ints), size)
+    as_bytes = _byte_rows(ints, (cols + 7) // 8, np.uint8)
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[:, :cols]
+
+
+def _byte_rows(ints: list[int], size: int, dtype) -> np.ndarray:
+    """Int rows as a 2-D array of dtype items, each row as size little-endian bytes."""
+    buf = b"".join(v.to_bytes(size, "little") for v in ints)
+    return np.frombuffer(buf, dtype).reshape(len(ints), -1)
 
 
 def numbered_lines(text: str) -> list[tuple[int, str]]:
@@ -161,31 +166,23 @@ class BitMatrix:
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) product: row i of a @ b is the xor of the rows of b that row i of a selects.
 
-    The rows of b go in groups of eight; each group's 256 xor combinations
-    are tabulated once and indexed by the matching byte of a's row.
+    The rows of b go in groups of eight, as uint64 word rows.  Doubling
+    tabulates the 256 xor combinations of every group at once (groups x
+    256 x words); then each group adds one gather, indexed by the matching
+    byte of a's rows, into a rows x words accumulator.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    tables = []
-    for lo in range(0, b.rows, 8):
-        table = [0]
-        for v in b.ints[lo: lo + 8]:
-            table += [t ^ v for t in table]
-        tables.append(table)
-    nbytes = len(tables)
-    out = []
-    for row in a.ints:
-        acc = 0
-        for table, byte in zip(tables, row.to_bytes(nbytes, "little")):
-            acc ^= table[byte]
-        out.append(acc)
+    groups, size = (b.rows + 7) // 8, (b.cols + 63) // 64 * 8  # size: bytes per word row
+    words = _byte_rows(b.ints + [0] * (-b.rows % 8), size, "<u8").reshape(groups, 8, 1, -1)
+    tables = np.zeros((groups, 256, size // 8), dtype="<u8")
+    for i in range(8):  # entry 2^i + t is entry t plus row i of the group
+        np.bitwise_xor(tables[:, :1 << i], words[:, i], out=tables[:, 1 << i: 2 << i])
+    acc = np.zeros((a.rows, size // 8), dtype="<u8")
+    for table, idx in zip(tables, _byte_rows(a.ints, groups, np.uint8).T.copy()):
+        acc ^= table.take(idx, axis=0)
+    out = [int.from_bytes(v, "little") for v in acc.view(f"V{size}").ravel().tolist()]
     return BitMatrix(a.rows, b.cols, out)
-
-
-def mat_vec(a: BitMatrix, v: np.ndarray) -> np.ndarray:
-    """a @ v over GF(2) for a 0/1 vector v."""
-    col = BitMatrix.from_dense(np.asarray(v, dtype=np.uint8).reshape(-1, 1))
-    return mat_mul(a, col).to_dense()[:, 0]
 
 
 class SingularMatrixError(ValueError):

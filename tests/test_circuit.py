@@ -91,6 +91,14 @@ def test_text_roundtrip_with_perm():
     assert back.gates == c.gates
 
 
+def test_perm_of_another_length_is_refused():
+    """A perm must cover the n qubits, as from_text requires of the file."""
+    with pytest.raises(ValueError, match="perm of 2 qubits"):
+        Circuit(3, perm=Permutation([1, 0]))
+    with pytest.raises(ValueError, match="^line 2: perm is not a permutation of the 3 qubits"):
+        from_text("qubits 3\nperm 1 0\n")
+
+
 def test_from_text_rejects_garbage():
     with pytest.raises(ValueError):
         from_text("3\nCZ 0 1")

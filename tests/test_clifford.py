@@ -142,7 +142,7 @@ def test_decompose_and_synth_never_simulate(monkeypatch):
 
 
 def test_decompose_reads_the_rows_once(monkeypatch):
-    """The symplectic check and the peel share one transpose of the tableau."""
+    """The peels read the tableau's rows through one transpose."""
     calls = []
     rows = CliffordTableau.rows
 
@@ -237,3 +237,30 @@ def test_non_symplectic_rejected():
             if not want:
                 with pytest.raises(ValueError):
                     decompose_tableau(t2)
+
+
+def test_peel_checks_accept_exactly_the_symplectic_tableaux():
+    """The peels' own checks stand in for s Omega s^T == Omega: on random dense
+    matrices, and on random tableaux with one or two bits flipped, decompose_tableau
+    accepts exactly what is_symplectic accepts, and every rejection is the one
+    ValueError (no AssertionError, no singular-matrix message)."""
+    rng = np.random.default_rng(54)
+    accepted = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        if rng.integers(0, 2):
+            d = rng.integers(0, 2, size=(2 * n, 2 * n), dtype=np.uint8)
+        else:
+            d, _ = random_tableau(rng, n).to_dense()
+            for _ in range(int(rng.integers(1, 3))):
+                d[rng.integers(0, 2 * n), rng.integers(0, 2 * n)] ^= 1
+        t = CliffordTableau.from_dense(d, rng.integers(0, 2, size=2 * n, dtype=np.uint8))
+        if t.is_symplectic():
+            layers = decompose_tableau(t)
+            assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as err:
+                decompose_tableau(t)
+            assert err.type is ValueError and str(err.value) == "tableau is not symplectic"
+    assert 20 <= accepted <= 300

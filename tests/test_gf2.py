@@ -1,5 +1,6 @@
 import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from cliffdepth.gf2 import (
     lu_decompose,
     mat_inverse,
     mat_mul,
-    mat_vec,
     numbered_lines,
     perm_to_transposition_layers,
     random_invertible,
@@ -105,6 +105,8 @@ def test_mat_mul_against_dense():
     rng = np.random.default_rng(2)
     drawn = (tuple(int(v) for v in rng.integers(1, 90, size=3)) for _ in range(30))
     edge = [(n, n, n) for n in EDGE_SIZES] + [(5, n, 3) for n in EDGE_SIZES]
+    # the decomposition's shapes: one-row and 2n x n left factors, n x n and n x 2n right ones
+    edge += [(k, n, m) for n in (64, 65, 128, 129) for k in (1, 2 * n) for m in (n, 2 * n)]
     for k, l, m in itertools.chain(drawn, edge):
         a = random_matrix(rng, k, l)
         b = random_matrix(rng, l, m)
@@ -113,16 +115,17 @@ def test_mat_mul_against_dense():
         )
 
 
-def test_mat_vec():
-    rng = np.random.default_rng(3)
-    for r, c in ((9, 17), (1, 1), (3, 64), (70, 65), (5, 130)):
-        a = random_matrix(rng, r, c)
-        v = rng.integers(0, 2, c, dtype=np.uint8)
-        got = mat_vec(a, v)
-        assert got.shape == (r,) and got.dtype == np.uint8
-        assert np.array_equal(got, dense_mul(a.to_dense(), v.reshape(-1, 1)).ravel())
-    with pytest.raises(ValueError):
-        mat_vec(random_matrix(rng, 3, 4), np.ones(5, dtype=np.uint8))
+def test_mat_mul_peak_memory():
+    """The temporaries stay near the 4 MB of tables: no gather of all groups at once."""
+    rng = np.random.default_rng(5)
+    a, b = random_matrix(rng, 2048, 1024), random_matrix(rng, 1024, 1024)
+    tracemalloc.start()
+    try:
+        mat_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_inverse():
