@@ -33,7 +33,6 @@ class Gate(NamedTuple):
 KINDS = ("CZ", "CNOT", "H", "P", "X", "Z")
 CZ, CNOT, H, P, X, Z = range(len(KINDS))  # kind codes; the two-qubit kinds come first
 TWO_QUBIT = KINDS[:2]
-ONE_QUBIT = KINDS[2:]
 _CODE = {k: i for i, k in enumerate(KINDS)}
 
 EMPTY = np.empty((0, 3), dtype=np.int64)

@@ -37,7 +37,7 @@ import numpy as np
 from . import bounds
 from .circuit import Circuit, cz_block, join
 from .gf2 import BitMatrix, set_bits
-from .patterns import complete_bipartite_rounds, cz_layers, halve_weights, m01_gates
+from .patterns import cz_layers, halve_weights, m01_gates
 from .rectangles import rectangle_gates, tree_layers
 
 
@@ -150,13 +150,19 @@ def _coloring_gates(qubits: list[int], rows: list[int]) -> np.ndarray:
 
 
 def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
-    """All-pairs CZ between two representative sets, in matching rounds, as qubit pairs.
+    """All-pairs CZ between two representative sets, in matching rounds, as
+    (left, right) qubit pairs.
 
-    Emitting round by round keeps the ASAP depth at max(|left|, |right|)
-    instead of |left| + |right| - 1.
+    Round r pairs end i of the smaller side with end (i + r) mod t of the
+    larger side, of size t (left is the smaller on a tie).  Emitting round
+    by round keeps the ASAP depth at max(|left|, |right|) instead of
+    |left| + |right| - 1.
     """
-    return [(left[i], right[j])
-            for rnd in complete_bipartite_rounds(len(left), len(right)) for (i, j) in rnd]
+    if len(left) > len(right):
+        t = len(left)
+        return [(left[(i + r) % t], q) for r in range(t) for i, q in enumerate(right)]
+    t = len(right)
+    return [(q, right[(i + r) % t]) for r in range(t) for i, q in enumerate(left)]
 
 
 def _onestep_gates(qubits: list[int], rows: list[int], out: list) -> None:

@@ -113,9 +113,6 @@ class BitMatrix:
     def to_dense(self) -> np.ndarray:
         return _rows_to_dense(self.ints, self.cols)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.ints))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)

@@ -46,26 +46,20 @@ class HalvingResult:
 def halve_weights(p: BitMatrix) -> HalvingResult:
     """Greedy line complementing until all weights are at most half.
 
-    Alternates a pass over the rows with a pass over the columns; a line
-    is flipped only when that strictly reduces the number of ones, which
-    bounds the number of flips by the initial weight and guarantees
-    termination.  Flipping one line leaves every parallel line's weight
-    unchanged, so each pass flips all of its heavy lines at once.  Rows
-    and columns are kept as ints side by side: a pass complements its
-    heavy lines and xors their mask into every crossing line.
+    Alternates a pass over the rows with a pass over the columns until a
+    round flips nothing; a line is flipped only when that strictly reduces
+    the number of ones, so the loop ends within the initial weight's
+    number of flips.  Flipping one line leaves every parallel line's
+    weight unchanged, so each pass flips all of its heavy lines at once.
+    Rows and columns are kept as ints side by side: a pass complements
+    its heavy lines and xors their mask into every crossing line.
     """
     k, m = p.rows, p.cols
     rows, cols = list(p.ints), p.transpose().ints
     full_r, full_c = (1 << m) - 1, (1 << k) - 1
     half_r, half_c = m // 2, k // 2
     rowflip = colflip = 0
-    changed = True
-    guard = k * m * (k + m) + k + m + 1
-    passes = 0
-    while changed:
-        passes += 1
-        if passes > guard:  # pragma: no cover - termination is proven
-            raise RuntimeError("halving failed to terminate")
+    while True:
         heavy_r = heavy_c = 0
         for i, v in enumerate(rows):
             if v.bit_count() > half_r:
@@ -77,9 +71,10 @@ def halve_weights(p: BitMatrix) -> HalvingResult:
                 cols[j] = v ^ full_c
                 heavy_c |= 1 << j
         rows = [v ^ heavy_c for v in rows]
+        if not heavy_r | heavy_c:
+            break
         rowflip ^= heavy_r
         colflip ^= heavy_c
-        changed = bool(heavy_r or heavy_c)
     assert max(v.bit_count() for v in rows) <= half_r
     assert max(v.bit_count() for v in cols) <= half_c
     return HalvingResult(BitMatrix(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
@@ -138,8 +133,8 @@ def bipartite_edge_color(
             col[fi] = i
         js += [-1] * (delta - len(js))  # now the row's color -> col table
 
-    classes = [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
-    return [cl for cl in classes if cl]
+    # a vertex of degree Delta holds every color, so no class is empty
+    return [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
 
 
 def color_columns(classes: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
@@ -184,25 +179,9 @@ def m01_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
 
 def synth_m01(a: list[int], b: list[int], p: BitMatrix, n: int | None = None) -> Circuit:
     """Circuit applying exactly the CZ gates marked in p between a and b."""
-    check_qubit_set(a)
-    check_qubit_set(b)
-    if set(a) & set(b):
-        raise ValueError("qubit sets overlap")
+    check_qubit_set(a, b)
     if p.rows != len(a) or p.cols != len(b):
         raise ValueError("pattern dimensions do not match qubit sets")
     if n is None:
         n = max(max(a), max(b)) + 1
     return Circuit(n, m01_gates(a, b, p))
-
-
-def complete_bipartite_rounds(s: int, t: int) -> list[list[tuple[int, int]]]:
-    """Edge coloring of K_{s,t} into max(s, t) perfect-as-possible matchings."""
-    if s == 0 or t == 0:
-        return []
-    swap = s > t
-    if swap:
-        s, t = t, s
-    rounds = [[(i, (i + r) % t) for i in range(s)] for r in range(t)]
-    if swap:
-        rounds = [[(j, i) for (i, j) in rnd] for rnd in rounds]
-    return rounds

@@ -24,11 +24,15 @@ from .circuit import Circuit, cnot_pairs, cz_pairs
 Pairs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
-def check_qubit_set(s: list[int]) -> None:
-    if len(s) == 0:
-        raise ValueError("qubit set must be non-empty")
-    if len(set(s)) != len(s):
-        raise ValueError("qubit set has duplicates")
+def check_qubit_set(*sets: list[int]) -> None:
+    """Each set non-empty and free of duplicates, and the sets pairwise disjoint."""
+    for s in sets:
+        if len(s) == 0:
+            raise ValueError("qubit set must be non-empty")
+        if len(set(s)) != len(s):
+            raise ValueError("qubit set has duplicates")
+    if len(set().union(*sets)) != sum(map(len, sets)):
+        raise ValueError("qubit sets overlap")
 
 
 def tree_layers(s: list[int]) -> list[list[tuple[int, int]]]:
@@ -110,10 +114,7 @@ def rectangle_finish(rects: list[Pairs], t: list[int]) -> None:
 
 def rectangle_parts(a: list[int], b: list[int]) -> np.ndarray:
     """The gate array of the rectangle a x b, after checking both qubit sets."""
-    check_qubit_set(a)
-    check_qubit_set(b)
-    if set(a) & set(b):
-        raise ValueError("rectangle sets must be disjoint")
+    check_qubit_set(a, b)
     return rectangle_gates([rectangle_pairs(a, b)])
 
 

@@ -1,9 +1,13 @@
-"""Reference round-robin for the CZ tests (test helper).
+"""Reference schedules for the CZ tests (test helper).
 
 ``reference_coloring_classes`` is the loop that built the coloring
 construction's matchings as lists of pairs before ``cliffdepth.cz``
 built them as index arrays, kept unchanged.  ``cz._coloring_columns(n)``
 must give the same pairs, in the same order.
+
+``reference_complete_bipartite_rounds`` is the former
+``patterns.complete_bipartite_rounds``, kept unchanged;
+``cz._bipartite_cz`` must give its pairs, in the same order.
 """
 
 
@@ -35,3 +39,16 @@ def reference_coloring_classes(n: int) -> list[list[tuple[int, int]]]:
                     cl.append((a, b))
             classes.append(cl)
     return classes
+
+
+def reference_complete_bipartite_rounds(s: int, t: int) -> list[list[tuple[int, int]]]:
+    """Edge coloring of K_{s,t} into max(s, t) perfect-as-possible matchings."""
+    if s == 0 or t == 0:
+        return []
+    swap = s > t
+    if swap:
+        s, t = t, s
+    rounds = [[(i, (i + r) % t) for i in range(s)] for r in range(t)]
+    if swap:
+        rounds = [[(j, i) for (i, j) in rnd] for rnd in rounds]
+    return rounds

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,3 +303,13 @@ def test_import_leaves_mpmath_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bounds.get_table("bogus"), "unknown family 'bogus'"),
+    (lambda: bounds.cz_branches(1), "branches defined for n >= 2"),
+    (lambda: bounds.cz_choice(1), "branches defined for n >= 2"),
+])
+def test_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdepth import bounds, cli
-from cliffdepth.circuit import Circuit, cz, from_text
+from cliffdepth.circuit import Circuit, cz, from_text, to_text
 from cliffdepth.cli import _cz_tableau, main
 from cliffdepth.clifford import CliffordTableau, tableau_of_circuit
 from cliffdepth.cz import CzSpec
@@ -615,3 +615,60 @@ def test_verify_qubit_count_mismatch_is_a_usage_error(capsys, tmp_path, oracle, 
     code, out, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(path),
                          "--oracle", oracle)
     assert code == 2 and message in err and "MISMATCH" not in out
+
+
+def test_verify_circuit_against_circuit_uses_the_tableau(capsys, tmp_path):
+    """The README's circuit-against-circuit check, under auto and --oracle tableau."""
+    mat = gen(capsys, tmp_path, "cz", 9, 4, "p.mat")
+    circs = [tmp_path / "synth.circ", tmp_path / "literal.circ"]
+    code, _, _ = run(capsys, "synth-cz", "--input", str(mat), "--out", str(circs[0]))
+    assert code == 0
+    spec = CzSpec.from_bitmatrix(BitMatrix.from_text(mat.read_text()))
+    circs[1].write_text(to_text(Circuit(9, [cz(i, j) for (i, j) in spec.pairs()])))
+    assert circs[0].read_text() != circs[1].read_text()
+    bad = tmp_path / "bad.circ"
+    bad.write_text("qubits 9\nCZ 0 1\n")
+    for flags in ([], ["--oracle", "tableau"]):
+        code, out, _ = run(capsys, "verify", "--circuit", str(circs[0]),
+                           "--against", str(circs[1]), *flags)
+        assert (code, out) == (0, "verified\n")
+        code, out, _ = run(capsys, "verify", "--circuit", str(bad),
+                           "--against", str(circs[1]), *flags)
+        assert (code, out) == (1, "MISMATCH\n")
+
+
+def test_verify_symmetric_matrix_under_the_linear_oracle(capsys, tmp_path):
+    """--oracle linear reads a symmetric .mat as a linear map: the SWAP."""
+    mat = tmp_path / "s.mat"
+    mat.write_text("2 2\n01\n10\n")
+    swap = tmp_path / "swap.circ"
+    code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--out", str(swap))
+    assert code == 0
+    bad = tmp_path / "cz.circ"
+    bad.write_text("qubits 2\nCZ 0 1\n")
+    for circ, want in ((swap, (0, "verified\n")), (bad, (1, "MISMATCH\n"))):
+        code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat),
+                           "--oracle", "linear")
+        assert (code, out) == want
+
+
+@pytest.mark.parametrize("oracle", ["linear", "phase"])
+def test_tableau_reference_needs_the_tableau_oracle(capsys, tmp_path, oracle):
+    tab = gen(capsys, tmp_path, "tableau", 3, 2, "t.tab")
+    circ = tmp_path / "t.circ"
+    code, _, _ = run(capsys, "synth-clifford", "--input", str(tab), "--out", str(circ))
+    assert code == 0
+    code, out, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(tab),
+                         "--oracle", oracle)
+    assert (code, out) == (2, "")
+    assert "tableau reference requires the tableau oracle" in err
+
+
+def test_synth_cz_reports_the_closed_form_inside_its_range(capsys, tmp_path):
+    mat = gen(capsys, tmp_path, "cz", 40, 3, "p.mat")
+    code, out, _ = run(capsys, "synth-cz", "--input", str(mat), "--out", str(tmp_path / "c"),
+                       "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["verified"] is True
+    assert rep["bound"] == bounds.CZ_BOUND.value(40) == 39
+    assert rep["depth"] <= 39

@@ -13,6 +13,7 @@ from cliffdepth.clifford import (
     synth_clifford,
     tableau_of_circuit,
 )
+from cliffdepth.cnot import synth_linear
 from cliffdepth.verify import tableaux_equal
 
 from clifford_ref import recompose_layers, tableau_product
@@ -264,3 +265,36 @@ def test_peel_checks_accept_exactly_the_symplectic_tableaux():
                 decompose_tableau(t)
             assert err.type is ValueError and str(err.value) == "tableau is not symplectic"
     assert 20 <= accepted <= 300
+
+
+def _adversarial_tableaux(n: int) -> dict[str, CliffordTableau]:
+    """Structured tableaux that stress the decomposition's stages at size n."""
+    all_h = [h(q) for q in range(n)]
+    all_cz = [cz(i, j) for i in range(n) for j in range(i + 1, n)]
+    linear = synth_linear(gf2.random_invertible(np.random.default_rng(n), n))
+    circuits = {
+        "identity": Circuit(n),
+        "H on every qubit": Circuit(n, all_h),  # C = 0, so E2 is every qubit
+        "P on every qubit": Circuit(n, [p(q) for q in range(n)]),
+        "all H, then the all-ones CZ pattern": Circuit(n, all_h + all_cz),
+        "the all-ones CZ pattern, then all H": Circuit(n, all_cz + all_h),
+        "CNOT only": linear,
+    }
+    return {name: tableau_of_circuit(c) for name, c in circuits.items()}
+
+
+@pytest.mark.parametrize("n", [39, 43, 64])
+def test_adversarial_tableaux_verify_within_table(n):
+    bound = int(bounds.get_table(bounds.CLIFFORD)[n])
+    for name, t in _adversarial_tableaux(n).items():
+        c = synth_clifford(t)
+        assert tableau_of_circuit(c) == t, name
+        assert c.two_qubit_depth() <= bound, name
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CliffordTableau.identity(3).apply(Circuit(2, [h(0)])), "qubit counts differ"),
+])
+def test_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -417,3 +417,43 @@ def test_worked_example_depth_6():
     assert tri.two_qubit_depth() == 6
     assert remove_hadamards(tri).two_qubit_depth() == 6
     assert synth_linear(m, EXACT).two_qubit_depth() == 6
+
+
+def _adversarial_matrices(n: int) -> dict[str, BitMatrix]:
+    """Structured invertible matrices that stress the CNOT recursion's blocks at size n."""
+    rng = np.random.default_rng(n)
+    h = (n + 1) // 2
+    eye = np.eye(n, dtype=np.uint8)
+    upper = np.triu(np.ones((n, n), dtype=np.uint8))
+    above, below = eye.copy(), eye.copy()
+    above[:h, h:] = 1
+    below[h:, :h] = 1
+    blocks = np.zeros((n, n), dtype=np.uint8)
+    blocks[:h, :h] = random_invertible(rng, h).to_dense()
+    blocks[h:, h:] = random_invertible(rng, n - h).to_dense()
+    dense = {
+        "identity": eye,
+        "random permutation": eye[rng.permutation(n)],
+        "reversal": eye[::-1],
+        "all-ones upper unitriangular": upper,
+        "all-ones lower unitriangular": upper.T,
+        "all-ones block above the diagonal": above,
+        "all-ones block below the diagonal": below,
+        "block-diagonal": blocks,
+    }
+    return {name: BitMatrix.from_dense(d) for name, d in dense.items()}
+
+
+@pytest.mark.parametrize("n", [39, 40, 64, 77, 130])
+def test_adversarial_matrices_verify_within_table(n):
+    exact_bound = int(bounds.construction_depth(bounds.CNOT, n)[n])
+    reorder_bound = 2 * bounds.cnot_depth_recursion(n)
+    for name, m in _adversarial_matrices(n).items():
+        c = synth_linear(m, EXACT)
+        assert c.perm is None, name
+        assert linear_action(c) == m, name
+        assert c.two_qubit_depth() <= exact_bound, name
+        c = synth_linear(m, REORDER)
+        # row i of the circuit's action is row perm.map[i] of m
+        assert linear_action(c) == BitMatrix(n, n, [m.ints[int(p)] for p in c.perm.map]), name
+        assert c.two_qubit_depth() <= reorder_bound, name

@@ -4,11 +4,11 @@ import pytest
 from cliffdepth import bounds
 from cliffdepth.circuit import Circuit, cz_pairs, to_text
 from cliffdepth.clifford import tableau_of_circuit
-from cliffdepth.cz import CzSpec, _coloring_columns, synth_cz, synth_cz_coloring
+from cliffdepth.cz import CzSpec, _bipartite_cz, _coloring_columns, synth_cz, synth_cz_coloring
 from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import cz_pattern_phases, phase_oracle
 
-from cz_ref import reference_coloring_classes
+from cz_ref import reference_complete_bipartite_rounds, reference_coloring_classes
 
 
 def test_spec_validation():
@@ -74,6 +74,22 @@ def test_coloring_columns_match_reference_round_robin():
         assert not i.flags.writeable and not j.flags.writeable
         with pytest.raises(ValueError):
             i[:1] = 0
+
+
+def test_bipartite_cz_matches_reference_rounds():
+    for s in range(1, 9):
+        for t in range(1, 9):
+            left, right = list(range(10, 10 + s)), list(range(30, 30 + t))
+            pairs = _bipartite_cz(left, right)
+            rounds = reference_complete_bipartite_rounds(s, t)
+            assert pairs == [(left[i], right[j]) for rnd in rounds for (i, j) in rnd]
+            # max(s, t) rounds of min(s, t) pairs, each a matching, covering K_{s,t}
+            w = min(s, t)
+            assert len(pairs) == max(s, t) * w
+            for r in range(0, len(pairs), w):
+                rnd = pairs[r:r + w]
+                assert len({a for a, _ in rnd}) == len({b for _, b in rnd}) == w
+            assert set(pairs) == {(a, b) for a in left for b in right}
 
 
 def test_coloring_entry_point_is_forced_coloring():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -311,3 +312,18 @@ def test_back_substitute_matches_solve_right(k):
         for width in (max(1, k // 2), k + 5):
             b = random_matrix(rng, k, width)
             assert back_substitute(a.ints, b.ints) == solve_right(a, b).ints
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mat_mul(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3)), "dimension mismatch: 3 vs 2"),
+    (lambda: solve_right(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 1)),
+     "coefficient matrix must be square"),
+    (lambda: solve_right(BitMatrix.identity(2), BitMatrix.zeros(3, 1)), "row count mismatch"),
+    (lambda: lu_decompose(BitMatrix.zeros(2, 3)), "LU requires a square matrix"),
+    (lambda: BitMatrix(0, 1), "BitMatrix dimensions must be positive"),
+    (lambda: BitMatrix.from_dense(np.ones(3, dtype=np.uint8)), "expected 2-D array"),
+    (lambda: BitMatrix.from_text("3 2\n10\n01\n"), "expected 3 matrix rows, got 2"),
+])
+def test_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -9,12 +9,17 @@ from cliffdepth.gf2 import BitMatrix, random_matrix
 from cliffdepth.patterns import (
     bipartite_edge_color,
     col_degrees,
-    complete_bipartite_rounds,
     halve_weights,
     halving_rectangles,
     synth_m01,
 )
-from cliffdepth.rectangles import rectangle_finish, rectangle_gates, tree_layers
+from cliffdepth.rectangles import (
+    check_qubit_set,
+    rectangle_finish,
+    rectangle_gates,
+    rectangle_parts,
+    tree_layers,
+)
 from cliffdepth.verify import phase_oracle
 from patterns_ref import reference_edge_color, reference_halve_weights
 
@@ -77,6 +82,21 @@ def test_edge_coloring_respects_cap():
     with pytest.raises(ValueError, match="max degree 6 exceeds allowed colors 5"):
         bipartite_edge_color(p, max_colors=5)
     assert len(bipartite_edge_color(p, max_colors=6)) == 6
+
+
+def test_edge_coloring_gives_delta_nonempty_classes():
+    """Every vertex of degree Delta holds all Delta colors, so no class is
+    empty: exactly Delta classes come back, on raw and on halved patterns."""
+    rng = np.random.default_rng(91)
+    for _ in range(2000):
+        k, m = (int(x) for x in rng.integers(1, 25, size=2))
+        p = BitMatrix.from_dense((rng.random((k, m)) < rng.random()).astype(np.uint8))
+        for q in (p, halve_weights(p).reduced):
+            bits = q.to_dense()
+            delta = int(max(bits.sum(axis=1).max(), bits.sum(axis=0).max()))
+            classes = bipartite_edge_color(q)
+            assert len(classes) == delta
+            assert all(classes)
 
 
 def _halving_patterns():
@@ -240,16 +260,12 @@ def test_synth_m01_validation():
         synth_m01([0], [1, 2], p)
 
 
-def test_complete_bipartite_rounds():
-    for s in range(1, 9):
-        for t in range(1, 9):
-            rounds = complete_bipartite_rounds(s, t)
-            assert len(rounds) == max(s, t)
-            edges = set()
-            for r in rounds:
-                left = [i for (i, _) in r]
-                right = [j for (_, j) in r]
-                assert len(left) == len(set(left))
-                assert len(right) == len(set(right))
-                edges |= set(r)
-            assert edges == {(i, j) for i in range(s) for j in range(t)}
+def test_m01_and_rectangle_share_the_overlap_check():
+    p = BitMatrix.from_dense(np.ones((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^qubit sets overlap$"):
+        synth_m01([0, 1], [1, 2], p)
+    with pytest.raises(ValueError, match="^qubit sets overlap$"):
+        rectangle_parts([0, 1], [1, 2])
+    with pytest.raises(ValueError, match="^qubit sets overlap$"):
+        check_qubit_set([0], [1], [2, 0])
+    check_qubit_set([0, 1], [2], [3, 4])
