@@ -198,8 +198,7 @@ class BoundFormula:
     log2sq: float
     log: float
     const: float
-    lo: int
-    hi: int
+    lo: int  # the first n of the closed form's range, which runs to N_MAX
 
     def value(self, n: int) -> int:
         ln = math.log2(n)
@@ -222,13 +221,13 @@ class BoundFormula:
             return int(mpmath.floor(v))
 
 
-CZ_BOUND = BoundFormula(0.5, 0.4993, 3.0191, -10.9139, 39, N_MAX)
-CZ_BASIC_BOUND = BoundFormula(0.5, 0.9937, 1.1882, -14.6772, 43, N_MAX)
-CNOT_EXACT_BOUND = BoundFormula(1.0, 1.9496, 3.5075, -23.4269, 70, N_MAX)
+CZ_BOUND = BoundFormula(0.5, 0.4993, 3.0191, -10.9139, 39)
+CZ_BASIC_BOUND = BoundFormula(0.5, 0.9937, 1.1882, -14.6772, 43)
+CNOT_EXACT_BOUND = BoundFormula(1.0, 1.9496, 3.5075, -23.4269, 70)
 # Stated with constant -29.4269; equals the exact bound minus the depth-6
 # qubit-reordering stage.
-CNOT_REORDER_BOUND = BoundFormula(1.0, 1.9496, 3.5075, -29.4269, 70, N_MAX)
-CLIFFORD_BOUND = BoundFormula(2.0, 2.9487, 8.4909, -44.4798, 43, N_MAX)
+CNOT_REORDER_BOUND = BoundFormula(1.0, 1.9496, 3.5075, -29.4269, 70)
+CLIFFORD_BOUND = BoundFormula(2.0, 2.9487, 8.4909, -44.4798, 43)
 
 FORMULAS = {
     CZ: CZ_BOUND,
@@ -282,8 +281,8 @@ class _Tally:
     near: int = 0
 
 
-def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally]:
-    """Tally each family's closed-form slack over its range lo..hi.
+def _scan(starts: dict[str, int], each_run=None) -> dict[str, _Tally]:
+    """Tally each family's closed-form slack from its start size through N_MAX.
 
     The sizes are walked in runs cut at multiples of _RUN.  Each run
     computes n and log2(n) once for all families and evaluates every formula
@@ -292,19 +291,17 @@ def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally
     BoundFormula._exact.  each_run(a, n, ln, tallies), if given, sees every
     run's float n and log2(n), after the run's tallies.
     """
-    tallies = {fam: _Tally(construction_depth(fam, hi), lo - 1)
-               for fam, (lo, hi) in ranges.items()}
+    tallies = {fam: _Tally(construction_depth(fam), lo - 1) for fam, lo in starts.items()}
     offsets = np.arange(_RUN, dtype=np.float64)
     n_buf, ln_buf, v_buf, t_buf = (np.empty(_RUN) for _ in range(4))
     flag_buf = np.empty(_RUN, dtype=bool)
-    start = min(lo for lo, _ in ranges.values())
-    end = max(hi for _, hi in ranges.values()) + 1
+    start, end = min(starts.values()), N_MAX + 1
     cuts = [start, *range((start // _RUN + 1) * _RUN, end, _RUN), end]
     for a, b in zip(cuts, cuts[1:]):
         n = np.add(offsets[: b - a], a, out=n_buf[: b - a])
         ln = np.log2(n, out=ln_buf[: b - a])
-        for family, (lo, hi) in ranges.items():
-            tally, i, j = tallies[family], max(lo, a) - a, min(hi + 1, b) - a
+        for family, lo in starts.items():
+            tally, i, j = tallies[family], max(lo, a) - a, b - a
             if i >= j:
                 continue
             f, v, t, flags = FORMULAS[family], v_buf[: j - i], t_buf[: j - i], flag_buf[: j - i]
@@ -338,8 +335,8 @@ def _scan(ranges: dict[str, tuple[int, int]], each_run=None) -> dict[str, _Tally
 
 
 def _validate(families) -> list[dict]:
-    tallies = _scan({fam: (FORMULAS[fam].lo, FORMULAS[fam].hi) for fam in families})
-    return [{"family": fam, "range": (FORMULAS[fam].lo, FORMULAS[fam].hi),
+    tallies = _scan({fam: FORMULAS[fam].lo for fam in families})
+    return [{"family": fam, "range": (FORMULAS[fam].lo, N_MAX),
              "violations": t.violations, "violation_count": t.count,
              "max_slack": int(t.max_slack), "min_slack": int(t.min_slack),
              "near_integer_flags": t.near} for fam, t in tallies.items()]
@@ -384,7 +381,7 @@ def crossover_scan() -> dict:
         if out["prior_internal_asymptotic"] is None:
             out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * ln < 2.0 * n)
 
-    tallies = _scan({fam: (2, N_MAX) for fam in FORMULAS}, prior_art)
+    tallies = _scan(dict.fromkeys(FORMULAS, 2), prior_art)
     for fam, t in tallies.items():
         out[fam.replace("-", "_") + "_range_start"] = t.last + 1
     return out
@@ -397,12 +394,12 @@ def emit_comparison_csv(family: str, lo: int, hi: int) -> str:
     if not 2 <= lo <= hi <= N_MAX:
         raise ValueError(f"range must satisfy 2 <= from <= to <= {N_MAX}, got {lo}..{hi}")
     formula = FORMULAS[family]
-    depth = construction_depth(family, max(hi, formula.lo))
+    depth = construction_depth(family, hi)
     lines = ["n,prior,closed_form,construction"]
     if family == CLIFFORD:
         lines.insert(0, "# prior column reconstructs a baseline from prior CZ/CNOT bounds applied per stage; no directly published prior Clifford depth curve is used")
     for n in range(lo, hi + 1):
         prior = prior_art_bound(family if family != CZ_BASIC else CZ, n)
-        cf = formula.value(n) if formula.lo <= n <= formula.hi else ""
+        cf = formula.value(n) if n >= formula.lo else ""
         lines.append(f"{n},{prior},{cf},{int(depth[n])}")
     return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ from .clifford import CliffordTableau, random_tableau, synth_clifford, tableau_o
 from .cnot import EXACT, REORDER, remove_hadamards, synth_linear
 from .cz import CzSpec, synth_cz
 from .gf2 import BitMatrix, random_invertible
-from .verify import (NotDiagonalError, NotLinearError, cz_pattern_phases, linear_action,
-                     phase_oracle, tableaux_equal)
+from .verify import (PHASE_MAX_QUBITS, NotDiagonalError, NotLinearError, cz_pattern_phases,
+                     linear_action, phase_oracle, tableaux_equal)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -43,9 +43,9 @@ def _report(args, n: int, depth: int, bound: int, family: str, verified: bool) -
 
 
 def _bound(family: str, n: int) -> int:
-    """The family's closed form inside its range, else the construction depth."""
+    """The family's closed form from its start size on, else the construction depth."""
     formula = bounds.FORMULAS[family]
-    if formula.lo <= n <= formula.hi:
+    if n >= formula.lo:
         return formula.value(n)
     return int(bounds.construction_depth(family, n)[n])
 
@@ -74,10 +74,10 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
     """Whether circ realizes ref, a BitMatrix, CzSpec, CliffordTableau or Circuit.
 
     ``auto`` picks tableau for a tableau; linear for a matrix or when either
-    circuit has a perm; phase for a CZ pattern on at most 12 qubits with a
-    CNOT/CZ/X/Z circuit; and tableau otherwise.  A reference on another
-    number of qubits, or a matrix that is not square, is a usage error
-    under every oracle.
+    circuit has a perm; phase for a CZ pattern on at most PHASE_MAX_QUBITS
+    qubits with a CNOT/CZ/X/Z circuit; and tableau otherwise.  A reference
+    on another number of qubits, or a matrix that is not square, is a usage
+    error under every oracle.
     """
     if isinstance(ref, BitMatrix) and ref.rows != ref.cols:
         raise ValueError(f"a linear reference must be square, got {ref.rows}x{ref.cols}")
@@ -90,7 +90,7 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
             oracle = "tableau"
         elif has_perm or isinstance(ref, BitMatrix):
             oracle = "linear"
-        elif (isinstance(ref, CzSpec) and ref.n <= 12
+        elif (isinstance(ref, CzSpec) and ref.n <= PHASE_MAX_QUBITS
               and {KINDS[k] for k in np.unique(circ.array[:, 0]).tolist()}
               <= {"CNOT", "CZ", "X", "Z"}):
             oracle = "phase"
@@ -140,6 +140,10 @@ def _cmd_synth(args) -> int:
     if args.family == bounds.CNOT and args.mode == "perm":
         # the exact construction without its depth-6 reordering stage
         bound = 2 * bounds.cnot_depth_recursion(circ.n)
+    elif args.family == bounds.CZ and args.strategy != "auto" and circ.n >= 2:
+        # the forced branch's value; below n = 4 synth_cz colors instead
+        branch = bounds.BRANCHES.index(args.strategy) if circ.n >= 4 else 0
+        bound = bounds.cz_branches(circ.n)[branch]
     else:
         bound = _bound(args.family, circ.n)
     _report(args, circ.n, depth, bound, args.family, verified)

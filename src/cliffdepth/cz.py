@@ -218,10 +218,9 @@ def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     out.append(rectangle_gates([(trees, pairs)]))
 
     # reduced patterns as colored matching layers on the actual qubits
-    out.append(cz_layers(qubits[:h], qubits[h:], hr1.reduced, max(h // 2, m // 2)))
-    cap2 = max(qa // 2, (h - qa) // 2, qb // 2, (m - qb) // 2)
-    out.append(cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced, cap2))
-    out.append(cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced, cap2))
+    out.append(cz_layers(qubits[:h], qubits[h:], hr1.reduced))
+    out.append(cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced))
+    out.append(cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced))
 
     # recurse on the four quarters in parallel
     for lo, hi in ((0, qa), (qa, h), (h, h + qb), (h + qb, k)):

@@ -80,9 +80,7 @@ def halve_weights(p: BitMatrix) -> HalvingResult:
     return HalvingResult(BitMatrix(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
 
 
-def bipartite_edge_color(
-    p: BitMatrix, max_colors: int | None = None
-) -> list[list[tuple[int, int]]]:
+def bipartite_edge_color(p: BitMatrix) -> list[list[tuple[int, int]]]:
     """Partition the 1-entries into matchings using Delta colors.
 
     First-fit Kempe-chain coloring, row by row: an edge takes the first
@@ -96,7 +94,6 @@ def bipartite_edge_color(
 
     Args:
         p: bipartite pattern (rows vs columns).
-        max_colors: optional cap; a max degree above the cap is an error.
     """
     digits = [bit_bytes(v) for v in p.ints]
     at_row = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
@@ -104,8 +101,6 @@ def bipartite_edge_color(
     if delta == 0:
         return []
     delta = max(delta, *_column_sums(digits, p.cols))
-    if max_colors is not None and delta > max_colors:
-        raise ValueError(f"max degree {delta} exceeds allowed colors {max_colors}")
     at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
 
     for i, js in enumerate(at_row):
@@ -143,15 +138,12 @@ def color_columns(classes: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.
     return pair_columns(chain.from_iterable(classes), sum(map(len, classes)))
 
 
-def cz_layers(
-    a: list[int], b: list[int], p: BitMatrix, cap: int | None = None
-) -> np.ndarray:
+def cz_layers(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
 
-    A nonzero cap bounds the number of colors (see bipartite_edge_color).
     Ends are ordered as ``cz`` orders them.
     """
-    i, j = color_columns(bipartite_edge_color(p, max_colors=cap or None))
+    i, j = color_columns(bipartite_edge_color(p))
     return cz_block(np.asarray(a)[i], np.asarray(b)[j])
 
 
@@ -170,11 +162,12 @@ def m01_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """The gate array applying exactly the CZs marked in p between rows a and columns b.
 
     Halve p's weights, undo the flips with the two halving rectangles run
-    side by side, then apply the reduced pattern's colored CZ layers.
+    side by side, then apply the reduced pattern's colored CZ layers: its
+    weights bound them to at most max(k/2, m/2).
     """
     hr = halve_weights(p)
     return np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)),
-                           cz_layers(a, b, hr.reduced, max(p.cols // 2, p.rows // 2))])
+                           cz_layers(a, b, hr.reduced)])
 
 
 def synth_m01(a: list[int], b: list[int], p: BitMatrix, n: int | None = None) -> Circuit:

@@ -17,6 +17,8 @@ from .circuit import CNOT, CZ, H, KINDS, X, Z, Circuit
 from .clifford import tableau_of_circuit
 from .gf2 import BitMatrix
 
+PHASE_MAX_QUBITS = 12  # the phase oracle's table has 2**n entries
+
 
 class NotLinearError(ValueError):
     """The circuit does not act as a linear map x -> R x on basis labels."""
@@ -79,7 +81,7 @@ class NotDiagonalError(ValueError):
     """The circuit permutes basis labels, so it has no diagonal phase table."""
 
 
-def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:
+def phase_oracle(c: Circuit) -> np.ndarray:
     """Diagonal phase exponent per input basis label, exhaustively.
 
     Supports CNOT, CZ, X, Z.  The circuit's permutation action on labels
@@ -87,8 +89,8 @@ def phase_oracle(c: Circuit, max_qubits: int = 12) -> np.ndarray:
     stages satisfies this); otherwise phases would not be attributable to
     input labels and a NotDiagonalError (a ValueError) is raised.
     """
-    if c.n > max_qubits:
-        raise ValueError(f"phase oracle limited to {max_qubits} qubits")
+    if c.n > PHASE_MAX_QUBITS:
+        raise ValueError(f"phase oracle limited to {PHASE_MAX_QUBITS} qubits")
     labels = np.arange(1 << c.n, dtype=np.uint32)
     cur = labels.copy()
     phase = np.zeros(labels.shape, dtype=np.uint8)

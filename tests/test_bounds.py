@@ -263,7 +263,7 @@ def test_scans_report_violations_like_a_scalar_reference(monkeypatch):
         formula = bounds.FORMULAS[family]
         depth = orig(family)
         slack = {n: formula.value(n) - int(depth[n]) - BIG - n % 7
-                 for n in BUMPS[family] if formula.lo <= n <= formula.hi}
+                 for n in BUMPS[family] if n >= formula.lo}
         bad = sorted(n for n, s in slack.items() if s < 0)
         assert len(bad) == len(slack)
         expect.append({**golden, "violations": bad[:100], "violation_count": len(bad),

@@ -130,12 +130,20 @@ def test_synth_cz_roundtrip(capsys, tmp_path):
 
 
 def test_synth_cz_strategies(capsys, tmp_path):
-    mat = gen(capsys, tmp_path, "cz", 9, 2, "p.mat")
-    for strategy in ("coloring", "onestep", "twostep"):
+    """A forced strategy is held to its own branch value of cz_branches,
+    not to the automatic bound; below n = 4 synth_cz colors, so the
+    coloring value applies, and n = 1 needs no gate."""
+    assert bounds.cz_branches(9) == (9, 13, 16)
+    cases = [(9, seed, s, b) for seed in (2, 4)
+             for s, b in zip(("coloring", "onestep", "twostep"), (9, 13, 16))]
+    cases += [(128, 1, "coloring", 127), (3, 1, "twostep", 3), (1, 1, "onestep", 0)]
+    for n, seed, strategy, bound in cases:
+        mat = gen(capsys, tmp_path, "cz", n, seed, "p.mat")
         code, out, _ = run(capsys, "synth-cz", "--input", str(mat),
                            "--strategy", strategy, "--out", "-", "--json")
-        assert code == 0
-        assert json.loads(out.splitlines()[-1])["verified"] is True
+        rep = json.loads(out.splitlines()[-1])
+        assert (code, rep["verified"], rep["bound"]) == (0, True, bound)
+        assert rep["depth"] <= bound
 
 
 def test_synth_cnot_exact_and_perm(capsys, tmp_path):

@@ -41,6 +41,8 @@ def test_halving_postconditions(p):
     red = hr.reduced.to_dense()
     assert red.sum(axis=1).max(initial=0) <= p.cols // 2
     assert red.sum(axis=0).max(initial=0) <= p.rows // 2
+    # so the reduced pattern colors in the max(k/2, m/2) layers the depth charges
+    assert len(bipartite_edge_color(hr.reduced)) <= max(p.rows // 2, p.cols // 2)
     # reduced pattern differs from the original exactly by the flipped lines
     recon = red.copy()
     for i in hr.row_flips:
@@ -70,18 +72,6 @@ def test_edge_coloring_is_partition_into_matchings(p):
             assert e not in seen
             seen.add(e)
     assert len(seen) == bits.sum()
-
-
-def test_edge_coloring_respects_cap():
-    p = BitMatrix.from_dense(np.ones((3, 3), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        bipartite_edge_color(p, max_colors=2)
-    assert len(bipartite_edge_color(p, max_colors=3)) == 3
-    # Delta set by a column: 6 x 2 with one full column
-    p = BitMatrix.from_dense(np.array([[1, 0]] * 6, dtype=np.uint8))
-    with pytest.raises(ValueError, match="max degree 6 exceeds allowed colors 5"):
-        bipartite_edge_color(p, max_colors=5)
-    assert len(bipartite_edge_color(p, max_colors=6)) == 6
 
 
 def test_edge_coloring_gives_delta_nonempty_classes():
