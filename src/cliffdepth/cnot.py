@@ -2,19 +2,22 @@
 
 Convention: ``CNOT c t`` maps x_t ^= x_c, so a CNOT circuit acts on the
 state labels as x -> R x for an invertible 0/1 matrix R.  Triangular
-matrices are synthesized by a halving recursion; a general invertible
-matrix is split as permutation * lower * upper via LU decomposition.
+matrices are synthesized by a halving recursion, with base cases up to
+4 x 4; a general invertible matrix is split as permutation * lower *
+upper via LU decomposition.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
 from .circuit import CNOT, EMPTY, H, KINDS, Circuit, asap_finish, gate_block, join
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
 from .patterns import bipartite_edge_color, col_degrees, color_columns, cz_layers, halve_weights
-from .patterns import halving_rectangles
-from .rectangles import rectangle_finish, rectangle_gates
+from .patterns import halving_finish, halving_rectangles
+from .rectangles import rectangle_gates
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -29,6 +32,16 @@ _BASE3 = {
     (0, 1, 1): [(2, 0), (2, 1)],
     (1, 1, 1): [(2, 1), (1, 0)],
 }
+
+# the direct form's (row, column) pairs of each 2x2 block C, indexed by
+# C[0] | C[1] << 2: bipartite_edge_color's classes, in class order
+_BASE4 = (
+    (), ((0, 0),), ((0, 1),), ((0, 0), (0, 1)),
+    ((1, 0),), ((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 0), (0, 0)),
+    ((1, 1),), ((0, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 0), (1, 1), (0, 1)),
+    ((1, 0), (1, 1)), ((1, 0), (0, 0), (1, 1)), ((0, 1), (1, 0), (1, 1)),
+    ((0, 1), (1, 0), (0, 0), (1, 1)),
+)
 
 
 def _direct_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
@@ -45,41 +58,41 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     Hadamards on A and strip them again.  The second is asymptotically
     shallower but loses on small or sparse blocks; ties go to the direct
     form.  The direct form is one matching per color class, so its depth
-    is d, the max degree of C; at d = 1 it is a matching, which nothing
-    beats, so C is not even halved.  The CZ form is the halving rectangles,
-    finishing qubit q at t[q] (T = max t), then the reduced pattern's
-    color classes, so its depth D satisfies
+    is d, the max degree of C.  Some blocks take it without a halving:
+    at d <= 2 no CZ form is shallower, since a depth-1 circuit pairs each
+    qubit with at most one other, and on a block of at most 4 rows and 4
+    columns d <= LB below holds for every pattern.  Otherwise the CZ form
+    is the halving rectangles, finishing position q at t[q] (T = max t),
+    then the reduced pattern's color classes, so its depth D satisfies
     LB = max(T, max_q t[q] + deg(q)) <= D <= T + Delta = UB, with deg and
     Delta taken in the reduced pattern (class c is a matching, so it ends
     by T + c + 1).  If d <= LB the direct form is returned and the reduced
     pattern is never colored; if d > UB the CZ form is, and C is never
     colored.  Only in between is D measured, by continuing the rectangles'
-    schedule over the colored layers.  C is halved once: t[q] and a
-    returned CZ form's rectangle gates come from the same rectangle pairs,
-    and the gates are built only for a returned CZ form.
+    schedule over the colored layers.  t comes from the rectangles'
+    shapes, and their pairs are built only for a returned CZ form.
     """
     if not any(p.ints):
         return EMPTY
     d_direct = max(*(v.bit_count() for v in p.ints), *col_degrees(p))
-    if d_direct == 1:
+    if d_direct <= 2 or (p.rows <= 4 and p.cols <= 4):
         return _direct_gates(a, b, p)
     hr = halve_weights(p)
-    rects = halving_rectangles(a, b, hr)
-    t = [0] * (max(max(a), max(b)) + 1)
-    rectangle_finish(rects, t)
+    t = halving_finish(hr)
     deg = [v.bit_count() for v in hr.reduced.ints + hr.cols]
     top = max(t)
     layers = None
-    if d_direct > max(top, *(t[q] + d for q, d in zip(a + b, deg))):
+    if d_direct > max(top, *map(add, t, deg)):
         layers = cz_layers(a, b, hr.reduced)
         if d_direct <= top + max(deg):  # between the bounds: measure
-            asap_finish(layers, t)
-            if d_direct <= max(t):
+            finish = dict(zip(a + b, t))
+            asap_finish(layers, finish)
+            if d_direct <= max(finish.values()):
                 layers = None
     if layers is None:
         return _direct_gates(a, b, p)
     hs = gate_block(H, a)
-    return np.concatenate([hs, rectangle_gates(rects), layers, hs])
+    return np.concatenate([hs, rectangle_gates(halving_rectangles(a, b, hr)), layers, hs])
 
 
 def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
@@ -96,6 +109,18 @@ def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
         key = (r[0] >> 1 & 1, r[0] >> 2 & 1, r[1] >> 2 & 1)
         if key != (0, 0, 0):
             out.append([(CNOT, qubits[c], qubits[t]) for (c, t) in _BASE3[key]])
+        return
+    if k == 4:
+        # the recursion's 2x2 block C = T^-1 X always takes the direct form,
+        # then come the two halves' k = 2 CNOTs
+        t01, x1 = r[0] >> 1 & 1, r[1] >> 2
+        gates = [(CNOT, qubits[2 + j], qubits[i]) for i, j in _BASE4[(r[0] >> 2 ^ x1 * t01) | x1 << 2]]
+        if t01:
+            gates.append((CNOT, qubits[1], qubits[0]))
+        if r[2] >> 3 & 1:
+            gates.append((CNOT, qubits[3], qubits[2]))
+        if gates:
+            out.append(gates)
         return
     h_ = (k + 1) // 2
     a, b = qubits[:h_], qubits[h_:]

@@ -73,9 +73,15 @@ class BitMatrix:
     def __init__(self, rows: int, cols: int, ints: list[int] | None = None):
         if rows < 1 or cols < 1:
             raise ValueError("BitMatrix dimensions must be positive")
+        if ints is None:
+            ints = [0] * rows
+        elif len(ints) != rows:
+            raise ValueError(f"expected {rows} matrix rows, got {len(ints)}")
+        elif min(ints) < 0 or max(ints) >> cols:
+            raise ValueError(f"matrix rows must be ints in [0, 2**{cols})")
         self.rows = rows
         self.cols = cols
-        self.ints = [0] * rows if ints is None else ints
+        self.ints = ints
 
     # -- constructors ------------------------------------------------------
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, cz_block, pair_columns
 from .gf2 import BitMatrix, bit_bytes, set_bits
-from .rectangles import Pairs, check_qubit_set, rectangle_gates, rectangle_pairs
+from .rectangles import Pairs, check_qubit_set, rectangle_finish, rectangle_gates, rectangle_pairs
 
 
 def col_degrees(p: BitMatrix) -> list[int]:
@@ -147,15 +147,32 @@ def cz_layers(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     return cz_block(np.asarray(a)[i], np.asarray(b)[j])
 
 
-def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pairs]:
-    """The rectangle_pairs of each nonempty rectangle undoing hr's flips:
+def _halving_sides(hr: HalvingResult) -> list[tuple[list[int], list[int]]]:
+    """The row and column positions of each nonempty rectangle undoing hr's flips:
     flipped rows x unflipped columns, then unflipped rows x flipped columns."""
     flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
-    a1 = [a[i] for i in hr.row_flips]
-    a2 = [q for i, q in enumerate(a) if i not in flip_a]
-    b1 = [b[j] for j in hr.col_flips]
-    b2 = [q for j, q in enumerate(b) if j not in flip_b]
-    return [rectangle_pairs(s, u) for s, u in ((a1, b2), (a2, b1)) if s and u]
+    kept_a = [i for i in range(hr.reduced.rows) if i not in flip_a]
+    kept_b = [j for j in range(hr.reduced.cols) if j not in flip_b]
+    return [(s, u) for s, u in ((hr.row_flips, kept_b), (kept_a, hr.col_flips)) if s and u]
+
+
+def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pairs]:
+    """The rectangle_pairs of each nonempty rectangle undoing hr's flips, on rows a and columns b."""
+    return [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
+
+
+def halving_finish(hr: HalvingResult) -> list[int]:
+    """The finish times asap_finish gives, from zero, over the gates of hr's
+    halving rectangles, by position: the rows, then the columns.
+
+    Each rectangle's times are read off its shape, so no pair is built.
+    """
+    k = hr.reduced.rows
+    t = [0] * (k + hr.reduced.cols)
+    for s, u in _halving_sides(hr):
+        for pos, v in zip(s + [k + j for j in u], rectangle_finish(len(s), len(u))):
+            t[pos] = v
+    return t
 
 
 def m01_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:

@@ -9,12 +9,15 @@ total depth 2*max(ceil(log2 k), ceil(log2 m)).
 
 ``rectangle_pairs`` is a rectangle's one schedule, as qubit pairs; its
 two readers are ``rectangle_gates``, which builds the gates of
-rectangles run side by side, and ``rectangle_finish``, which gives
-their ASAP finish times without building a gate.
+rectangles run side by side, and ``rectangle_finish``, which gives the
+ASAP finish times of a rectangle of a given shape without building a
+gate.  A rectangle's schedule depends on its sets only through their
+sizes and orders, so those times are read off the shape.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -101,15 +104,19 @@ def rectangle_gates(rects: list[Pairs]) -> np.ndarray:
     ])
 
 
-def rectangle_finish(rects: list[Pairs], t: list[int]) -> None:
-    """Advance t[q] as asap_finish would over rectangle_gates(rects), building no gate.
+@lru_cache(maxsize=1024)
+def rectangle_finish(s: int, u: int) -> tuple[int, ...]:
+    """The finish times asap_finish gives, from zero, over the gates of the
+    rectangle a x b with |a| = s and |b| = u: a's positions, then b's.
 
-    The rectangles share no qubit, so each runs through on its own.
+    Cached per shape; the blocks of one synthesis bring a few hundred.
     """
-    for trees, middle in rects:
-        for x, y in chain(trees, middle, reversed(trees)):
-            tx, ty = t[x], t[y]
-            t[x] = t[y] = (tx if tx > ty else ty) + 1
+    t = [0] * (s + u)
+    trees, middle = rectangle_pairs(list(range(s)), list(range(s, s + u)))
+    for x, y in chain(trees, middle, reversed(trees)):
+        tx, ty = t[x], t[y]
+        t[x] = t[y] = (tx if tx > ty else ty) + 1
+    return tuple(t)
 
 
 def rectangle_parts(a: list[int], b: list[int]) -> np.ndarray:

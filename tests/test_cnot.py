@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cliffdepth import bounds
-from cliffdepth.circuit import Circuit, Gate, cnot, gate_list, h
+from cliffdepth.circuit import Circuit, Gate, cnot, gate_list, h, join
 from cliffdepth.clifford import random_tableau, synth_clifford, tableau_of_circuit
 from cliffdepth.cnot import (
     EXACT,
     REORDER,
+    _BASE4,
     _block_add_gates,
+    _tri_gates,
     remove_hadamards,
     synth_linear,
     synth_triangular,
@@ -21,6 +23,7 @@ from cliffdepth.gf2 import BitMatrix, random_invertible
 from cliffdepth.patterns import bipartite_edge_color, halve_weights, halving_rectangles, m01_gates
 from cliffdepth.rectangles import rectangle_gates
 from cliffdepth.verify import linear_action
+from cnot_ref import reference_tri_gates
 
 blocks = st.integers(1, 24).flatmap(
     lambda k: st.integers(1, 24).flatmap(
@@ -189,6 +192,76 @@ def test_block_add_matching_is_not_halved(monkeypatch):
         assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
 
 
+def test_small_blocks_never_lose_to_the_cz_form():
+    """Every nonempty pattern of at most 4 rows and 4 columns has d <= LB, so
+    the direct form wins or ties: why such blocks are not halved."""
+    for k in range(1, 5):
+        for m in range(1, 5):
+            a, b = list(range(k)), list(range(k, k + m))
+            bits = np.arange(k * m)
+            for mask in range(1, 1 << (k * m)):
+                c = ((mask >> bits) & 1).astype(np.uint8).reshape(k, m)
+                d = max(c.sum(axis=0).max(), c.sum(axis=1).max())
+                assert d <= cz_form_bounds(a, b, c)[0], c
+
+
+def _degree_two_blocks(rng):
+    """Random blocks up to 24 x 24 of max degree at most 2: ones added in a
+    random order while their row and column hold fewer than two."""
+    for _ in range(300):
+        k, m = (int(v) for v in rng.integers(1, 25, size=2))
+        c = np.zeros((k, m), dtype=np.uint8)
+        for pos in rng.permutation(k * m)[:int(rng.integers(1, 2 * max(k, m) + 1))]:
+            i, j = divmod(int(pos), m)
+            if c[i].sum() < 2 and c[:, j].sum() < 2:
+                c[i, j] = 1
+        yield c
+
+
+def test_block_add_degree_two_is_direct_without_halving(monkeypatch):
+    """Blocks of max degree at most 2 keep what building and measuring both
+    stagings keeps, the direct form, and are not halved."""
+    import cliffdepth.cnot as cnot_mod
+
+    cases = []
+    for c in _degree_two_blocks(np.random.default_rng(83)):
+        k, m = c.shape
+        a, b = list(range(2, 2 + k)), list(range(2 + k, 2 + k + m))
+        want, d_direct, _ = reference_block_add(a, b, c)
+        assert want == direct_gates(a, b, c) and d_direct <= 2
+        cases.append((a, b, c, want))
+    assert {max(c.shape) > 4 and c.sum(axis=1).max() == 2 for *_, c, _ in cases} == {True, False}
+
+    def refuse(p):
+        raise AssertionError("halve_weights called")
+
+    monkeypatch.setattr(cnot_mod, "halve_weights", refuse)
+    for a, b, c, want in cases:
+        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+
+
+def test_base4_table_is_the_edge_coloring():
+    """Each of the 16 2x2 blocks' pairs are bipartite_edge_color's, in class order."""
+    assert len(_BASE4) == 16
+    for key, pairs in enumerate(_BASE4):
+        p = BitMatrix(2, 2, [key & 3, key >> 2])
+        assert list(pairs) == [pair for cl in bipartite_edge_color(p) for pair in cl]
+
+
+def test_tri_gates_base4_matches_the_recursion():
+    """The k = 4 base case gives the gates of halving into a 2x2 block and two
+    k = 2 triangles, on all 64 upper unitriangular 4x4 matrices."""
+    qubits = [1, 4, 5, 9]
+    for mask in range(64):
+        u = np.eye(4, dtype=np.uint8)
+        u[np.triu_indices(4, 1)] = (mask >> np.arange(6)) & 1
+        r = BitMatrix.from_dense(u).ints
+        got, want = [], []
+        _tri_gates(qubits, r, got)
+        reference_tri_gates(qubits, r, want)
+        assert gate_list(join(got)) == gate_list(join(want)), mask
+
+
 def test_synth_linear_builds_no_block_candidates(monkeypatch):
     """Choosing a block's staging builds no Circuit and colors one pattern;
     synth_linear and synth_clifford each build only the Circuit they return."""
@@ -205,13 +278,14 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
                                   when=lambda a, b, c: any(c.ints)))
     m = random_invertible(np.random.default_rng(128), 128)
     c = synth_linear(m, EXACT)
-    assert counts["blocks"] > 100
+    # the 4-qubit triangles' 2x2 blocks are a base case, not blocks
+    assert counts["blocks"] == 61
     assert counts["colorings"] <= counts["blocks"]
     assert counts["circuits"] == 1
     t = random_tableau(np.random.default_rng(129), 64)
     counts.update(circuits=0, blocks=0)
     cliff = synth_clifford(t)
-    assert counts["blocks"] > 50
+    assert counts["blocks"] == 30
     assert counts["circuits"] == 1
     monkeypatch.undo()
     assert linear_action(c) == m
@@ -219,19 +293,19 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
 
 
 def test_synth_linear_halves_each_block_once(monkeypatch):
-    """Each block of max degree at least 2 is halved once, whichever staging
-    it returns; a matching is never halved."""
+    """Each block of more than 4 rows or columns and max degree at least 3 is
+    halved once, whichever staging it returns; no other block is halved."""
     import cliffdepth.cnot as cnot_mod
     import cliffdepth.patterns as patterns_mod
 
-    counts = {"halvings": 0, "blocks": 0, "matchings": 0, "cz form": 0}
+    counts = {"halvings": 0, "blocks": 0, "probed": 0, "cz form": 0}
     block_add = cnot_mod._block_add_gates
 
     def counted_block(a, b, c):
         dense = c.to_dense()
         degree = max(dense.sum(axis=0).max(), dense.sum(axis=1).max())
         counts["blocks"] += bool(degree)
-        counts["matchings"] += bool(degree == 1)
+        counts["probed"] += bool(degree >= 3 and max(c.rows, c.cols) > 4)
         gates = block_add(a, b, c)
         counts["cz form"] += any(g.kind == "CZ" for g in gate_list(gates))
         return gates
@@ -242,8 +316,8 @@ def test_synth_linear_halves_each_block_once(monkeypatch):
     monkeypatch.setattr(cnot_mod, "_block_add_gates", counted_block)
     m = random_invertible(np.random.default_rng(301), 256)
     c = synth_linear(m, EXACT)
-    assert counts["cz form"] > 0 and counts["matchings"] > 0
-    assert counts["halvings"] == counts["blocks"] - counts["matchings"]
+    assert counts["cz form"] > 0 and 0 < counts["probed"] < counts["blocks"]
+    assert counts["halvings"] == counts["probed"]
     monkeypatch.undo()
     assert linear_action(c) == m
 

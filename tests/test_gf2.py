@@ -327,3 +327,18 @@ def test_back_substitute_matches_solve_right(k):
 def test_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("ints, message", [
+    ([1], "expected 2 matrix rows, got 1"),
+    ([1, 2, 0], "expected 2 matrix rows, got 3"),
+    ([1, 6], "matrix rows must be ints in [0, 2**2)"),
+    ([4, 1], "matrix rows must be ints in [0, 2**2)"),
+    ([1, -2], "matrix rows must be ints in [0, 2**2)"),
+])
+def test_bitmatrix_rejects_malformed_rows(ints, message):
+    """A row list of the wrong length, a negative row or a bit at or past cols
+    is refused when the matrix is made, before any reader sees it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BitMatrix(2, 2, ints)
+    assert BitMatrix(2, 2, [3, 0]).to_text() == "2 2\n11\n00\n"

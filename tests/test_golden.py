@@ -97,10 +97,37 @@ def test_synth_linear_golden_n256(mode, digest):
     assert sha(to_text(synth_linear(r, mode))) == digest
 
 
+# Odd sizes, recorded before the triangular recursion took k = 4 as a base
+# case and before small blocks skipped the halving: their leaves of k = 5,
+# 6 and 7 sit beside 4-qubit triangles.
+@pytest.mark.parametrize("n, seed, matrix, exact, reorder", [
+    (37, 23, "d7ad0abcd742e99678cf6e0e581298d0bfc2cebcb5e41fe540f9e165f855c1ba",
+     "69ccdbb473379cd5e247e30f45b442279cecd0040df7f7e292cc4faac0b869d6",
+     "ab3d43af80bc3076381ad7814c704f72825e25849af95486ddf9c7335e75355a"),
+    (100, 24, "773b5712c969643bfe21149aabbb90d21d2269b87f812f2ee9d0170d3255f977",
+     "06e32e4377bc9c7dfb6dbe5e17434c0666f5a19086c064435caaf845ad502fa0",
+     "1a153814a08bf3a01b063807ef2140e111ce297b5b08275c32a31fa58cdea2ca"),
+    (129, 25, "26b2cfa8f88ddd80478f59273509ee1f56bf5804a6406daef999e91489e6001c",
+     "d4657703e2698d8ae510c0d4d155ea6f0ebf4e7ee4eaf3ff8907c4551c1aeb06",
+     "0f4c47a917b20d85b95035e3832e0156a3fb88771ee6de3fff61e56a6f6e1be7"),
+])
+def test_synth_linear_golden_odd_sizes(n, seed, matrix, exact, reorder):
+    r = random_invertible(np.random.default_rng(seed), n)
+    assert sha(r.to_text()) == matrix
+    assert sha(to_text(synth_linear(r, EXACT))) == exact
+    assert sha(to_text(synth_linear(r, REORDER))) == reorder
+
+
 def test_synth_clifford_golden():
     t = random_tableau(np.random.default_rng(31), 32)
     assert sha(to_text(synth_clifford(t))) == (
         "64fd216730ded625a8eac22ca11005871e601b00fcbbd9e5f0dbed5675b4a922")
+
+
+def test_synth_clifford_golden_n77():
+    t = random_tableau(np.random.default_rng(32), 77)
+    assert sha(to_text(synth_clifford(t))) == (
+        "8adc628dd777424bc74299271d68352827848d926002a53082639eb0ee2e32a0")
 
 
 def layers_digest(layers) -> str:

@@ -10,12 +10,12 @@ from cliffdepth.patterns import (
     bipartite_edge_color,
     col_degrees,
     halve_weights,
+    halving_finish,
     halving_rectangles,
     synth_m01,
 )
 from cliffdepth.rectangles import (
     check_qubit_set,
-    rectangle_finish,
     rectangle_gates,
     rectangle_parts,
     tree_layers,
@@ -145,9 +145,10 @@ def _rectangle_kinds(a, b, hr):
                 yield "equal" if len(tree_layers(s)) == len(tree_layers(u)) else "unequal"
 
 
-def test_rectangle_finish_matches_asap_over_halving_rectangles():
-    """The gate-free finish times equal asap_finish over the halving
-    rectangles' gates, on 1x1 rectangles and on equal and unequal tree depths."""
+def test_halving_finish_matches_asap_over_halving_rectangles():
+    """The finish times read off the rectangles' shapes equal asap_finish, from
+    zero, over the halving rectangles' gates, position by position, on 1x1
+    rectangles and on equal and unequal tree depths."""
     rng = np.random.default_rng(13)
     kinds = set()
     for _ in range(400):
@@ -155,13 +156,10 @@ def test_rectangle_finish_matches_asap_over_halving_rectangles():
         p = BitMatrix.from_dense(rng.random((k, m)) < rng.random())
         qubits = [int(q) for q in rng.permutation(k + m + 5)]
         a, b = qubits[:k], qubits[k:k + m]
-        start = [int(v) for v in rng.integers(0, 3, size=k + m + 5)]
-        want = list(start)
         hr = halve_weights(p)
+        want = dict.fromkeys(a + b, 0)
         asap_finish(rectangle_gates(halving_rectangles(a, b, hr)), want)
-        got = list(start)
-        rectangle_finish(halving_rectangles(a, b, hr), got)
-        assert got == want
+        assert halving_finish(hr) == [want[q] for q in a + b]
         kinds.update(_rectangle_kinds(a, b, hr))
     assert kinds == {"1x1", "equal", "unequal"}
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdepth.circuit import Circuit, cz, gate_list
+from cliffdepth.circuit import Circuit, asap_finish, cz, gate_list
 from cliffdepth.rectangles import (
     check_qubit_set,
     parity_tree,
+    rectangle_finish,
+    rectangle_gates,
     rectangle_pairs,
     rectangle_parts,
     synth_rectangle,
@@ -102,6 +104,17 @@ def test_rectangle_depth_bound():
 def test_rectangle_4x5_depth_exactly_6():
     circ = synth_rectangle(list(range(4)), list(range(4, 9)))
     assert circ.two_qubit_depth() == 6
+
+
+def test_rectangle_finish_matches_asap_for_every_shape():
+    """The per-shape finish times equal asap_finish, from zero, over the
+    rectangle's gates, for every shape up to 40 x 40."""
+    for k in range(1, 41):
+        for m in range(1, 41):
+            a, b = list(range(k)), list(range(k, k + m))
+            want = [0] * (k + m)
+            asap_finish(rectangle_gates([rectangle_pairs(a, b)]), want)
+            assert rectangle_finish(k, m) == tuple(want), (k, m)
 
 
 def test_rectangle_overlap_rejected():
