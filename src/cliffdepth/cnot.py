@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import CNOT, EMPTY, H, KINDS, Circuit, asap_finish, gate_block, join
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
-from .patterns import bipartite_edge_color, col_degrees, color_columns, cz_layers, halve_weights
+from .patterns import bipartite_edge_color, cz_layers, halve_weights, max_col_degree
 from .patterns import halving_finish, halving_rectangles
 from .rectangles import rectangle_gates
 
@@ -34,7 +34,7 @@ _BASE3 = {
 }
 
 # the direct form's (row, column) pairs of each 2x2 block C, indexed by
-# C[0] | C[1] << 2: bipartite_edge_color's classes, in class order
+# C[0] | C[1] << 2: bipartite_edge_color's (rows, cols) arrays, zipped
 _BASE4 = (
     (), ((0, 0),), ((0, 1),), ((0, 0), (0, 1)),
     ((1, 0),), ((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 0), (0, 0)),
@@ -46,7 +46,7 @@ _BASE4 = (
 
 def _direct_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """x_A += C x_B for the block C = p, one matching of CNOTs per color class of C."""
-    i, j = color_columns(bipartite_edge_color(p))
+    i, j = bipartite_edge_color(p)
     return gate_block(CNOT, np.asarray(b)[j], np.asarray(a)[i])
 
 
@@ -74,7 +74,7 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     """
     if not any(p.ints):
         return EMPTY
-    d_direct = max(*(v.bit_count() for v in p.ints), *col_degrees(p))
+    d_direct = max(*(v.bit_count() for v in p.ints), max_col_degree(p))
     if d_direct <= 2 or (p.rows <= 4 and p.cols <= 4):
         return _direct_gates(a, b, p)
     hr = halve_weights(p)

@@ -4,25 +4,53 @@ The halving step complements rows/columns until every row weight is at
 most m/2 and every column weight at most k/2; the complement corrections
 are two parallel rectangles, and the reduced pattern is scheduled as CZ
 layers given by a bipartite edge coloring with max-degree many colors.
+The coloring hands its classes on as two index arrays, the rows and the
+columns of the pairs, class after class, and the emitters index their
+qubit lists with them.
 A k x m pattern is a k x m ``gf2.BitMatrix``: bit j of row i marks CZ(a_i, b_j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain, compress, count, zip_longest
 from operator import add
 
 import numpy as np
 
-from .circuit import Circuit, cz_block, pair_columns
+from .circuit import Circuit, cz_block
 from .gf2 import BitMatrix, bit_bytes, set_bits
 from .rectangles import Pairs, check_qubit_set, rectangle_finish, rectangle_gates, rectangle_pairs
 
 
-def col_degrees(p: BitMatrix) -> list[int]:
-    """The number of ones in each column of p."""
-    return _column_sums([bit_bytes(v) for v in p.ints], p.cols)
+def max_col_degree(p: BitMatrix) -> int:
+    """The largest number of ones in a column of p.
+
+    The rows are counted on ints, in planes: plane b holds bit b of every
+    column's count.  Rows come in pairs; a carry-save step adds a pair into
+    plane 0 and ripples the pair's carry up from plane 1.  The largest
+    count has the top plane's bit; below it, bit b is set when a column
+    that matched every higher bit so far has it.
+    """
+    planes = [0]
+    rows = iter(p.ints)
+    for x, y in zip_longest(rows, rows, fillvalue=0):
+        ones = planes[0]
+        u = ones ^ x
+        planes[0] = u ^ y
+        carry = (ones & x) | (u & y)
+        for b in range(1, len(planes)):
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    alive, degree = -1, 0
+    for b in reversed(range(len(planes))):
+        if alive & planes[b]:
+            alive &= planes[b]
+            degree |= 1 << b
+    return degree
 
 
 def _column_sums(digits: list[bytes], m: int) -> list[int]:
@@ -80,26 +108,24 @@ def halve_weights(p: BitMatrix) -> HalvingResult:
     return HalvingResult(BitMatrix(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
 
 
-def bipartite_edge_color(p: BitMatrix) -> list[list[tuple[int, int]]]:
-    """Partition the 1-entries into matchings using Delta colors.
+def _color_table(p: BitMatrix) -> list[list[int]]:
+    """Each row's color -> column list, -1 where the row lacks the color, of a
+    first-fit Kempe-chain coloring with Delta colors.
 
-    First-fit Kempe-chain coloring, row by row: an edge takes the first
-    color fi free at its row; if fi is taken at the column, fi and the
-    column's first free color fj are swapped along the maximal alternating
-    path from the column.  That path enters rows by fi-edges, so it never
-    reaches the row being filled, where fi is free: the row's t-th edge
-    takes color t, so the row's columns, padded with -1 to Delta, become
-    its color -> column list once the row is done.  Each column keeps a
-    color -> row list, and its first free color is its first -1.
-
-    Args:
-        p: bipartite pattern (rows vs columns).
+    Rows are filled in order: an edge takes the first color fi free at its
+    row; if fi is taken at the column, fi and the column's first free
+    color fj are swapped along the maximal alternating path from the
+    column.  That path enters rows by fi-edges, so it never reaches the
+    row being filled, where fi is free: the row's t-th edge takes color t,
+    so the row's columns, padded with -1 to Delta, become its color ->
+    column list once the row is done.  Each column keeps a color -> row
+    list, and its first free color is its first -1.
     """
     digits = [bit_bytes(v) for v in p.ints]
     at_row = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
     delta = max(map(len, at_row))
     if delta == 0:
-        return []
+        return at_row
     delta = max(delta, *_column_sums(digits, p.cols))
     at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
 
@@ -127,23 +153,34 @@ def bipartite_edge_color(p: BitMatrix) -> list[list[tuple[int, int]]]:
                         break
             col[fi] = i
         js += [-1] * (delta - len(js))  # now the row's color -> col table
-
-    # a vertex of degree Delta holds every color, so no class is empty
-    return [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*at_row)]
+    return at_row
 
 
-def color_columns(classes: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
-    """The first and second entries of the pairs in classes of pairs (bipartite_edge_color's
-    rows i and columns j), class after class."""
-    return pair_columns(chain.from_iterable(classes), sum(map(len, classes)))
+def bipartite_edge_color(p: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the 1-entries into Delta matchings, as (rows, cols): two int64
+    arrays of the pairs (i, j), class after class, rows ascending in a class.
+
+    The classes are color 0 first, of _color_table's first-fit Kempe-chain
+    coloring.  A vertex of degree Delta holds every color, so no class is
+    empty; an all-zero p gives two empty arrays.
+
+    Args:
+        p: bipartite pattern (rows vs columns).
+    """
+    table = _color_table(p)
+    k, delta = len(table), len(table[0])
+    t = np.fromiter(chain.from_iterable(table), np.int64, k * delta).reshape(k, delta)
+    colors, rows = np.nonzero(t.T >= 0)
+    return rows, t[rows, colors]
 
 
 def cz_layers(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
-    """CZ(a[i], b[j]) for every one of p, one edge-color matching per layer.
+    """CZ(a[i], b[j]) for every pair (i, j) of bipartite_edge_color(p)'s arrays,
+    so one edge-color matching per layer.
 
     Ends are ordered as ``cz`` orders them.
     """
-    i, j = color_columns(bipartite_edge_color(p))
+    i, j = bipartite_edge_color(p)
     return cz_block(np.asarray(a)[i], np.asarray(b)[j])
 
 

