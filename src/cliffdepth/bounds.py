@@ -1,6 +1,10 @@
 """Depth recursion tables, closed-form bounds, and range validation.
 
-Tables are filled bottom-up into flat int64 arrays over n = 1..1,345,000.
+Tables are flat int64 arrays over n = 1..1,345,000, filled bottom-up in runs
+of h = ceil(n / 2), with one int ceil(log2 h) per run.  For n >= 4 the
+recursions read n only through h (ceil(log2 n) = ceil(log2 h) + 1), so sizes
+2h - 1 and 2h share an entry, and the Clifford merge saving (the depth of the
+trees either recursive CZ branch opens with) is ceil(log2 n) - 2.
 Closed forms are evaluated in double precision with a near-integer guard:
 values within 1e-6 of an integer are re-evaluated in high precision before
 flooring.
@@ -25,8 +29,10 @@ COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
 # CZ branches in tie-break order; argmin arrays hold indices into this
 BRANCHES = (COLORING, ONESTEP, TWOSTEP)
 
+_RUN = 1 << 14  # values per run of a table fill or scan; its buffers stay in cache
+
 _tables: dict[str, np.ndarray] = {}
-_cz_argmin: dict[str, np.ndarray] = {}  # per CZ family, as long as its table
+_cz_argmin: dict[str, np.ndarray] = {}  # CZ family only, as long as its table
 
 
 def ceil_log2(n):
@@ -44,58 +50,68 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
-def _cz_branch_values(n, d: np.ndarray):
-    """Coloring, one-step and two-step CZ depths at size n.
+def _cz_branch_values(h, d: np.ndarray, c):
+    """Coloring, one-step and two-step CZ depths at both sizes 2h - 1 and 2h.
 
-    n is a positive int or int64 array; d is the CZ table filled up to
-    ceil(n / 2).  Below n = 4 only the coloring value is a construction.
+    h >= 2 is an int or int64 array, c = ceil(log2 h), and d is the CZ table
+    filled up to h.  A caller that takes two values skips the two-step one.
     """
-    h = (n + 1) // 2
-    q = (h + 1) // 2
-    coloring = n - 1 + n % 2
-    onestep = d[h] + h // 2 + 2 * (ceil_log2(n) - 1)
-    twostep = d[q] + h // 2 + q // 2 + 2 * ceil_log2(q) + 6
-    return coloring, onestep, twostep
+    yield 2 * h - 1
+    half = h >> 1
+    yield d[h] + (half + 2 * c)
+    q = h - half
+    yield d[q] + (half + (q >> 1) + (2 * c + 4))
 
 
-def _blocks(n_max: int):
-    """(lo, n) for runs n = lo, lo + 1, ... covering 4..n_max in order.
+def _runs(n_max: int):
+    """(h, c) for runs of h = ceil(n / 2) covering n = 5..n_max, in order.
 
-    Each run holds at most 2**16 sizes and lies inside one block (m, 2m]
-    with m = 3, 6, 12, ...; every ceil(n / 2) in it is at most m, so a
-    bottom-up fill evaluates the whole run at once.  Short runs keep the
-    temporaries of that evaluation small.
+    A run holds at most _RUN values inside one (2**(c-1), 2**c], so c =
+    ceil(log2 h) is one int; it reads sizes up to 2**c and writes sizes
+    above, so a bottom-up fill evaluates the whole run at once.
     """
-    run = 1 << 16
-    m = 3
-    while m < n_max:
-        hi = min(n_max, 2 * m)
-        for lo in range(m + 1, hi + 1, run):
-            yield lo, np.arange(lo, min(hi + 1, lo + run), dtype=np.int64)
-        m = hi
+    lo, top = 3, (n_max + 1) // 2
+    while lo <= top:
+        c = ceil_log2(lo)
+        hi = min(top, 1 << c, lo + _RUN - 1)
+        yield np.arange(lo, hi + 1, dtype=np.int64), c
+        lo = hi + 1
 
 
-def _fill_cz(n_max: int, with_twostep: bool) -> tuple[np.ndarray, np.ndarray]:
-    """CZ depth table and argmin branch per size (coloring below 4)."""
-    d = np.zeros(max(n_max, 3) + 1, dtype=np.int64)
-    d[2], d[3] = 1, 3
+def _store(t: np.ndarray, h: np.ndarray, v: np.ndarray) -> None:
+    """Write a run's values v to t at both sizes 2h - 1 and 2h."""
+    t[2 * h[0] - 1: 2 * h[-1]: 2] = t[2 * h[0]: 2 * h[-1] + 1: 2] = v
+
+
+def _base(n_max: int, d3: int) -> np.ndarray:
+    """Zeroed table with room for 2h at every h, holding d[2..4] (d[4] = 3 in every family)."""
+    d = np.zeros(2 * max((n_max + 1) // 2, 2) + 1, dtype=np.int64)
+    d[2:5] = 1, d3, 3
+    return d
+
+
+def _fill_cz(n_max: int, with_twostep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """CZ depth table, and with the two-step branch the argmin branch per size."""
+    d = _base(n_max, 3)
     argmin = np.zeros(len(d), dtype=np.int8)
-    for lo, n in _blocks(n_max):
-        values = _cz_branch_values(n, d)[: 3 if with_twostep else 2]
-        best = np.minimum.reduce(values)
-        d[lo: lo + len(n)] = best
-        # np.select takes the first match, so ties go to the earlier branch
-        argmin[lo: lo + len(n)] = np.select([v == best for v in values], range(len(values)))
-    return d[: n_max + 1], argmin[: n_max + 1]
+    for h, c in _runs(n_max):
+        branches = _cz_branch_values(h, d, c)
+        coloring, onestep = next(branches), next(branches)
+        best = np.minimum(coloring, onestep)
+        if with_twostep:
+            twostep = next(branches)
+            # strict < keeps the first branch at the minimum
+            _store(argmin, h, np.maximum(onestep < coloring, (twostep < best) * np.int8(2)))
+            np.minimum(best, twostep, out=best)
+        _store(d, h, best)
+    return d[: n_max + 1], (argmin[: n_max + 1] if with_twostep else None)
 
 
 def _fill_cnot(n_max: int, first_branch_only: bool) -> np.ndarray:
-    d = np.zeros(max(n_max, 3) + 1, dtype=np.int64)
-    d[2], d[3] = 1, 2
-    for lo, n in _blocks(n_max):
-        h = (n + 1) // 2
-        cost = h if first_branch_only else np.minimum(h, h // 2 + 2 * ceil_log2(h))
-        d[lo: lo + len(n)] = d[h] + cost
+    d = _base(n_max, 2)
+    for h, c in _runs(n_max):
+        cost = h if first_branch_only else np.minimum(h, (h >> 1) + 2 * c)
+        _store(d, h, d[h] + cost)
     return d[: n_max + 1]
 
 
@@ -104,8 +120,10 @@ def get_table(family: str, n_max: int = N_MAX) -> np.ndarray:
     cached = _tables.get(family)
     if cached is not None and len(cached) > n_max:
         return cached
-    if family in (CZ, CZ_BASIC):
-        t, _cz_argmin[family] = _fill_cz(n_max, with_twostep=family == CZ)
+    if family == CZ:
+        t, _cz_argmin[CZ] = _fill_cz(n_max, with_twostep=True)
+    elif family == CZ_BASIC:
+        t = _fill_cz(n_max, with_twostep=False)[0]
     elif family in (CNOT, CNOT_FIRST):
         t = _fill_cnot(n_max, first_branch_only=family == CNOT_FIRST)
     elif family == CLIFFORD:
@@ -126,10 +144,10 @@ def cz_branches(n: int) -> tuple[int, int | None, int | None]:
     """The three Eq-style branch values for the CZ recursion at size n."""
     if n < 2:
         raise ValueError("branches defined for n >= 2")
-    b1, b2, b3 = _cz_branch_values(n, get_table(CZ, n))
+    h = (n + 1) // 2
     if n < 4:
-        return b1, None, None
-    return b1, int(b2), int(b3)
+        return 2 * h - 1, None, None
+    return tuple(map(int, _cz_branch_values(h, get_table(CZ, n), ceil_log2(h))))
 
 
 def cz_choice(n: int) -> str:
@@ -139,38 +157,23 @@ def cz_choice(n: int) -> str:
     return BRANCHES[cz_argmin(n)[n]]
 
 
-def _merge_saving(n, argmin):
-    """Depth saved by folding the top CZ stage's leading trees into -CX-.
-
-    n is an int or an int64 array, argmin the matching branch indices.
-    One-step opens with trees of depth ceil(log2(n/2)) - 1, two-step with
-    trees of depth ceil(log2 q) over its quarters.
-    """
-    q = ((n + 1) // 2 + 1) // 2
-    # 1 and 2 index ONESTEP and TWOSTEP in BRANCHES
-    return (argmin == 1) * (ceil_log2(n) - 2) + (argmin == 2) * ceil_log2(q)
-
-
 def merge_saving(n: int) -> int:
     """Depth saved by folding the top CZ stage's leading trees into -CX-."""
-    if n < 4:
+    if n < 4 or not cz_argmin(n)[n]:
         return 0
-    return int(_merge_saving(n, int(cz_argmin(n)[n])))
+    return ceil_log2(n) - 2
 
 
 def _clifford_composed(n_max: int) -> np.ndarray:
     """Composed 11-stage depth: 2*cz + (2*cnot + 6) - merge saving."""
-    dcz = get_table(CZ, n_max)[: n_max + 1]
-    dcx = get_table(CNOT, n_max)[: n_max + 1]
-    argmin = cz_argmin(n_max)
-    out = dcz + dcx
+    out = get_table(CZ, n_max)[: n_max + 1] + get_table(CNOT, n_max)[: n_max + 1]
     out *= 2
     out += 6
-    for lo, n in _blocks(n_max):  # the saving is 0 below 4
-        out[lo: lo + len(n)] -= _merge_saving(n, argmin[lo: lo + len(n)])
-    out[0] = 0
-    if n_max >= 1:
-        out[1] = 2 * int(dcz[1]) + 2 * int(dcx[1])
+    argmin = cz_argmin(n_max)
+    for h, c in _runs(n_max):  # a recursive branch saves ceil(log2 n) - 2 = c - 1
+        a, b = 2 * h[0] - 1, min(2 * h[-1], n_max) + 1
+        out[a:b] -= (argmin[a:b] != 0) * (c - 1)
+    out[:2] = 0
     return out
 
 
@@ -263,9 +266,6 @@ def prior_art_bound(family: str, n: int) -> int:
         # layered decomposition (see README); not a published curve
         return 2 * prior_art_bound(CZ, n) + 2 * prior_art_bound(CNOT, n) + 6
     raise ValueError(f"unknown family {family!r}")
-
-
-_RUN = 1 << 14  # sizes per closed-form scan run; its float buffers stay in cache
 
 
 @dataclass

@@ -159,12 +159,6 @@ class BitMatrix:
             s >>= 1
         return BitMatrix(self.cols, self.rows, a[:self.cols])
 
-    def is_upper_triangular(self) -> bool:
-        return all(v & ((1 << i) - 1) == 0 for i, v in enumerate(self.ints))
-
-    def is_lower_triangular(self) -> bool:
-        return all(v >> (i + 1) == 0 for i, v in enumerate(self.ints))
-
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) product: row i of a @ b is the xor of the rows of b that row i of a selects.

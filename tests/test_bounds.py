@@ -11,6 +11,9 @@ import pytest
 import cliffdepth
 from cliffdepth import bounds
 
+from bounds_ref import (reference_cz_branches, reference_cz_choice, reference_merge_saving,
+                        reference_tables)
+
 
 def test_ceil_log2():
     assert bounds.ceil_log2(1) == 0
@@ -152,6 +155,61 @@ def test_emit_comparison_csv():
     assert cliff.splitlines()[0].startswith("#")
     with pytest.raises(ValueError):
         bounds.emit_comparison_csv("nope", 2, 3)
+
+
+TABLE_FAMILIES = (bounds.CZ, bounds.CZ_BASIC, bounds.CNOT, bounds.CNOT_FIRST, bounds.CLIFFORD)
+# every n_max from 1 to 140; around each power of two and each old run edge
+# 3 * 2**k, odd sizes included; and the top of the range
+REF_N_MAX = sorted({*range(1, 141), bounds.N_MAX - 1, bounds.N_MAX, *(
+    v for k in range(bounds.N_MAX.bit_length())
+    for v in (2 ** k - 1, 2 ** k, 2 ** k + 1, 3 * 2 ** k, 3 * 2 ** k + 1)
+    if 1 <= v <= bounds.N_MAX)})
+
+
+def _fresh_tables(monkeypatch, n_max):
+    """All five tables and the CZ argmin, filled from empty caches at n_max."""
+    monkeypatch.setattr(bounds, "_tables", {})
+    monkeypatch.setattr(bounds, "_cz_argmin", {})
+    got = {fam: bounds.get_table(fam, n_max) for fam in TABLE_FAMILIES}
+    got["cz-argmin"] = bounds.cz_argmin(n_max)
+    return got
+
+
+def test_tables_match_reference_fill(monkeypatch):
+    for n_max in REF_N_MAX:
+        want = reference_tables(n_max)
+        got = _fresh_tables(monkeypatch, n_max)
+        assert got.keys() == want.keys()
+        for key, table in got.items():
+            assert table.dtype == want[key].dtype, (key, n_max)
+            assert np.array_equal(table, want[key]), (key, n_max)
+
+
+def test_scalar_helpers_match_reference():
+    want = reference_tables(5000)
+    for n in range(2, 5001):
+        assert bounds.cz_branches(n) == reference_cz_branches(n, want)
+        assert bounds.merge_saving(n) == reference_merge_saving(n, want)
+        assert bounds.cz_choice(n) == reference_cz_choice(n, want)
+
+
+def test_tables_agree_at_both_sizes_of_each_half():
+    """For h >= 3, sizes 2h - 1 and 2h share every table entry and the argmin."""
+    for table in (*(bounds.get_table(fam) for fam in TABLE_FAMILIES), bounds.cz_argmin()):
+        odd, even = table[5::2], table[6::2]
+        assert np.array_equal(odd[: len(even)], even)
+
+
+def test_merge_saving_is_one_term():
+    """For n >= 4 the saving is ceil(log2 n) - 2 under either recursive branch."""
+    n = np.arange(4, bounds.N_MAX + 1, dtype=np.int64)
+    saving = (bounds.cz_argmin()[4:] != 0) * (bounds.ceil_log2(n) - 2)
+    dcz, dcx = bounds.get_table(bounds.CZ)[4:], bounds.get_table(bounds.CNOT)[4:]
+    assert np.array_equal(bounds.get_table(bounds.CLIFFORD)[4:], 2 * dcz + 2 * dcx + 6 - saving)
+    sampled = np.random.default_rng(26).integers(3000, bounds.N_MAX + 1, 500).tolist()
+    for k in [*range(4, 3000), *sampled]:
+        expect = (bounds.cz_choice(k) != bounds.COLORING) * (bounds.ceil_log2(k) - 2)
+        assert bounds.merge_saving(k) == expect == saving[k - 4]
 
 
 def test_basic_cz_table_never_below_full():

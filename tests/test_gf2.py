@@ -179,8 +179,9 @@ def test_lu_reconstruction():
         rd = r.to_dense()
         for i in range(n):
             assert np.array_equal(prod[i], rd[int(perm.map[i])])
-        assert low.is_lower_triangular()
-        assert up.is_upper_triangular()
+        # bit j of row i is entry (i, j)
+        assert all(v >> (i + 1) == 0 for i, v in enumerate(low.ints))
+        assert all(v & ((1 << i) - 1) == 0 for i, v in enumerate(up.ints))
 
 
 def test_random_invertible_matches_dense_formula():
