@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds
 from .circuit import KINDS, Circuit, from_text, to_qasm2, to_text
 from .clifford import CliffordTableau, random_tableau, synth_clifford, tableau_of_circuit
-from .cnot import EXACT, REORDER, remove_hadamards, synth_linear
+from .cnot import EXACT, REORDER, synth_linear
 from .cz import CzSpec, synth_cz
 from .gf2 import BitMatrix, random_invertible
 from .verify import (PHASE_MAX_QUBITS, NotDiagonalError, NotLinearError, cz_pattern_phases,
@@ -129,8 +129,6 @@ def _cmd_synth(args) -> int:
     elif args.family == bounds.CNOT:
         ref = BitMatrix.from_text(text)
         circ = synth_linear(ref, EXACT if args.mode == "exact" else REORDER)
-        if args.cnot_only:
-            circ = remove_hadamards(circ)
     else:
         ref = CliffordTableau.from_text(text)
         circ = synth_clifford(ref)
@@ -232,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth-cnot", help="synthesize a linear reversible matrix")
     add_common(sp)
     sp.add_argument("--mode", choices=("exact", "perm"), default="exact")
-    sp.add_argument("--cnot-only", action="store_true",
-                    help="strip Hadamard-conjugated stages to pure CNOTs")
     sp.set_defaults(fn=_cmd_synth, family=bounds.CNOT)
 
     sp = sub.add_parser("synth-clifford", help="synthesize a Clifford tableau")

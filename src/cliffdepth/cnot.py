@@ -51,17 +51,19 @@ def _direct_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
 
 
 def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
-    """The gate array realizing x_A += C x_B, for the block C = p, in the shallower of two stagings.
+    """The CNOT gate array realizing x_A += C x_B, for the block C = p, in the
+    shallower of two stagings.
 
     Either schedule the commuting CNOTs (control in B, target in A)
-    directly via edge coloring, or conjugate a CZ-pattern circuit for C by
-    Hadamards on A and strip them again.  The second is asymptotically
-    shallower but loses on small or sparse blocks; ties go to the direct
-    form.  The direct form is one matching per color class, so its depth
-    is d, the max degree of C.  Some blocks take it without a halving:
-    at d <= 2 no CZ form is shallower, since a depth-1 circuit pairs each
-    qubit with at most one other, and on a block of at most 4 rows and 4
-    columns d <= LB below holds for every pattern.  Otherwise the CZ form
+    directly via edge coloring, or take a CZ-pattern circuit for C
+    conjugated by Hadamards on A, rewritten gate by gate as CNOTs.  The
+    second is asymptotically shallower but loses on small or sparse
+    blocks; ties go to the direct form.  The direct form is one matching
+    per color class, so its depth is d, the max degree of C.  Some blocks
+    take it without a halving: at d <= 2 no CZ form is shallower, since a
+    depth-1 circuit pairs each qubit with at most one other, and on a
+    block of at most 4 rows and 4 columns d <= LB below holds for every
+    pattern.  Otherwise the CZ form
     is the halving rectangles, finishing position q at t[q] (T = max t),
     then the reduced pattern's color classes, so its depth D satisfies
     LB = max(T, max_q t[q] + deg(q)) <= D <= T + Delta = UB, with deg and
@@ -91,8 +93,14 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
                 layers = None
     if layers is None:
         return _direct_gates(a, b, p)
-    hs = gate_block(H, a)
-    return np.concatenate([hs, rectangle_gates(halving_rectangles(a, b, hr)), layers, hs])
+    # H on A around the CZ form, pushed through it: every gate becomes a CNOT,
+    # with its ends swapped when its first end is in A (a tree CNOT inside A
+    # flips, CZ(a, b) becomes CNOT(b, a), a CNOT inside B stays)
+    g = np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)), layers])
+    flip = np.isin(g[:, 1], a)
+    g[flip, 1:] = g[flip, :0:-1]
+    g[:, 0] = CNOT
+    return g
 
 
 def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
@@ -133,12 +141,7 @@ def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
 
 
 def synth_triangular(r: BitMatrix) -> Circuit:
-    """Circuit over {CNOT, CZ, H} for an upper-triangular invertible matrix.
-
-    Block-add stages that route through a CZ pattern keep their literal
-    Hadamard-conjugated form; run the result through remove_hadamards for
-    a CNOT-only circuit of identical two-qubit count and depth.
-    """
+    """CNOT circuit for an upper-triangular invertible matrix."""
     if r.rows != r.cols:
         raise ValueError("matrix must be square")
     if any(v & ((2 << i) - 1) != 1 << i for i, v in enumerate(r.ints)):
@@ -148,17 +151,24 @@ def synth_triangular(r: BitMatrix) -> Circuit:
     return Circuit(r.rows, join(out))
 
 
-def _strip_hadamards(gates: np.ndarray, n: int) -> np.ndarray:
-    """The gates of remove_hadamards, for a gate array on n qubits.
+def remove_hadamards(c: Circuit) -> Circuit:
+    """Strip H gates by propagating them through CNOT/CZ.
+
+    Tracks an H parity per qubit.  A CNOT with both ends conjugated flips
+    control and target; a CZ with exactly one end conjugated becomes a
+    CNOT controlled on the bare end.  Other combinations (and any other
+    single-qubit gate) have no CNOT-only rewrite and raise ValueError.
+    All H parities must cancel by the end of the circuit.  The output
+    keeps the input's ``perm``.
 
     A two-qubit gate's end is conjugated when an odd number of earlier H
     gates act on it; the earlier H gates on a qubit are counted by
     searching the H gates, sorted by qubit and then by position.
     """
-    kind, a, b = gates.T
+    kind, a, b = c.array.T
     is_h = kind == H
     two = np.flatnonzero(kind < 2)
-    stride = len(gates) + 1
+    stride = len(kind) + 1
     keys = np.sort(a[is_h] * stride + np.flatnonzero(is_h))
 
     def parity(q: np.ndarray) -> np.ndarray:
@@ -176,25 +186,13 @@ def _strip_hadamards(gates: np.ndarray, n: int) -> np.ndarray:
         if kind[first] < 2:
             raise ValueError("CZ needs exactly one conjugated end")
         raise ValueError(f"cannot remove H around {KINDS[kind[first]]} gate")
-    if (np.bincount(a[is_h], minlength=n) & 1).any():
+    if (np.bincount(a[is_h], minlength=c.n) & 1).any():
         raise ValueError("unmatched H gates remain")
     # a CNOT with both ends conjugated flips, and a CZ becomes a CNOT
     # controlled on its bare end: a gate flips exactly when a is conjugated
     flip = pa.astype(bool)
-    return gate_block(CNOT, np.where(flip, qb, qa), np.where(flip, qa, qb))
-
-
-def remove_hadamards(c: Circuit) -> Circuit:
-    """Strip H gates by propagating them through CNOT/CZ.
-
-    Tracks an H parity per qubit.  A CNOT with both ends conjugated flips
-    control and target; a CZ with exactly one end conjugated becomes a
-    CNOT controlled on the bare end.  Other combinations (and any other
-    single-qubit gate) have no CNOT-only rewrite and raise ValueError.
-    All H parities must cancel by the end of the circuit.  The output
-    keeps the input's ``perm``.
-    """
-    return Circuit(c.n, _strip_hadamards(c.array, c.n), perm=c.perm)
+    gates = gate_block(CNOT, np.where(flip, qb, qa), np.where(flip, qa, qb))
+    return Circuit(c.n, gates, perm=c.perm)
 
 
 EXACT = "exact"
@@ -212,11 +210,11 @@ def _linear_gates(r: BitMatrix, mode: str, out: list) -> Permutation | None:
     n = r.rows
     perm, low, up = lu_decompose(r)
     _tri_gates(list(range(n)), up.ints, out)
-    # lower factor: synthesize the transpose (upper triangular), strip its
-    # H-conjugated stages, then reverse with controls and targets flipped
+    # lower factor: synthesize the transpose (upper triangular), then
+    # reverse it with controls and targets swapped
     lower: list = []
     _tri_gates(list(range(n)), low.transpose().ints, lower)
-    out.append(_transpose_trick(_strip_hadamards(join(lower), n)))
+    out.append(_transpose_trick(join(lower)))
     if mode == REORDER:
         return perm
     swaps = [pair for layer in perm_to_transposition_layers(perm) for pair in layer]

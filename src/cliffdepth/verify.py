@@ -1,8 +1,8 @@
 """Independent correctness oracles.
 
 These deliberately avoid the synthesis code paths: the linear oracle
-replays gates on the rows of an identity matrix, kept as Python ints (a
-circuit outside the form it replays is read from its tableau), the
+replays CNOTs on the rows of an identity matrix, kept as Python ints (a
+circuit with any other gate is read from its tableau), the
 phase oracle tracks the diagonal action over all basis labels, and
 tableau equality compares the simulator's bit columns.  Convention used
 throughout: circuits act left to right, so
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import CNOT, CZ, H, KINDS, X, Z, Circuit
+from .circuit import CNOT, CZ, KINDS, X, Z, Circuit
 from .clifford import tableau_of_circuit
 from .gf2 import BitMatrix
 
@@ -27,43 +27,17 @@ class NotLinearError(ValueError):
 def linear_action(c: Circuit) -> BitMatrix:
     """Basis-label action x -> R x of a linear-reversible circuit.
 
-    Replays CNOT directly and the Hadamard-conjugated CZ form emitted by
-    triangular synthesis: per-qubit H parity is tracked, a CZ with exactly
-    one conjugated end is a CNOT targeting that end, and a CNOT with both
-    ends conjugated acts flipped.  All H parities must cancel by the end.
-    A circuit outside this form (a CNOT with one conjugated end, a CZ with
-    both ends bare or both conjugated, a P, X or Z gate, an H left over)
+    Replays a CNOT-only circuit directly.  A circuit with any other gate
     is read from its stabilizer tableau instead, since later gates may
-    undo what took it out of the form.  A circuit that is not linear
-    raises NotLinearError (a ValueError).
+    undo what an H or CZ does.  A circuit that is not linear raises
+    NotLinearError (a ValueError).
     """
     rows = [1 << i for i in range(c.n)]  # bit j of rows[i] = R[i, j]
-    par = [0] * c.n
     for kind, a, b in zip(*c.array.T.tolist()):
-        if kind == H:
-            par[a] ^= 1
-        elif kind == CNOT:
-            pa, pb = par[a], par[b]
-            if pa and pb:
-                rows[a] ^= rows[b]
-            elif not pa and not pb:
-                rows[b] ^= rows[a]
-            else:
-                break
-        elif kind == CZ:
-            pa, pb = par[a], par[b]
-            if not pa ^ pb:
-                break
-            if pa:
-                rows[a] ^= rows[b]
-            else:
-                rows[b] ^= rows[a]
-        else:
-            break
-    else:
-        if not any(par):
-            return BitMatrix(c.n, c.n, rows)
-    return _linear_action_from_tableau(c)
+        if kind != CNOT:
+            return _linear_action_from_tableau(c)
+        rows[b] ^= rows[a]
+    return BitMatrix(c.n, c.n, rows)
 
 
 def _linear_action_from_tableau(c: Circuit) -> BitMatrix:

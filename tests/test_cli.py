@@ -158,13 +158,11 @@ def test_synth_cnot_exact_and_perm(capsys, tmp_path):
     assert "perm " not in (tmp_path / "exact.circ").read_text()
 
 
-@pytest.mark.parametrize("cnot_only", [False, True])
-def test_verify_honours_perm(capsys, tmp_path, cnot_only):
+def test_verify_honours_perm(capsys, tmp_path):
     mat = gen(capsys, tmp_path, "linear", 8, 5, "r.mat")
     circ = tmp_path / "r.circ"
-    flags = ["--cnot-only"] if cnot_only else []
     code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--mode", "perm",
-                     "--out", str(circ), *flags)
+                     "--out", str(circ))
     assert code == 0
     code, out, _ = run(capsys, "verify", "--circuit", str(circ), "--against", str(mat))
     assert code == 0 and "verified" in out
@@ -181,10 +179,10 @@ def test_verify_honours_perm(capsys, tmp_path, cnot_only):
 
 
 def test_synth_cnot_cnot_only(capsys, tmp_path):
-    mat = gen(capsys, tmp_path, "linear", 14, 4, "r.mat")
+    # at n = 100, seed 1, some blocks take the CZ form: it too comes out as CNOTs
+    mat = gen(capsys, tmp_path, "linear", 100, 1, "r.mat")
     circ = tmp_path / "r.circ"
-    code, _, _ = run(capsys, "synth-cnot", "--input", str(mat),
-                     "--cnot-only", "--out", str(circ))
+    code, _, _ = run(capsys, "synth-cnot", "--input", str(mat), "--out", str(circ))
     assert code == 0
     body = circ.read_text()
     assert "H " not in body and "CZ " not in body

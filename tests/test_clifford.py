@@ -1,10 +1,13 @@
+import importlib.util
+import sys
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cliffdepth import bounds, gf2, verify
-from cliffdepth.circuit import Circuit, cnot, cz, h, p, x, z
+from cliffdepth.circuit import H, Circuit, cnot, cz, h, p, x, z
 from cliffdepth.clifford import (
     CliffordTableau,
     decompose_tableau,
@@ -298,3 +301,22 @@ def test_adversarial_tableaux_verify_within_table(n):
 def test_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_synth_clifford_hadamards_are_the_two_layers(monkeypatch):
+    """The CX stage emits only CNOTs, so the circuit's H gates are those of the
+    decomposition's two Hadamard layers: on the benchmark's dense layered
+    tableau at n = 256, some CX blocks take the CZ form."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    t = workloads.layered_tableau(np.random.default_rng(3), 256)
+    layers = decompose_tableau(t)
+    c = synth_clifford(t)
+    assert int((c.array[:, 0] == H).sum()) == layers.h_mask1.sum() + layers.h_mask2.sum()
+    assert tableau_of_circuit(c) == t

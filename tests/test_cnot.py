@@ -23,7 +23,7 @@ from cliffdepth.gf2 import BitMatrix, random_invertible
 from cliffdepth.patterns import halve_weights, halving_rectangles, m01_gates
 from cliffdepth.rectangles import rectangle_gates
 from cliffdepth.verify import linear_action
-from cnot_ref import reference_tri_gates
+from cnot_ref import reference_block_add_gates, reference_linear, reference_tri_gates
 from patterns_ref import edge_color_classes
 
 blocks = st.integers(1, 24).flatmap(
@@ -102,7 +102,9 @@ def _counting(counts, key, fn, when=lambda *args: True):
 
 def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
     """The bounds settle a block exactly as building and measuring both would,
-    coloring one pattern; only between the bounds is the CZ form measured."""
+    coloring one pattern; only between the bounds is the CZ form measured.
+    The block's gates are the kept staging's, with a CZ form's Hadamards
+    removed."""
     import cliffdepth.cnot as cnot_mod
 
     colored = {"direct": 0, "reduced": 0}
@@ -121,8 +123,11 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
         want, d_direct, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper, (c.shape, lower, d_via, upper)
+        # before the reset: the reference colors through the counted cnot_mod names
+        assert gate_list(reference_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
         colored.update(direct=0, reduced=0)
-        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+        got = gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c)))
+        assert got == reference_remove_hadamards(want)
         if d_direct <= lower:
             branches.add("direct")
             assert colored == {"direct": 1, "reduced": 0}
@@ -154,7 +159,9 @@ def test_block_add_all_ones_blocks(k, d_direct, lower, upper, form):
     assert (d, cz_form_bounds(a, b, c)) == (d_direct, (lower, upper))
     assert lower <= d_via <= upper
     assert (want == direct_gates(a, b, c)) == (form == "direct")
-    assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+    assert gate_list(reference_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+    got = gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c)))
+    assert got == reference_remove_hadamards(want)
 
 
 def test_block_add_odd_blocks():
@@ -168,7 +175,9 @@ def test_block_add_odd_blocks():
         want, _, d_via = reference_block_add(a, b, c)
         lower, upper = cz_form_bounds(a, b, c)
         assert lower <= d_via <= upper
-        assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+        assert gate_list(reference_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
+        got = gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c)))
+        assert got == reference_remove_hadamards(want)
         forms.add("direct" if want == direct_gates(a, b, c) else "cz")
     assert forms == {"direct", "cz"}
 
@@ -308,7 +317,9 @@ def test_synth_linear_halves_each_block_once(monkeypatch):
         counts["blocks"] += bool(degree)
         counts["probed"] += bool(degree >= 3 and max(c.rows, c.cols) > 4)
         gates = block_add(a, b, c)
-        counts["cz form"] += any(g.kind == "CZ" for g in gate_list(gates))
+        reference = gate_list(reference_block_add_gates(a, b, c))
+        assert gate_list(gates) == reference_remove_hadamards(reference)
+        counts["cz form"] += any(g.kind == "CZ" for g in reference)
         return gates
 
     for mod in (cnot_mod, patterns_mod):
@@ -424,6 +435,27 @@ def test_remove_hadamards_matches_gate_by_gate_rewrite():
             assert remove_hadamards(c).gates == want
             seen.add("with CZ" if any(g.kind == "CZ" for g in gates) else "without CZ")
     assert len(seen) == 6, seen
+
+
+@pytest.mark.parametrize("mode", [EXACT, REORDER])
+@pytest.mark.parametrize("n, seed", [(256, 22), (100, 1)])
+def test_synth_linear_is_the_reference_without_hadamards(n, seed, mode):
+    """synth_linear gives, gate for gate, the circuit of H-literal blocks with
+    its Hadamards removed, and the same perm."""
+    r = random_invertible(np.random.default_rng(seed), n)
+    ref = reference_linear(r, mode)
+    assert {"CZ", "H"} <= {g.kind for g in ref.gates}  # some block took the CZ form
+    want = remove_hadamards(ref)
+    c = synth_linear(r, mode)
+    assert np.array_equal(c.array, want.array)
+    assert c.perm == want.perm
+
+
+def test_synth_linear_emits_only_cnots():
+    """Blocks in the CZ form come out as CNOTs too: no H or CZ gate is emitted."""
+    m = random_invertible(np.random.default_rng(1), 100)
+    for mode in (EXACT, REORDER):
+        assert {g.kind for g in synth_linear(m, mode).gates} == {"CNOT"}
 
 
 def test_synth_linear_exact():
