@@ -15,9 +15,7 @@ import numpy as np
 
 from .circuit import CNOT, EMPTY, H, KINDS, Circuit, asap_finish, gate_block, join
 from .gf2 import BitMatrix, Permutation, back_substitute, lu_decompose, perm_to_transposition_layers
-from .patterns import bipartite_edge_color, cz_layers, halve_weights, max_col_degree
-from .patterns import halving_finish, halving_rectangles
-from .rectangles import rectangle_gates
+from .patterns import bipartite_edge_color, halve_weights, halving_finish, m01_gates, max_col_degree
 
 
 # depth-2 realizations of the 8 upper unitriangular 3x3 matrices, keyed by
@@ -63,16 +61,17 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     take it without a halving: at d <= 2 no CZ form is shallower, since a
     depth-1 circuit pairs each qubit with at most one other, and on a
     block of at most 4 rows and 4 columns d <= LB below holds for every
-    pattern.  Otherwise the CZ form
-    is the halving rectangles, finishing position q at t[q] (T = max t),
-    then the reduced pattern's color classes, so its depth D satisfies
+    pattern.  Otherwise the CZ form is the halving rectangles, finishing
+    position q at t[q] (T = max t), then the reduced pattern's color
+    classes, so its depth D satisfies
     LB = max(T, max_q t[q] + deg(q)) <= D <= T + Delta = UB, with deg and
     Delta taken in the reduced pattern (class c is a matching, so it ends
     by T + c + 1).  If d <= LB the direct form is returned and the reduced
     pattern is never colored; if d > UB the CZ form is, and C is never
-    colored.  Only in between is D measured, by continuing the rectangles'
-    schedule over the colored layers.  t comes from the rectangles'
-    shapes, and their pairs are built only for a returned CZ form.
+    colored.  Only in between is D measured, by asap_finish over the whole
+    CZ form (ASAP is sequential, so it continues from t over the layers).
+    t comes from the rectangles' shapes; their pairs are built, by
+    m01_gates, only for a CZ form that is returned or measured.
     """
     if not any(p.ints):
         return EMPTY
@@ -83,20 +82,17 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
     t = halving_finish(hr)
     deg = [v.bit_count() for v in hr.reduced.ints + hr.cols]
     top = max(t)
-    layers = None
-    if d_direct > max(top, *map(add, t, deg)):
-        layers = cz_layers(a, b, hr.reduced)
-        if d_direct <= top + max(deg):  # between the bounds: measure
-            finish = dict(zip(a + b, t))
-            asap_finish(layers, finish)
-            if d_direct <= max(finish.values()):
-                layers = None
-    if layers is None:
+    if d_direct <= max(top, *map(add, t, deg)):
         return _direct_gates(a, b, p)
+    g = m01_gates(a, b, hr)
+    if d_direct <= top + max(deg):  # between the bounds: measure
+        finish = dict.fromkeys(a + b, 0)
+        asap_finish(g, finish)
+        if d_direct <= max(finish.values()):
+            return _direct_gates(a, b, p)
     # H on A around the CZ form, pushed through it: every gate becomes a CNOT,
     # with its ends swapped when its first end is in A (a tree CNOT inside A
     # flips, CZ(a, b) becomes CNOT(b, a), a CNOT inside B stays)
-    g = np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)), layers])
     flip = np.isin(g[:, 1], a)
     g[flip, 1:] = g[flip, :0:-1]
     g[:, 0] = CNOT

@@ -168,7 +168,7 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
 def _onestep_gates(qubits: list[int], rows: list[int], out: list) -> None:
     k = len(qubits)
     h = (k + 1) // 2
-    out.append(m01_gates(qubits[:h], qubits[h:], BitMatrix(h, k - h, _block(rows, 0, h, h, k))))
+    out.append(m01_gates(qubits[:h], qubits[h:], halve_weights(BitMatrix(h, k - h, _block(rows, 0, h, h, k)))))
     _synth_gates(qubits[:h], _block(rows, 0, h, 0, h), out)
     _synth_gates(qubits[h:], _block(rows, h, k, h, k), out)
 

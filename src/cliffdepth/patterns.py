@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, zip_longest
-from operator import add
 
 import numpy as np
 
 from .circuit import Circuit, cz_block
 from .gf2 import BitMatrix, bit_bytes, set_bits
-from .rectangles import Pairs, check_qubit_set, rectangle_finish, rectangle_gates, rectangle_pairs
+from .rectangles import check_qubit_set, rectangle_finish, rectangle_gates, rectangle_pairs
 
 
 def max_col_degree(p: BitMatrix) -> int:
@@ -51,16 +50,6 @@ def max_col_degree(p: BitMatrix) -> int:
             alive &= planes[b]
             degree |= 1 << b
     return degree
-
-
-def _column_sums(digits: list[bytes], m: int) -> list[int]:
-    """Column sums of rows given as gf2.bit_bytes, added as little-endian
-    ints at most 255 at a time, so that no byte carries into the next."""
-    sums = [0] * m
-    for lo in range(0, len(digits), 255):
-        total = sum(int.from_bytes(d, "little") for d in digits[lo:lo + 255])
-        sums = list(map(add, sums, total.to_bytes(m, "little")))
-    return sums
 
 
 @dataclass
@@ -121,12 +110,11 @@ def _color_table(p: BitMatrix) -> list[list[int]]:
     column list once the row is done.  Each column keeps a color -> row
     list, and its first free color is its first -1.
     """
-    digits = [bit_bytes(v) for v in p.ints]
-    at_row = [list(compress(count(), d)) for d in digits]  # each row's columns, ascending
+    at_row = [list(compress(count(), bit_bytes(v))) for v in p.ints]  # each row's columns, ascending
     delta = max(map(len, at_row))
     if delta == 0:
         return at_row
-    delta = max(delta, *_column_sums(digits, p.cols))
+    delta = max(delta, max_col_degree(p))
     at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
 
     for i, js in enumerate(at_row):
@@ -193,11 +181,6 @@ def _halving_sides(hr: HalvingResult) -> list[tuple[list[int], list[int]]]:
     return [(s, u) for s, u in ((hr.row_flips, kept_b), (kept_a, hr.col_flips)) if s and u]
 
 
-def halving_rectangles(a: list[int], b: list[int], hr: HalvingResult) -> list[Pairs]:
-    """The rectangle_pairs of each nonempty rectangle undoing hr's flips, on rows a and columns b."""
-    return [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
-
-
 def halving_finish(hr: HalvingResult) -> list[int]:
     """The finish times asap_finish gives, from zero, over the gates of hr's
     halving rectangles, by position: the rows, then the columns.
@@ -212,16 +195,17 @@ def halving_finish(hr: HalvingResult) -> list[int]:
     return t
 
 
-def m01_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
-    """The gate array applying exactly the CZs marked in p between rows a and columns b.
+def m01_gates(a: list[int], b: list[int], hr: HalvingResult) -> np.ndarray:
+    """The gate array applying exactly the CZs of the pattern that hr halved,
+    between rows a and columns b: the one CZ form of a halved block.
 
-    Halve p's weights, undo the flips with the two halving rectangles run
-    side by side, then apply the reduced pattern's colored CZ layers: its
-    weights bound them to at most max(k/2, m/2).
+    The rectangles undoing hr's flips run side by side, then come the
+    reduced pattern's colored CZ layers: its weights bound them to at most
+    max(k/2, m/2).  The CZ stages emit it; the CNOT block stage conjugates
+    it by H on the rows.
     """
-    hr = halve_weights(p)
-    return np.concatenate([rectangle_gates(halving_rectangles(a, b, hr)),
-                           cz_layers(a, b, hr.reduced)])
+    rects = [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
+    return np.concatenate([rectangle_gates(rects), cz_layers(a, b, hr.reduced)])
 
 
 def synth_m01(a: list[int], b: list[int], p: BitMatrix, n: int | None = None) -> Circuit:
@@ -231,4 +215,4 @@ def synth_m01(a: list[int], b: list[int], p: BitMatrix, n: int | None = None) ->
         raise ValueError("pattern dimensions do not match qubit sets")
     if n is None:
         n = max(max(a), max(b)) + 1
-    return Circuit(n, m01_gates(a, b, p))
+    return Circuit(n, m01_gates(a, b, halve_weights(p)))

@@ -7,22 +7,21 @@ the deeper side is always a single CNOT; rewriting it together with the
 central CZ into a short CZ fragment saves one depth unit per side, giving
 total depth 2*max(ceil(log2 k), ceil(log2 m)).
 
-``rectangle_pairs`` is a rectangle's one schedule, as qubit pairs; its
-two readers are ``rectangle_gates``, which builds the gates of
-rectangles run side by side, and ``rectangle_finish``, which gives the
-ASAP finish times of a rectangle of a given shape without building a
-gate.  A rectangle's schedule depends on its sets only through their
-sizes and orders, so those times are read off the shape.
+``rectangle_pairs`` is a rectangle's one schedule, as qubit pairs, and
+``rectangle_gates`` builds the gates of rectangles run side by side.
+``rectangle_finish`` replays one rectangle of a given shape through
+``asap_finish`` and caches its finish times: a rectangle's schedule
+depends on its sets only through their sizes and orders, so the times
+of every rectangle of that shape are read off the cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
-from .circuit import Circuit, cnot_pairs, cz_pairs
+from .circuit import Circuit, asap_finish, cnot_pairs, cz_pairs
 
 Pairs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
@@ -112,10 +111,7 @@ def rectangle_finish(s: int, u: int) -> tuple[int, ...]:
     Cached per shape; the blocks of one synthesis bring a few hundred.
     """
     t = [0] * (s + u)
-    trees, middle = rectangle_pairs(list(range(s)), list(range(s, s + u)))
-    for x, y in chain(trees, middle, reversed(trees)):
-        tx, ty = t[x], t[y]
-        t[x] = t[y] = (tx if tx > ty else ty) + 1
+    asap_finish(rectangle_gates([rectangle_pairs(list(range(s)), list(range(s, s + u)))]), t)
     return tuple(t)
 
 

@@ -21,9 +21,9 @@ import numpy as np
 from cliffdepth.circuit import CNOT, EMPTY, H, Circuit, asap_finish, gate_block, join
 from cliffdepth.cnot import _BASE3, REORDER, _direct_gates, _transpose_trick, remove_hadamards
 from cliffdepth.gf2 import BitMatrix, back_substitute, lu_decompose, perm_to_transposition_layers
-from cliffdepth.patterns import cz_layers, halve_weights, halving_finish, halving_rectangles
+from cliffdepth.patterns import _halving_sides, cz_layers, halve_weights, halving_finish
 from cliffdepth.patterns import max_col_degree
-from cliffdepth.rectangles import rectangle_gates
+from cliffdepth.rectangles import rectangle_gates, rectangle_pairs
 
 
 def reference_block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
@@ -50,7 +50,8 @@ def reference_block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.nd
     if layers is None:
         return _direct_gates(a, b, p)
     hs = gate_block(H, a)
-    return np.concatenate([hs, rectangle_gates(halving_rectangles(a, b, hr)), layers, hs])
+    rects = [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
+    return np.concatenate([hs, rectangle_gates(rects), layers, hs])
 
 
 def reference_tri_gates(qubits: list[int], r: list[int], out: list) -> None:

@@ -19,6 +19,7 @@ from cliffdepth.gf2 import BitMatrix, random_invertible, random_matrix
 from cliffdepth.patterns import halve_weights, synth_m01
 from cliffdepth.rectangles import synth_rectangle, tree_layers
 from cliffdepth.verify import cz_pattern_phases, linear_action, phase_oracle, tableaux_equal
+from cnot_ref import reference_tri_gates
 from patterns_ref import edge_color_classes
 
 
@@ -157,14 +158,21 @@ def test_prior_art_internal_crossover_measured_values():
 # -- 6: worked 14x14 example -------------------------------------------------
 
 def test_block_example_depth_6():
+    """The 14x14 example's all-ones block takes the CZ form: its H-literal
+    circuit, with the Hadamards removed, is synth_triangular's at depth 6."""
     u = np.eye(14, dtype=np.uint8)
     u[:7, 7:] = 1
     m = BitMatrix.from_dense(u)
     tri = synth_triangular(m)
     assert tri.two_qubit_depth() == 6
-    stripped = remove_hadamards(tri)
+    out = []
+    reference_tri_gates(list(range(14)), m.ints, out)
+    literal = Circuit(14, circuit.join(out))
+    assert {"H", "CZ"} <= {g.kind for g in literal.gates}
+    stripped = remove_hadamards(literal)
     assert all(g.kind == "CNOT" for g in stripped.gates)
     assert stripped.two_qubit_depth() == 6
+    assert stripped.gates == tri.gates
     assert linear_action(stripped) == m
     assert linear_action(tri) == m
 

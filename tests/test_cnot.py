@@ -20,8 +20,8 @@ from cliffdepth.cnot import (
     synth_triangular,
 )
 from cliffdepth.gf2 import BitMatrix, random_invertible
-from cliffdepth.patterns import halve_weights, halving_rectangles, m01_gates
-from cliffdepth.rectangles import rectangle_gates
+from cliffdepth.patterns import _halving_sides, halve_weights, m01_gates
+from cliffdepth.rectangles import rectangle_gates, rectangle_pairs
 from cliffdepth.verify import linear_action
 from cnot_ref import reference_block_add_gates, reference_linear, reference_tri_gates
 from patterns_ref import edge_color_classes
@@ -54,8 +54,8 @@ def reference_block_add(a, b, c):
     """
     n = max(a + b) + 1
     direct = direct_gates(a, b, c)
-    via_cz = ([h(q) for q in a] + gate_list(m01_gates(a, b, BitMatrix.from_dense(c)))
-              + [h(q) for q in a])
+    hs = [h(q) for q in a]
+    via_cz = hs + gate_list(m01_gates(a, b, halve_weights(BitMatrix.from_dense(c)))) + hs
     d_direct = Circuit(n, direct).two_qubit_depth()
     d_via = Circuit(n, via_cz).two_qubit_depth()
     return (direct if d_direct <= d_via else via_cz), d_direct, d_via
@@ -64,7 +64,8 @@ def reference_block_add(a, b, c):
 def cz_form_bounds(a, b, c):
     """(LB, UB) on the CZ form's depth from the rectangle finish times and reduced degrees."""
     hr = halve_weights(BitMatrix.from_dense(c))
-    rect, reduced = gate_list(rectangle_gates(halving_rectangles(a, b, hr))), hr.reduced
+    rects = [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
+    rect, reduced = gate_list(rectangle_gates(rects)), hr.reduced
     free = dict.fromkeys(a + b, 0)
     for g in rect:
         if g.kind in ("CZ", "CNOT"):
@@ -106,12 +107,13 @@ def test_block_add_keeps_measured_shallower_candidate(monkeypatch):
     The block's gates are the kept staging's, with a CZ form's Hadamards
     removed."""
     import cliffdepth.cnot as cnot_mod
+    import cliffdepth.patterns as patterns_mod
 
     colored = {"direct": 0, "reduced": 0}
     monkeypatch.setattr(cnot_mod, "bipartite_edge_color",
                         _counting(colored, "direct", cnot_mod.bipartite_edge_color))
-    monkeypatch.setattr(cnot_mod, "cz_layers",
-                        _counting(colored, "reduced", cnot_mod.cz_layers))
+    monkeypatch.setattr(patterns_mod, "cz_layers",
+                        _counting(colored, "reduced", patterns_mod.cz_layers))
     branches = set()
     for bits in _blocks(np.random.default_rng(77)):
         c = bits.astype(np.uint8)
@@ -379,12 +381,27 @@ def test_triangular_action_random():
             assert c.two_qubit_depth() <= table[n]
 
 
+def _dense_block_triangular(rng, n):
+    """An upper unitriangular matrix whose top block C is dense: the top-left
+    half is the identity, so C is the top-right half, at density 0.9 to 1."""
+    h = (n + 1) // 2
+    u = random_unitriangular(rng, n).to_dense()
+    u[:h, :h] = np.eye(h, dtype=np.uint8)
+    u[:h, h:] = rng.random((h, n - h)) < rng.uniform(0.9, 1.0)
+    return BitMatrix.from_dense(u)
+
+
 def test_remove_hadamards_preserves_action_count_depth():
+    """On H-literal triangular circuits, whose CZ-form blocks hold their H
+    gates on A, the rewrite keeps the action, two-qubit count and depth."""
     rng = np.random.default_rng(31)
     for _ in range(40):
-        n = int(rng.integers(2, 24))
-        m = random_unitriangular(rng, n)
-        c = synth_triangular(m)
+        n = int(rng.integers(24, 49))
+        m = _dense_block_triangular(rng, n)
+        out = []
+        reference_tri_gates(list(range(n)), m.ints, out)
+        c = Circuit(n, join(out))
+        assert {"H", "CZ"} <= {g.kind for g in c.gates}
         stripped = remove_hadamards(c)
         assert all(g.kind == "CNOT" for g in stripped.gates)
         assert linear_action(stripped) == m

@@ -23,6 +23,7 @@ from cliffdepth.clifford import (
 from cliffdepth.cnot import EXACT, REORDER, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
 from cliffdepth.gf2 import BitMatrix, random_invertible
+from cliffdepth.patterns import synth_m01
 from patterns_ref import edge_color_classes
 
 
@@ -119,6 +120,22 @@ def test_synth_linear_golden_odd_sizes(n, seed, matrix, exact, reorder):
     assert sha(r.to_text()) == matrix
     assert sha(to_text(synth_linear(r, EXACT))) == exact
     assert sha(to_text(synth_linear(r, REORDER))) == reorder
+
+
+# Recorded before m01_gates took a halving instead of a pattern.  The
+# random 40x57 block halves into 24x37 and 16x20 rectangles, the 3x17 block
+# into one 3x7 rectangle: every one has trees of different depths.
+@pytest.mark.parametrize("seed, k, m, pattern, digest", [
+    (61, 40, 57, "96509904c7f7a7fa6d15d874d236b17afc2d5b3c208d5ea5c241a01faa540ddc",
+     "0f2a9b67b030d2b97780ff2902befc554ec38b485da9f7e901798c9781546a85"),
+    (62, 3, 17, "94cc4f0866beb08d187023965039cb996a5f15d9d98a4eed8b2fb47994075255",
+     "580d4dce19d6534190379635b9c848177ab9d5782f3acbe822135be3c7934ef1"),
+])
+def test_synth_m01_golden(seed, k, m, pattern, digest):
+    rng = np.random.default_rng(seed)
+    p = BitMatrix.from_dense((rng.random((k, m)) < 0.5).astype(np.uint8))
+    assert sha(p.to_text()) == pattern
+    assert sha(to_text(synth_m01(list(range(k)), list(range(k, k + m)), p))) == digest
 
 
 def test_synth_clifford_golden():

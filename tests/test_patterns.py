@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 from cliffdepth.circuit import asap_finish
 from cliffdepth.gf2 import BitMatrix, random_matrix
 from cliffdepth.patterns import (
+    _halving_sides,
     bipartite_edge_color,
     cz_layers,
     halve_weights,
     halving_finish,
-    halving_rectangles,
     m01_gates,
     max_col_degree,
     synth_m01,
@@ -19,6 +19,7 @@ from cliffdepth.patterns import (
 from cliffdepth.rectangles import (
     check_qubit_set,
     rectangle_gates,
+    rectangle_pairs,
     rectangle_parts,
     tree_layers,
 )
@@ -132,7 +133,7 @@ def test_layers_of_a_pattern_the_halving_empties():
     hr = halve_weights(p)
     assert not any(hr.reduced.ints)
     assert cz_layers(a, b, hr.reduced).shape == (0, 3)
-    assert np.array_equal(m01_gates(a, b, p), rectangle_gates(halving_rectangles(a, b, hr)))
+    assert np.array_equal(m01_gates(a, b, hr), rectangle_gates(halving_rects(a, b, hr)))
 
 
 def _halving_patterns():
@@ -183,6 +184,11 @@ def test_max_col_degree_matches_dense_column_sums():
         assert max_col_degree(BitMatrix.from_dense(dense)) == dense.sum(axis=0).max()
 
 
+def halving_rects(a, b, hr):
+    """The rectangle_pairs of each nonempty rectangle undoing hr's flips, on rows a and columns b."""
+    return [rectangle_pairs([a[i] for i in s], [b[j] for j in u]) for s, u in _halving_sides(hr)]
+
+
 def _rectangle_kinds(a, b, hr):
     """Which rectangle_pairs branch each of the halving's rectangles takes."""
     flip_a, flip_b = set(hr.row_flips), set(hr.col_flips)
@@ -209,7 +215,7 @@ def test_halving_finish_matches_asap_over_halving_rectangles():
         a, b = qubits[:k], qubits[k:k + m]
         hr = halve_weights(p)
         want = dict.fromkeys(a + b, 0)
-        asap_finish(rectangle_gates(halving_rectangles(a, b, hr)), want)
+        asap_finish(rectangle_gates(halving_rects(a, b, hr)), want)
         assert halving_finish(hr) == [want[q] for q in a + b]
         kinds.update(_rectangle_kinds(a, b, hr))
     assert kinds == {"1x1", "equal", "unequal"}
