@@ -1,18 +1,23 @@
 """Depth recursion tables, closed-form bounds, and range validation.
 
-Tables are flat int64 arrays over n = 1..1,345,000, filled bottom-up in runs
-of h = ceil(n / 2), with one int ceil(log2 h) per run.  For n >= 4 the
-recursions read n only through h (ceil(log2 n) = ceil(log2 h) + 1), so sizes
-2h - 1 and 2h share an entry, and the Clifford merge saving (the depth of the
-trees either recursive CZ branch opens with) is ceil(log2 n) - 2.
+Tables are flat int32 arrays over n = 1..1,345,000 (no entry exceeds 2.7M),
+filled bottom-up in runs of h = ceil(n / 2), with one int ceil(log2 h) per
+run.  For n >= 4 the recursions read n only through h (ceil(log2 n) =
+ceil(log2 h) + 1), so sizes 2h - 1 and 2h share an entry, and the Clifford
+merge saving (the depth of the trees either recursive CZ branch opens with)
+is ceil(log2 n) - 2.
 Closed forms are evaluated in double precision with a near-integer guard:
 values within 1e-6 of an integer are re-evaluated in high precision before
-flooring.
+flooring.  The full-range scans read each floored closed form off its
+steps: linear * n plus a log part whose floor rises a few hundred to a
+few thousand times up to N_MAX, found by bisection; only the sizes at a
+rise can trip the guard, and the slack is int arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +41,7 @@ _cz_argmin: dict[str, np.ndarray] = {}  # CZ family only, as long as its table
 
 
 def ceil_log2(n):
-    """Exact ceil(log2 n) of a positive int or int64 array.
+    """Exact ceil(log2 n) of a positive int, or of an int array as int64.
 
     The array form reads the binary exponent of n - 1, which is exact
     while n - 1 < 2**53.
@@ -85,7 +90,7 @@ def _store(t: np.ndarray, h: np.ndarray, v: np.ndarray) -> None:
 
 def _base(n_max: int, d3: int) -> np.ndarray:
     """Zeroed table with room for 2h at every h, holding d[2..4] (d[4] = 3 in every family)."""
-    d = np.zeros(2 * max((n_max + 1) // 2, 2) + 1, dtype=np.int64)
+    d = np.zeros(2 * max((n_max + 1) // 2, 2) + 1, dtype=np.int32)
     d[2:5] = 1, d3, 3
     return d
 
@@ -245,11 +250,15 @@ def construction_depth(family: str, n_max: int = N_MAX) -> np.ndarray:
     if family not in FORMULAS:
         raise ValueError(f"unknown family {family!r}")
     d = get_table(family, n_max)[: n_max + 1]
-    return 2 * d + 6 if family == CNOT else d
+    if family != CNOT:
+        return d
+    d = d * 2  # then in place: one int32 copy
+    d += 6
+    return d
 
 
 def _cnot_prior_internal(n):
-    """The prior CNOT construction's (4n) // 3 + 8 ceil(log2 n), of an int or int64 array."""
+    """The prior CNOT construction's (4n) // 3 + 8 ceil(log2 n), of an int or int array."""
     return (4 * n) // 3 + 8 * ceil_log2(n)
 
 
@@ -281,56 +290,114 @@ class _Tally:
     near: int = 0
 
 
+def _doubles(n: np.ndarray, linear, log2sq, log, const) -> np.ndarray:
+    """BoundFormula.value's double before flooring, at float64 sizes n, in its
+    operation order; each coefficient is a float or an array as long as n."""
+    ln = np.log2(n)
+    return linear * n + log2sq * ln * ln + log * ln + const
+
+
+def _scale(f: BoundFormula) -> int:
+    """s, with floor(v) = (s * linear * n + floor(s * (v - linear * n))) >> (s - 1)."""
+    return 2 if f.linear == 0.5 else 1
+
+
+def _steps(starts: dict[str, int]) -> dict[str, tuple[int, list[int]]]:
+    """Each family's K at its start size, and the sizes where K rises.
+
+    K(n) = floor(s * (v - linear * n)), with v the double of
+    BoundFormula.value and s = _scale(f); every formula has linear in
+    {1/2, 1, 2}, so its floor is (s * linear * n + K) >> (s - 1).  log2sq
+    and log are positive, so K never decreases; a size where it rises by
+    j is listed j times.  One vectorized bisection over n, on the doubles
+    of _doubles, finds every family's rises at once.
+    """
+    forms = [FORMULAS[fam] for fam in starts]
+    lo = np.array(list(starts.values()), dtype=np.float64)
+    coef = np.array([(f.linear, f.log2sq, f.log, f.const, _scale(f)) for f in forms]).T
+
+    def k_at(n, c):  # K at sizes n, under the columns c of coef
+        return np.floor(c[4] * (_doubles(n, *c[:4]) - c[0] * n))
+
+    k_lo = k_at(lo, coef)
+    rises = (k_at(np.full_like(lo, N_MAX), coef) - k_lo).astype(np.int64)
+    fam = np.repeat(np.arange(len(forms)), rises)
+    # the r-th rise of family i (r from 1) is the first size where K reaches k_lo[i] + r
+    want = k_lo[fam] + np.arange(1, fam.size + 1) - np.repeat(np.cumsum(rises) - rises, rises)
+    c = coef[:, fam]
+    left, right = lo[fam], np.full(fam.size, float(N_MAX))  # K(left) < want <= K(right)
+    while (right - left > 1).any():
+        mid = np.floor((left + right) / 2)
+        up = k_at(mid, c) >= want
+        np.copyto(right, mid, where=up)
+        np.copyto(left, mid, where=~up)
+    return {f: (int(k_lo[i]), right[fam == i].astype(np.int64).tolist())
+            for i, f in enumerate(starts)}
+
+
+def _guarded(family: str, lo: int, rises: list[int]) -> dict[int, int]:
+    """_exact's floor at each size of lo..N_MAX whose double lies within 1e-6
+    of an integer.
+
+    Such a double puts s * (v - linear * n) within 2e-6 of an integer, and
+    that grows by at least 5e-5 per size (CZ at N_MAX), so only a rise of
+    K, the size before one and the two ends of the range can be such a
+    size.  Only those are evaluated, in BoundFormula.value's operation order.
+    """
+    f = FORMULAS[family]
+    sizes = np.unique([lo, N_MAX, *rises, *(r - 1 for r in rises)])
+    v = _doubles(sizes.astype(np.float64), f.linear, f.log2sq, f.log, f.const)
+    return {n: f._exact(n) for n in sizes[np.abs(np.rint(v) - v) < 1e-6].tolist()}
+
+
 def _scan(starts: dict[str, int], each_run=None) -> dict[str, _Tally]:
     """Tally each family's closed-form slack from its start size through N_MAX.
 
-    The sizes are walked in runs cut at multiples of _RUN.  Each run
-    computes n and log2(n) once for all families and evaluates every formula
-    in place, in the operation order of BoundFormula.value, into buffers
-    reused from run to run.  Values within 1e-6 of an integer take
-    BoundFormula._exact.  each_run(a, n, ln, tallies), if given, sees every
-    run's float n and log2(n), after the run's tallies.
+    The floored closed form is read off the steps of _steps in int32, next
+    to the int32 construction depth; the sizes _guarded finds take
+    BoundFormula._exact.  The sizes are walked in runs cut at multiples of
+    _RUN, in int arithmetic.  each_run(a, b, tallies), if given, sees every
+    run a..b - 1 after the run's tallies.
     """
     tallies = {fam: _Tally(construction_depth(fam), lo - 1) for fam, lo in starts.items()}
-    offsets = np.arange(_RUN, dtype=np.float64)
-    n_buf, ln_buf, v_buf, t_buf = (np.empty(_RUN) for _ in range(4))
-    flag_buf = np.empty(_RUN, dtype=bool)
+    forms = {}
+    for fam, (k, rises) in _steps(starts).items():
+        exact = _guarded(fam, starts[fam], rises)
+        tallies[fam].near = len(exact)
+        s = _scale(FORMULAS[fam])
+        mul = int(s * FORMULAS[fam].linear)
+        forms[fam] = k, rises, exact, mul, s - 1, np.arange(_RUN, dtype=np.int32) * mul
     start, end = min(starts.values()), N_MAX + 1
     cuts = [start, *range((start // _RUN + 1) * _RUN, end, _RUN), end]
     for a, b in zip(cuts, cuts[1:]):
-        n = np.add(offsets[: b - a], a, out=n_buf[: b - a])
-        ln = np.log2(n, out=ln_buf[: b - a])
         for family, lo in starts.items():
-            tally, i, j = tallies[family], max(lo, a) - a, b - a
-            if i >= j:
+            tally, i = tallies[family], max(lo, a)
+            if i >= b:
                 continue
-            f, v, t, flags = FORMULAS[family], v_buf[: j - i], t_buf[: j - i], flag_buf[: j - i]
-            np.multiply(n[i:j], f.linear, out=v)
-            np.multiply(ln[i:j], f.log2sq, out=t)
-            t *= ln[i:j]
-            v += t
-            np.multiply(ln[i:j], f.log, out=t)
-            v += t
-            v += f.const
-            np.rint(v, out=t)
-            t -= v
-            np.abs(t, out=t)
-            near = np.flatnonzero(np.less(t, 1e-6, out=flags))
-            np.floor(v, out=v)
-            for k in near.tolist():
-                v[k] = f._exact(a + i + k)
-            tally.near += near.size
-            np.subtract(v, tally.depth[a + i: a + j], out=t)
+            k, rises, exact, mul, shift, ramp = forms[family]
+            j, top = bisect_right(rises, i), bisect_right(rises, b - 1)
+            ends = np.array([i, *rises[j:top], b])
+            # s * linear * n + K: K + s * linear * i on each step, plus s * linear * (n - i)
+            t = np.repeat(np.arange(k + j, k + top + 1, dtype=np.int32) + mul * i,
+                          ends[1:] - ends[:-1])
+            t += ramp[: b - i]
+            if shift:
+                t >>= shift
+            depth = tally.depth[i:b]
+            t -= depth
+            for n, floor in exact.items():
+                if i <= n < b:
+                    t[n - i] = floor - depth[n - i]
             low = t.min()
             if low < 0:
-                bad = np.flatnonzero(np.less(t, 0, out=flags)) + (a + i)
+                bad = np.flatnonzero(t < 0) + i
                 tally.violations += bad[: 100 - len(tally.violations)].tolist()
                 tally.count += bad.size
                 tally.last = int(bad[-1])
             tally.min_slack = min(tally.min_slack, low)
             tally.max_slack = max(tally.max_slack, t.max())
         if each_run is not None:
-            each_run(a, n, ln, tallies)
+            each_run(a, b, tallies)
     return tallies
 
 
@@ -367,10 +434,14 @@ def crossover_scan() -> dict:
     """
     out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
 
-    def prior_art(a, n, ln, tallies):
-        m = np.arange(a, a + len(n), dtype=np.int64)
+    def prior_art(a, b, tallies):
+        ours = tallies[CNOT].depth[a:b]
+        # both prior bounds are at least (4a) // 3 on the run: once the two
+        # first sizes are found, a run below that cannot lose
+        if None not in out.values() and ours.max() < 4 * a // 3:
+            return
+        m = np.arange(a, b, dtype=np.int32)
         internal = _cnot_prior_internal(m)
-        ours = tallies[CNOT].depth[a: a + len(n)]
         # crossover = first size from which the improvement is permanent
         # (isolated earlier wins exist, e.g. around n = 56..64)
         lose = np.flatnonzero(ours >= np.minimum(2 * m, internal))
@@ -379,7 +450,8 @@ def crossover_scan() -> dict:
         if out["prior_internal_rounded"] is None:
             out["prior_internal_rounded"] = _first(a, internal < 2 * m)
         if out["prior_internal_asymptotic"] is None:
-            out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * ln < 2.0 * n)
+            n = m.astype(np.float64)
+            out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * np.log2(n) < 2.0 * n)
 
     tallies = _scan(dict.fromkeys(FORMULAS, 2), prior_art)
     for fam, t in tallies.items():

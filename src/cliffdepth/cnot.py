@@ -42,9 +42,10 @@ _BASE4 = (
 )
 
 
-def _direct_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
-    """x_A += C x_B for the block C = p, one matching of CNOTs per color class of C."""
-    i, j = bipartite_edge_color(p)
+def _direct_gates(a: list[int], b: list[int], p: BitMatrix, delta: int | None = None) -> np.ndarray:
+    """x_A += C x_B for the block C = p, one matching of CNOTs per color class of C
+    (delta: C's max degree, when counted)."""
+    i, j = bipartite_edge_color(p, _delta=delta)
     return gate_block(CNOT, np.asarray(b)[j], np.asarray(a)[i])
 
 
@@ -77,19 +78,19 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
         return EMPTY
     d_direct = max(*(v.bit_count() for v in p.ints), max_col_degree(p))
     if d_direct <= 2 or (p.rows <= 4 and p.cols <= 4):
-        return _direct_gates(a, b, p)
+        return _direct_gates(a, b, p, d_direct)
     hr = halve_weights(p)
     t = halving_finish(hr)
     deg = [v.bit_count() for v in hr.reduced.ints + hr.cols]
     top = max(t)
     if d_direct <= max(top, *map(add, t, deg)):
-        return _direct_gates(a, b, p)
+        return _direct_gates(a, b, p, d_direct)
     g = m01_gates(a, b, hr)
     if d_direct <= top + max(deg):  # between the bounds: measure
         finish = dict.fromkeys(a + b, 0)
         asap_finish(g, finish)
         if d_direct <= max(finish.values()):
-            return _direct_gates(a, b, p)
+            return _direct_gates(a, b, p, d_direct)
     # H on A around the CZ form, pushed through it: every gate becomes a CNOT,
     # with its ends swapped when its first end is in A (a tree CNOT inside A
     # flips, CZ(a, b) becomes CNOT(b, a), a CNOT inside B stays)

@@ -97,9 +97,10 @@ def halve_weights(p: BitMatrix) -> HalvingResult:
     return HalvingResult(BitMatrix(k, m, rows), set_bits(rowflip), set_bits(colflip), cols)
 
 
-def _color_table(p: BitMatrix) -> list[list[int]]:
+def _color_table(p: BitMatrix, delta: int | None = None) -> list[list[int]]:
     """Each row's color -> column list, -1 where the row lacks the color, of a
-    first-fit Kempe-chain coloring with Delta colors.
+    first-fit Kempe-chain coloring with Delta colors (delta, when the caller
+    has counted Delta of a nonzero p).
 
     Rows are filled in order: an edge takes the first color fi free at its
     row; if fi is taken at the column, fi and the column's first free
@@ -111,10 +112,11 @@ def _color_table(p: BitMatrix) -> list[list[int]]:
     list, and its first free color is its first -1.
     """
     at_row = [list(compress(count(), bit_bytes(v))) for v in p.ints]  # each row's columns, ascending
-    delta = max(map(len, at_row))
-    if delta == 0:
-        return at_row
-    delta = max(delta, max_col_degree(p))
+    if delta is None:
+        delta = max(map(len, at_row))
+        if delta == 0:
+            return at_row
+        delta = max(delta, max_col_degree(p))
     at_col = [[-1] * delta for _ in range(p.cols)]  # color -> row
 
     for i, js in enumerate(at_row):
@@ -144,7 +146,7 @@ def _color_table(p: BitMatrix) -> list[list[int]]:
     return at_row
 
 
-def bipartite_edge_color(p: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+def bipartite_edge_color(p: BitMatrix, *, _delta: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Partition the 1-entries into Delta matchings, as (rows, cols): two int64
     arrays of the pairs (i, j), class after class, rows ascending in a class.
 
@@ -154,8 +156,10 @@ def bipartite_edge_color(p: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Args:
         p: bipartite pattern (rows vs columns).
+        _delta: package-internal: Delta of a nonzero p, for a caller that
+            has counted it, so that it is not counted again.
     """
-    table = _color_table(p)
+    table = _color_table(p, _delta)
     k, delta = len(table), len(table[0])
     t = np.fromiter(chain.from_iterable(table), np.int64, k * delta).reshape(k, delta)
     colors, rows = np.nonzero(t.T >= 0)

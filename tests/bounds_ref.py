@@ -1,4 +1,4 @@
-"""Reference depth tables for the bound tests (test helper).
+"""Reference depth tables and bound scan for the bound tests (test helper).
 
 The fill that ``cliffdepth.bounds`` used before it ran over h = ceil(n / 2):
 runs of n inside the blocks (m, 2m], the branch values in n, the argmin by
@@ -6,9 +6,18 @@ runs of n inside the blocks (m, 2m], the branch values in n, the argmin by
 except that ``_clifford_composed`` takes its tables as arguments and the
 scalar helpers read ``reference_tables``.  The package's tables and argmin
 must equal these bit for bit.
+
+``reference_scan`` is ``cliffdepth.bounds._scan`` as it was before it read
+the floors off the closed forms' steps: every formula evaluated in double
+precision at every size, in runs of 2**14 sizes that share n and log2 n.
+It is kept unchanged, except that it reads the package's names at call
+time (so that patches of ``construction_depth`` and ``_exact`` apply) and
+has no ``each_run`` hook.  The package's tallies must equal its tallies.
 """
 
 import numpy as np
+
+from cliffdepth import bounds
 
 BRANCHES = ("coloring", "onestep", "twostep")
 
@@ -133,3 +142,48 @@ def reference_merge_saving(n: int, tables) -> int:
     if n < 4:
         return 0
     return int(_merge_saving(n, int(tables["cz-argmin"][n])))
+
+
+def reference_scan(starts: dict[str, int]) -> dict:
+    """Each family's _Tally from its start size through N_MAX, size by size."""
+    tallies = {fam: bounds._Tally(bounds.construction_depth(fam), lo - 1)
+               for fam, lo in starts.items()}
+    run, end = bounds._RUN, bounds.N_MAX + 1
+    offsets = np.arange(run, dtype=np.float64)
+    n_buf, ln_buf, v_buf, t_buf = (np.empty(run) for _ in range(4))
+    flag_buf = np.empty(run, dtype=bool)
+    start = min(starts.values())
+    cuts = [start, *range((start // run + 1) * run, end, run), end]
+    for a, b in zip(cuts, cuts[1:]):
+        n = np.add(offsets[: b - a], a, out=n_buf[: b - a])
+        ln = np.log2(n, out=ln_buf[: b - a])
+        for family, lo in starts.items():
+            tally, i, j = tallies[family], max(lo, a) - a, b - a
+            if i >= j:
+                continue
+            f, v, t, flags = bounds.FORMULAS[family], v_buf[: j - i], t_buf[: j - i], flag_buf[: j - i]
+            np.multiply(n[i:j], f.linear, out=v)
+            np.multiply(ln[i:j], f.log2sq, out=t)
+            t *= ln[i:j]
+            v += t
+            np.multiply(ln[i:j], f.log, out=t)
+            v += t
+            v += f.const
+            np.rint(v, out=t)
+            t -= v
+            np.abs(t, out=t)
+            near = np.flatnonzero(np.less(t, 1e-6, out=flags))
+            np.floor(v, out=v)
+            for k in near.tolist():
+                v[k] = f._exact(a + i + k)
+            tally.near += near.size
+            np.subtract(v, tally.depth[a + i: a + j], out=t)
+            low = t.min()
+            if low < 0:
+                bad = np.flatnonzero(np.less(t, 0, out=flags)) + (a + i)
+                tally.violations += bad[: 100 - len(tally.violations)].tolist()
+                tally.count += bad.size
+                tally.last = int(bad[-1])
+            tally.min_slack = min(tally.min_slack, low)
+            tally.max_slack = max(tally.max_slack, t.max())
+    return tallies

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import cliffdepth
 from cliffdepth import bounds
 
 from bounds_ref import (reference_cz_branches, reference_cz_choice, reference_merge_saving,
-                        reference_tables)
+                        reference_scan, reference_tables)
 
 
 def test_ceil_log2():
@@ -181,7 +182,8 @@ def test_tables_match_reference_fill(monkeypatch):
         got = _fresh_tables(monkeypatch, n_max)
         assert got.keys() == want.keys()
         for key, table in got.items():
-            assert table.dtype == want[key].dtype, (key, n_max)
+            # the tables are int32 (no entry exceeds 2.7M); the argmin keeps int8
+            assert table.dtype == (want[key].dtype if key == "cz-argmin" else np.int32), (key, n_max)
             assert np.array_equal(table, want[key]), (key, n_max)
 
 
@@ -335,6 +337,76 @@ def test_scans_report_violations_like_a_scalar_reference(monkeypatch):
     # the crossover reads the same construction depth: bumped at n = 70, the
     # construction loses to prior art there, and wins again from 71 on
     assert bounds.crossover_scan() == {**GOLDEN_SCAN, **starts, "cnot_crossover": 71}
+
+
+TALLY_FIELDS = ("violations", "count", "last", "min_slack", "max_slack", "near")
+
+
+@pytest.mark.parametrize("condition", ["plain", "exact -1", "bumped", "bumped, exact -1"])
+def test_scan_matches_reference_scan(monkeypatch, condition):
+    """The step scan tallies as the per-size double scan does, from each
+    formula's start and from 2, with the guard's sizes answering -1 and with
+    depths bumped across run edges."""
+    if "bumped" in condition:
+        _bump_depths(monkeypatch)
+    if "exact" in condition:
+        monkeypatch.setattr(bounds.BoundFormula, "_exact", lambda self, n: -1)
+    for starts in ({fam: f.lo for fam, f in bounds.FORMULAS.items()},
+                   dict.fromkeys(bounds.FORMULAS, 2)):
+        got, want = bounds._scan(starts), reference_scan(starts)
+        assert got.keys() == want.keys()
+        for fam in starts:
+            for name in TALLY_FIELDS:
+                assert getattr(got[fam], name) == getattr(want[fam], name), (fam, starts[fam], name)
+
+
+def test_floor_steps_are_far_apart():
+    """_guarded evaluates only rises of K and the sizes before them.  That needs
+    linear in {1/2, 1, 2} and positive log terms (K never decreases), and
+    s * (v - linear * n) to grow by more than the guard's 2e-6 at every
+    size; the least growth is at N_MAX."""
+    n = np.arange(2, bounds.N_MAX + 1, dtype=np.float64)
+    ln = np.log2(n)
+    for family, f in bounds.FORMULAS.items():
+        assert f.linear in (0.5, 1.0, 2.0) and f.log2sq > 0 and f.log > 0, family
+        grow = np.diff(bounds._scale(f) * (f.log2sq * ln * ln + f.log * ln))
+        assert grow.argmin() == len(grow) - 1
+        assert grow[-1] > 4e-5, family
+
+
+def test_scans_stay_small():
+    """On filled tables, neither full-range call holds more than 8 MiB at once."""
+    bounds.validate_all()
+    bounds.crossover_scan()  # fills the tables and loads mpmath
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for call in (bounds.validate_all, bounds.crossover_scan):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            assert tracemalloc.get_traced_memory()[1] - held < 8 * 2 ** 20, call.__name__
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size", [5 * RUN, 5 * RUN + 1, 1_000_003, bounds.N_MAX])
+def test_crossover_finds_a_late_loss(monkeypatch, size):
+    """A construction depth equal to prior art at one large size is a loss
+    there, and one below it is not, wherever the size sits in its run."""
+    orig = bounds.construction_depth
+    prior = bounds.prior_art_bound(bounds.CNOT, size)
+    for depth, crossover in ((prior, size + 1), (prior - 1, GOLDEN_SCAN["cnot_crossover"])):
+        def raised(family, n_max=bounds.N_MAX, depth=depth):
+            d = orig(family, n_max).copy()
+            if family == bounds.CNOT:
+                d[size] = depth
+            return d
+
+        monkeypatch.setattr(bounds, "construction_depth", raised)
+        assert bounds.crossover_scan()["cnot_crossover"] == crossover
 
 
 def test_validate_closed_form_rejects_unknown_family():
