@@ -1,17 +1,19 @@
 """Depth recursion tables, closed-form bounds, and range validation.
 
-Tables are flat int32 arrays over n = 1..1,345,000 (no entry exceeds 2.7M),
-filled bottom-up in runs of h = ceil(n / 2), with one int ceil(log2 h) per
-run.  For n >= 4 the recursions read n only through h (ceil(log2 n) =
-ceil(log2 h) + 1), so sizes 2h - 1 and 2h share an entry, and the Clifford
-merge saving (the depth of the trees either recursive CZ branch opens with)
-is ceil(log2 n) - 2.
+Tables are flat int32 arrays over n = 0..N_MAX = 1,345,000 (no entry
+exceeds 2.7M), each filled once per process, bottom-up in runs of
+h = ceil(n / 2), with one int ceil(log2 h) per run.  For n >= 4 the
+recursions read n only through h (ceil(log2 n) = ceil(log2 h) + 1), so
+sizes 2h - 1 and 2h share an entry, and the Clifford merge saving (the
+depth of the trees either recursive CZ branch opens with) is
+ceil(log2 n) - 2.
 Closed forms are evaluated in double precision with a near-integer guard:
 values within 1e-6 of an integer are re-evaluated in high precision before
 flooring.  The full-range scans read each floored closed form off its
 steps: linear * n plus a log part whose floor rises a few hundred to a
 few thousand times up to N_MAX, found by bisection; only the sizes at a
-rise can trip the guard, and the slack is int arithmetic.
+rise can trip the guard, and the slack is int arithmetic.  The prior-art
+crossover is a separate pass over the CNOT construction depth.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ BRANCHES = (COLORING, ONESTEP, TWOSTEP)
 
 _RUN = 1 << 14  # values per run of a table fill or scan; its buffers stay in cache
 
-_tables: dict[str, np.ndarray] = {}
-_cz_argmin: dict[str, np.ndarray] = {}  # CZ family only, as long as its table
+# family -> (table, the CZ argmin for CZ, else None), filled on first use
+_tables: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
 
 
 def ceil_log2(n):
@@ -68,14 +70,14 @@ def _cz_branch_values(h, d: np.ndarray, c):
     yield d[q] + (half + (q >> 1) + (2 * c + 4))
 
 
-def _runs(n_max: int):
-    """(h, c) for runs of h = ceil(n / 2) covering n = 5..n_max, in order.
+def _runs():
+    """(h, c) for runs of h = ceil(n / 2) covering n = 5..N_MAX, in order.
 
     A run holds at most _RUN values inside one (2**(c-1), 2**c], so c =
     ceil(log2 h) is one int; it reads sizes up to 2**c and writes sizes
     above, so a bottom-up fill evaluates the whole run at once.
     """
-    lo, top = 3, (n_max + 1) // 2
+    lo, top = 3, N_MAX // 2
     while lo <= top:
         c = ceil_log2(lo)
         hi = min(top, 1 << c, lo + _RUN - 1)
@@ -88,18 +90,18 @@ def _store(t: np.ndarray, h: np.ndarray, v: np.ndarray) -> None:
     t[2 * h[0] - 1: 2 * h[-1]: 2] = t[2 * h[0]: 2 * h[-1] + 1: 2] = v
 
 
-def _base(n_max: int, d3: int) -> np.ndarray:
-    """Zeroed table with room for 2h at every h, holding d[2..4] (d[4] = 3 in every family)."""
-    d = np.zeros(2 * max((n_max + 1) // 2, 2) + 1, dtype=np.int32)
+def _base(d3: int) -> np.ndarray:
+    """Zeroed table d[0..N_MAX] (N_MAX is even), holding d[2..4] (d[4] = 3 in every family)."""
+    d = np.zeros(N_MAX + 1, dtype=np.int32)
     d[2:5] = 1, d3, 3
     return d
 
 
-def _fill_cz(n_max: int, with_twostep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _fill_cz(with_twostep: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """CZ depth table, and with the two-step branch the argmin branch per size."""
-    d = _base(n_max, 3)
-    argmin = np.zeros(len(d), dtype=np.int8)
-    for h, c in _runs(n_max):
+    d = _base(3)
+    argmin = np.zeros(len(d), dtype=np.int8) if with_twostep else None
+    for h, c in _runs():
         branches = _cz_branch_values(h, d, c)
         coloring, onestep = next(branches), next(branches)
         best = np.minimum(coloring, onestep)
@@ -109,88 +111,88 @@ def _fill_cz(n_max: int, with_twostep: bool) -> tuple[np.ndarray, np.ndarray | N
             _store(argmin, h, np.maximum(onestep < coloring, (twostep < best) * np.int8(2)))
             np.minimum(best, twostep, out=best)
         _store(d, h, best)
-    return d[: n_max + 1], (argmin[: n_max + 1] if with_twostep else None)
+    return d, argmin
 
 
-def _fill_cnot(n_max: int, first_branch_only: bool) -> np.ndarray:
-    d = _base(n_max, 2)
-    for h, c in _runs(n_max):
+def _fill_cnot(first_branch_only: bool) -> np.ndarray:
+    d = _base(2)
+    for h, c in _runs():
         cost = h if first_branch_only else np.minimum(h, (h >> 1) + 2 * c)
         _store(d, h, d[h] + cost)
-    return d[: n_max + 1]
+    return d
 
 
-def get_table(family: str, n_max: int = N_MAX) -> np.ndarray:
-    """Depth table d[0..n_max] for a recursion family (memoized)."""
-    cached = _tables.get(family)
-    if cached is not None and len(cached) > n_max:
-        return cached
-    if family == CZ:
-        t, _cz_argmin[CZ] = _fill_cz(n_max, with_twostep=True)
-    elif family == CZ_BASIC:
-        t = _fill_cz(n_max, with_twostep=False)[0]
-    elif family in (CNOT, CNOT_FIRST):
-        t = _fill_cnot(n_max, first_branch_only=family == CNOT_FIRST)
-    elif family == CLIFFORD:
-        t = _clifford_composed(n_max)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    _tables[family] = t
-    return t
+def get_table(family: str) -> np.ndarray:
+    """Depth table d[0..N_MAX] for a recursion family, filled on first use."""
+    if family not in _tables:
+        if family in (CZ, CZ_BASIC):
+            _tables[family] = _fill_cz(with_twostep=family == CZ)
+        elif family in (CNOT, CNOT_FIRST):
+            _tables[family] = _fill_cnot(first_branch_only=family == CNOT_FIRST), None
+        elif family == CLIFFORD:
+            _tables[family] = _clifford_composed(), None
+        else:
+            raise ValueError(f"unknown family {family!r}")
+    return _tables[family][0]
 
 
-def cz_argmin(n_max: int = N_MAX) -> np.ndarray:
-    """Index into BRANCHES of the CZ branch chosen at each size 0..n_max."""
-    get_table(CZ, n_max)
-    return _cz_argmin[CZ]
+def cz_argmin() -> np.ndarray:
+    """Index into BRANCHES of the CZ branch chosen at each size 0..N_MAX."""
+    get_table(CZ)
+    return _tables[CZ][1]
+
+
+def _check_range(n: int) -> None:
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"n out of range [1..{N_MAX}]")
 
 
 def cz_branches(n: int) -> tuple[int, int | None, int | None]:
     """The three Eq-style branch values for the CZ recursion at size n."""
     if n < 2:
         raise ValueError("branches defined for n >= 2")
+    _check_range(n)
     h = (n + 1) // 2
     if n < 4:
         return 2 * h - 1, None, None
-    return tuple(map(int, _cz_branch_values(h, get_table(CZ, n), ceil_log2(h))))
+    return tuple(map(int, _cz_branch_values(h, get_table(CZ), ceil_log2(h))))
 
 
 def cz_choice(n: int) -> str:
     """Argmin branch at size n; ties break coloring, then onestep."""
     if n < 2:
         raise ValueError("branches defined for n >= 2")
-    return BRANCHES[cz_argmin(n)[n]]
+    _check_range(n)
+    return BRANCHES[cz_argmin()[n]]
 
 
 def merge_saving(n: int) -> int:
     """Depth saved by folding the top CZ stage's leading trees into -CX-."""
-    if n < 4 or not cz_argmin(n)[n]:
+    if n < 4 or cz_choice(n) == COLORING:
         return 0
     return ceil_log2(n) - 2
 
 
-def _clifford_composed(n_max: int) -> np.ndarray:
+def _clifford_composed() -> np.ndarray:
     """Composed 11-stage depth: 2*cz + (2*cnot + 6) - merge saving."""
-    out = get_table(CZ, n_max)[: n_max + 1] + get_table(CNOT, n_max)[: n_max + 1]
+    out = get_table(CZ) + get_table(CNOT)
     out *= 2
     out += 6
-    argmin = cz_argmin(n_max)
-    for h, c in _runs(n_max):  # a recursive branch saves ceil(log2 n) - 2 = c - 1
-        a, b = 2 * h[0] - 1, min(2 * h[-1], n_max) + 1
+    argmin = cz_argmin()
+    for h, c in _runs():  # a recursive branch saves ceil(log2 n) - 2 = c - 1
+        a, b = 2 * h[0] - 1, 2 * h[-1] + 1
         out[a:b] -= (argmin[a:b] != 0) * (c - 1)
     out[:2] = 0
     return out
 
 
 def cz_depth_recursion(n: int) -> int:
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"n out of range [1..{N_MAX}]")
+    _check_range(n)
     return int(get_table(CZ)[n])
 
 
 def cnot_depth_recursion(n: int) -> int:
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"n out of range [1..{N_MAX}]")
+    _check_range(n)
     return int(get_table(CNOT)[n])
 
 
@@ -245,11 +247,11 @@ FORMULAS = {
 }
 
 
-def construction_depth(family: str, n_max: int = N_MAX) -> np.ndarray:
-    """Depth our construction certifies at each n = 0..n_max, per family."""
+def construction_depth(family: str) -> np.ndarray:
+    """Depth our construction certifies at each n = 0..N_MAX, per family."""
     if family not in FORMULAS:
         raise ValueError(f"unknown family {family!r}")
-    d = get_table(family, n_max)[: n_max + 1]
+    d = get_table(family)
     if family != CNOT:
         return d
     d = d * 2  # then in place: one int32 copy
@@ -350,14 +352,19 @@ def _guarded(family: str, lo: int, rises: list[int]) -> dict[int, int]:
     return {n: f._exact(n) for n in sizes[np.abs(np.rint(v) - v) < 1e-6].tolist()}
 
 
-def _scan(starts: dict[str, int], each_run=None) -> dict[str, _Tally]:
+def _cuts(start: int):
+    """(a, b) of the runs a..b - 1 covering start..N_MAX, cut at multiples of _RUN."""
+    cuts = [start, *range((start // _RUN + 1) * _RUN, N_MAX + 1, _RUN), N_MAX + 1]
+    return zip(cuts, cuts[1:])
+
+
+def _scan(starts: dict[str, int]) -> dict[str, _Tally]:
     """Tally each family's closed-form slack from its start size through N_MAX.
 
     The floored closed form is read off the steps of _steps in int32, next
     to the int32 construction depth; the sizes _guarded finds take
     BoundFormula._exact.  The sizes are walked in runs cut at multiples of
-    _RUN, in int arithmetic.  each_run(a, b, tallies), if given, sees every
-    run a..b - 1 after the run's tallies.
+    _RUN, in int arithmetic.
     """
     tallies = {fam: _Tally(construction_depth(fam), lo - 1) for fam, lo in starts.items()}
     forms = {}
@@ -367,9 +374,7 @@ def _scan(starts: dict[str, int], each_run=None) -> dict[str, _Tally]:
         s = _scale(FORMULAS[fam])
         mul = int(s * FORMULAS[fam].linear)
         forms[fam] = k, rises, exact, mul, s - 1, np.arange(_RUN, dtype=np.int32) * mul
-    start, end = min(starts.values()), N_MAX + 1
-    cuts = [start, *range((start // _RUN + 1) * _RUN, end, _RUN), end]
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in _cuts(min(starts.values())):
         for family, lo in starts.items():
             tally, i = tallies[family], max(lo, a)
             if i >= b:
@@ -396,8 +401,6 @@ def _scan(starts: dict[str, int], each_run=None) -> dict[str, _Tally]:
                 tally.last = int(bad[-1])
             tally.min_slack = min(tally.min_slack, low)
             tally.max_slack = max(tally.max_slack, t.max())
-        if each_run is not None:
-            each_run(a, b, tallies)
     return tallies
 
 
@@ -426,24 +429,19 @@ def _first(a: int, mask: np.ndarray) -> int | None:
     return a + int(hits[0]) if hits.size else None
 
 
-def crossover_scan() -> dict:
-    """Crossover points between our constructions and prior art.
-
-    A family's range start is the first n from which its closed form holds
-    through N_MAX.
-    """
+def cnot_crossovers(depth: np.ndarray) -> dict:
+    """Where a CNOT construction depth over 0..N_MAX wins over prior art from
+    on (isolated earlier wins exist, e.g. around n = 56..64), and where the
+    prior internal bound, rounded and asymptotic, first beats 2n."""
     out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
-
-    def prior_art(a, b, tallies):
-        ours = tallies[CNOT].depth[a:b]
+    for a, b in _cuts(2):
+        ours = depth[a:b]
         # both prior bounds are at least (4a) // 3 on the run: once the two
         # first sizes are found, a run below that cannot lose
         if None not in out.values() and ours.max() < 4 * a // 3:
-            return
+            continue
         m = np.arange(a, b, dtype=np.int32)
         internal = _cnot_prior_internal(m)
-        # crossover = first size from which the improvement is permanent
-        # (isolated earlier wins exist, e.g. around n = 56..64)
         lose = np.flatnonzero(ours >= np.minimum(2 * m, internal))
         if lose.size:
             out["cnot_crossover"] = a + int(lose[-1]) + 1
@@ -452,8 +450,17 @@ def crossover_scan() -> dict:
         if out["prior_internal_asymptotic"] is None:
             n = m.astype(np.float64)
             out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * np.log2(n) < 2.0 * n)
+    return out
 
-    tallies = _scan(dict.fromkeys(FORMULAS, 2), prior_art)
+
+def crossover_scan() -> dict:
+    """Crossover points between our constructions and prior art.
+
+    A family's range start is the first n from which its closed form holds
+    through N_MAX.
+    """
+    tallies = _scan(dict.fromkeys(FORMULAS, 2))
+    out = cnot_crossovers(tallies[CNOT].depth)
     for fam, t in tallies.items():
         out[fam.replace("-", "_") + "_range_start"] = t.last + 1
     return out
@@ -466,7 +473,7 @@ def emit_comparison_csv(family: str, lo: int, hi: int) -> str:
     if not 2 <= lo <= hi <= N_MAX:
         raise ValueError(f"range must satisfy 2 <= from <= to <= {N_MAX}, got {lo}..{hi}")
     formula = FORMULAS[family]
-    depth = construction_depth(family, hi)
+    depth = construction_depth(family)
     lines = ["n,prior,closed_form,construction"]
     if family == CLIFFORD:
         lines.insert(0, "# prior column reconstructs a baseline from prior CZ/CNOT bounds applied per stage; no directly published prior Clifford depth curve is used")

@@ -47,7 +47,7 @@ def _bound(family: str, n: int) -> int:
     formula = bounds.FORMULAS[family]
     if n >= formula.lo:
         return formula.value(n)
-    return int(bounds.construction_depth(family, n)[n])
+    return int(bounds.construction_depth(family)[n])
 
 
 def _cz_tableau(spec: CzSpec) -> CliffordTableau:
@@ -180,7 +180,7 @@ def _cmd_bounds(args) -> int:
             print(f"{rep['family']}: range {rep['range'][0]}..{rep['range'][1]} "
                   f"{status} (min slack {rep['min_slack']}, "
                   f"near-integer {rep['near_integer_flags']})")
-        scan = bounds.crossover_scan()
+        scan = bounds.cnot_crossovers(bounds.construction_depth(bounds.CNOT))
         print(f"cnot crossover vs prior art: n={scan['cnot_crossover']}")
         return 1 if failed else 0
     if args.family is None:

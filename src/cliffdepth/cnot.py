@@ -157,39 +157,25 @@ def remove_hadamards(c: Circuit) -> Circuit:
     single-qubit gate) have no CNOT-only rewrite and raise ValueError.
     All H parities must cancel by the end of the circuit.  The output
     keeps the input's ``perm``.
-
-    A two-qubit gate's end is conjugated when an odd number of earlier H
-    gates act on it; the earlier H gates on a qubit are counted by
-    searching the H gates, sorted by qubit and then by position.
     """
-    kind, a, b = c.array.T
-    is_h = kind == H
-    two = np.flatnonzero(kind < 2)
-    stride = len(kind) + 1
-    keys = np.sort(a[is_h] * stride + np.flatnonzero(is_h))
-
-    def parity(q: np.ndarray) -> np.ndarray:
-        return (np.searchsorted(keys, q * stride + two) - np.searchsorted(keys, q * stride)) & 1
-
-    ka, qa, qb = kind[two], a[two], b[two]
-    pa, pb = parity(qa), parity(qb)
-    # a CNOT needs both ends or neither conjugated, a CZ exactly one
-    bad = two[(pa == pb) != (ka == CNOT)]
-    other = np.flatnonzero(~is_h & (kind >= 2))
-    first = min(bad[:1].tolist() + other[:1].tolist(), default=None)
-    if first is not None:
-        if kind[first] == CNOT:
-            raise ValueError("CNOT with one conjugated end has no rewrite")
-        if kind[first] < 2:
-            raise ValueError("CZ needs exactly one conjugated end")
-        raise ValueError(f"cannot remove H around {KINDS[kind[first]]} gate")
-    if (np.bincount(a[is_h], minlength=c.n) & 1).any():
+    parity = [0] * c.n  # H gates so far on each qubit, mod 2
+    gates = []
+    for kind, a, b in c.array.tolist():
+        if kind == H:
+            parity[a] ^= 1
+        elif kind >= 2:
+            raise ValueError(f"cannot remove H around {KINDS[kind]} gate")
+        # a CNOT needs both ends or neither conjugated, a CZ exactly one
+        elif (parity[a] == parity[b]) != (kind == CNOT):
+            raise ValueError("CNOT with one conjugated end has no rewrite" if kind == CNOT
+                             else "CZ needs exactly one conjugated end")
+        else:
+            # a CNOT with both ends conjugated flips, and a CZ becomes a CNOT
+            # controlled on its bare end: a gate flips exactly when a is conjugated
+            gates.append((CNOT, b, a) if parity[a] else (CNOT, a, b))
+    if any(parity):
         raise ValueError("unmatched H gates remain")
-    # a CNOT with both ends conjugated flips, and a CZ becomes a CNOT
-    # controlled on its bare end: a gate flips exactly when a is conjugated
-    flip = pa.astype(bool)
-    gates = gate_block(CNOT, np.where(flip, qb, qa), np.where(flip, qa, qb))
-    return Circuit(c.n, gates, perm=c.perm)
+    return Circuit(c.n, np.array(gates, dtype=np.int64).reshape(-1, 3), perm=c.perm)
 
 
 EXACT = "exact"

@@ -12,7 +12,7 @@ the floors off the closed forms' steps: every formula evaluated in double
 precision at every size, in runs of 2**14 sizes that share n and log2 n.
 It is kept unchanged, except that it reads the package's names at call
 time (so that patches of ``construction_depth`` and ``_exact`` apply) and
-has no ``each_run`` hook.  The package's tallies must equal its tallies.
+has no per-run hook.  The package's tallies must equal its tallies.
 """
 
 import numpy as np

@@ -128,20 +128,9 @@ def test_prior_art_values():
 
 def test_construction_depth_families():
     for fam in (bounds.CZ, bounds.CZ_BASIC, bounds.CNOT, bounds.CLIFFORD):
-        d = bounds.construction_depth(fam, 100)
-        assert d.shape[0] >= 101
+        assert bounds.construction_depth(fam).shape == (bounds.N_MAX + 1,)
     with pytest.raises(ValueError):
         bounds.construction_depth("nope")
-
-
-def test_construction_depth_is_cut_to_n_max():
-    """With the full tables cached, a short request still gets n_max + 1 entries."""
-    for fam in bounds.FORMULAS:
-        full = bounds.construction_depth(fam)
-        assert len(full) == bounds.N_MAX + 1
-        d = bounds.construction_depth(fam, 100)
-        assert len(d) == 101
-        assert np.array_equal(d, full[:101])
 
 
 def test_emit_comparison_csv():
@@ -159,32 +148,35 @@ def test_emit_comparison_csv():
 
 
 TABLE_FAMILIES = (bounds.CZ, bounds.CZ_BASIC, bounds.CNOT, bounds.CNOT_FIRST, bounds.CLIFFORD)
-# every n_max from 1 to 140; around each power of two and each old run edge
-# 3 * 2**k, odd sizes included; and the top of the range
-REF_N_MAX = sorted({*range(1, 141), bounds.N_MAX - 1, bounds.N_MAX, *(
-    v for k in range(bounds.N_MAX.bit_length())
-    for v in (2 ** k - 1, 2 ** k, 2 ** k + 1, 3 * 2 ** k, 3 * 2 ** k + 1)
-    if 1 <= v <= bounds.N_MAX)})
 
 
-def _fresh_tables(monkeypatch, n_max):
-    """All five tables and the CZ argmin, filled from empty caches at n_max."""
+def test_tables_match_reference_fill():
+    want = reference_tables(bounds.N_MAX)
+    got = {fam: bounds.get_table(fam) for fam in TABLE_FAMILIES}
+    got["cz-argmin"] = bounds.cz_argmin()
+    assert got.keys() == want.keys()
+    for key, table in got.items():
+        # the tables are int32 (no entry exceeds 2.7M); the argmin keeps int8
+        assert table.dtype == (want[key].dtype if key == "cz-argmin" else np.int32), key
+        assert np.array_equal(table, want[key]), key
+
+
+def test_each_table_is_filled_once(monkeypatch):
+    """Every table is filled over the whole range on first use, and only then."""
     monkeypatch.setattr(bounds, "_tables", {})
-    monkeypatch.setattr(bounds, "_cz_argmin", {})
-    got = {fam: bounds.get_table(fam, n_max) for fam in TABLE_FAMILIES}
-    got["cz-argmin"] = bounds.cz_argmin(n_max)
-    return got
-
-
-def test_tables_match_reference_fill(monkeypatch):
-    for n_max in REF_N_MAX:
-        want = reference_tables(n_max)
-        got = _fresh_tables(monkeypatch, n_max)
-        assert got.keys() == want.keys()
-        for key, table in got.items():
-            # the tables are int32 (no entry exceeds 2.7M); the argmin keeps int8
-            assert table.dtype == (want[key].dtype if key == "cz-argmin" else np.int32), (key, n_max)
-            assert np.array_equal(table, want[key]), (key, n_max)
+    fills = []
+    for name in ("_fill_cz", "_fill_cnot", "_clifford_composed"):
+        fill = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, fill=fill, **k: fills.append(fill) or fill(*a, **k))
+    bounds.cz_choice(5)
+    bounds.cz_choice(600)
+    bounds.get_table(bounds.CZ)
+    bounds.construction_depth(bounds.CZ)
+    assert len(fills) == 1
+    for _ in range(2):
+        for family in reversed(TABLE_FAMILIES):
+            assert len(bounds.get_table(family)) == bounds.N_MAX + 1
+    assert len(fills) == len(TABLE_FAMILIES)
 
 
 def test_scalar_helpers_match_reference():
@@ -305,9 +297,9 @@ def _bump_depths(monkeypatch):
     """Raise construction_depth by BIG + n % 7 at the BUMPS sizes."""
     orig = bounds.construction_depth
 
-    def bumped(family, n_max=bounds.N_MAX):
-        d = orig(family, n_max).copy()
-        sizes = np.array([n for n in BUMPS[family] if n <= n_max], dtype=np.int64)
+    def bumped(family):
+        d = orig(family).copy()
+        sizes = np.array(BUMPS[family], dtype=np.int64)
         d[sizes] += BIG + sizes % 7
         return d
 
@@ -399,8 +391,8 @@ def test_crossover_finds_a_late_loss(monkeypatch, size):
     orig = bounds.construction_depth
     prior = bounds.prior_art_bound(bounds.CNOT, size)
     for depth, crossover in ((prior, size + 1), (prior - 1, GOLDEN_SCAN["cnot_crossover"])):
-        def raised(family, n_max=bounds.N_MAX, depth=depth):
-            d = orig(family, n_max).copy()
+        def raised(family, depth=depth):
+            d = orig(family).copy()
             if family == bounds.CNOT:
                 d[size] = depth
             return d
@@ -422,7 +414,7 @@ def test_import_leaves_mpmath_unloaded():
         "import cliffdepth\n"
         "from cliffdepth import bounds\n"
         "for family in ('cz', 'cz-basic', 'cnot', 'cnot-first-branch', 'clifford'):\n"
-        "    bounds.get_table(family, 5000)\n"
+        "    bounds.get_table(family)\n"
         "assert 'mpmath' not in sys.modules\n"
         "assert bounds.CZ_BOUND._exact(768944) == 384710\n"
         "assert 'mpmath' in sys.modules\n"
@@ -439,6 +431,8 @@ def test_import_leaves_mpmath_unloaded():
     (lambda: bounds.get_table("bogus"), "unknown family 'bogus'"),
     (lambda: bounds.cz_branches(1), "branches defined for n >= 2"),
     (lambda: bounds.cz_choice(1), "branches defined for n >= 2"),
+    *((lambda f=f: f(bounds.N_MAX + 1), f"n out of range [1..{bounds.N_MAX}]")
+      for f in (bounds.cz_branches, bounds.cz_choice, bounds.merge_saving)),
 ])
 def test_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -307,11 +307,20 @@ def test_bounds_validate(capsys):
     ]
 
 
+def test_bounds_validate_scans_each_closed_form_once(capsys, monkeypatch):
+    """The crossover line comes from the prior-art pass alone, not a second scan."""
+    starts = []
+    steps = bounds._steps
+    monkeypatch.setattr(bounds, "_steps", lambda s: starts.append(s) or steps(s))
+    run(capsys, "bounds", "--validate")
+    assert starts == [{fam: f.lo for fam, f in bounds.FORMULAS.items()}]
+
+
 def test_bounds_validate_violation_exits_1(capsys, monkeypatch):
     orig = bounds.construction_depth
 
-    def bumped(family, n_max=bounds.N_MAX):
-        d = orig(family, n_max).copy()
+    def bumped(family):
+        d = orig(family).copy()
         if family == bounds.CNOT:
             d[100_000] += 1000
         return d

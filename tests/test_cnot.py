@@ -371,7 +371,7 @@ def test_triangular_action_small_exhaustive():
 
 def test_triangular_action_random():
     rng = np.random.default_rng(30)
-    table = bounds.get_table(bounds.CNOT, 200)
+    table = bounds.get_table(bounds.CNOT)
     for _ in range(60):
         n = int(rng.integers(1, 24))
         m = random_unitriangular(rng, n)
@@ -570,7 +570,7 @@ def _adversarial_matrices(n: int) -> dict[str, BitMatrix]:
 
 @pytest.mark.parametrize("n", [39, 40, 64, 77, 130])
 def test_adversarial_matrices_verify_within_table(n):
-    exact_bound = int(bounds.construction_depth(bounds.CNOT, n)[n])
+    exact_bound = int(bounds.construction_depth(bounds.CNOT)[n])
     reorder_bound = 2 * bounds.cnot_depth_recursion(n)
     for name, m in _adversarial_matrices(n).items():
         c = synth_linear(m, EXACT)

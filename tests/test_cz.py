@@ -126,7 +126,7 @@ def test_synth_cz_rejects_unknown_strategy():
 
 def test_auto_depth_within_table_random():
     rng = np.random.default_rng(23)
-    table = bounds.get_table(bounds.CZ, 600)
+    table = bounds.get_table(bounds.CZ)
     for n in [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]:
         for _ in range(3):
             s = CzSpec.random(rng, n)
@@ -134,7 +134,7 @@ def test_auto_depth_within_table_random():
 
 
 def test_auto_depth_within_table_all_ones():
-    table = bounds.get_table(bounds.CZ, 600)
+    table = bounds.get_table(bounds.CZ)
     for n in [2, 4, 7, 16, 39, 64, 128, 256, 512]:
         assert synth_cz(CzSpec.all_ones(n)).two_qubit_depth() <= table[n]
 

@@ -84,7 +84,7 @@ def test_linear_search_stays_within_table(n):
     and the permutation; the reorder circuit drops the permutation's swaps."""
     rng = np.random.default_rng(200 + n)
     bits = random_invertible(rng, n).to_dense().copy()
-    table = int(bounds.construction_depth(bounds.CNOT, n)[n])
+    table = int(bounds.construction_depth(bounds.CNOT)[n])
     _climb(rng, bits, _flip_row,
            lambda b: synth_linear(BitMatrix.from_dense(b), EXACT).two_qubit_depth(), table)
     m = BitMatrix.from_dense(bits)
