@@ -30,8 +30,8 @@ import numpy as np
 from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
-from .gf2 import (BitMatrix, SingularMatrixError, int_fields, mat_inverse, mat_mul, numbered_lines,
-                  parse_bit_rows, rank_and_pivots)
+from .gf2 import (BitMatrix, gauss_jordan, int_fields, mat_mul, numbered_lines, parse_bit_rows,
+                  set_bits)
 
 
 class CliffordTableau:
@@ -190,11 +190,17 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     Working on the bottom rows (C|D) (images of the Z generators): pick
     the Hadamard set E2 so that mixing columns of C and D along E2 gives
     an invertible matrix X2; the quotient Theta = X2^{-1} Z2 is symmetric
-    and supplies the second CZ pattern and final P mask.  Peeling those
-    layers and H1 off every row, each kept as i^e X^x Z^z, leaves (0|K)
-    at the bottom, where K = X2 makes X2^{-1} the CX stage, and (K^{-T}|T)
-    at the top, where K^T T fixes the first P mask and CZ pattern.  Peeling
-    those too must leave the identity bits; the signs left over are the
+    and supplies the second CZ pattern and final P mask.  One Gauss-Jordan
+    elimination of the rows [C | D | I] finds all three: it pivots on C's
+    columns, whose pivot set P is E2's complement, then on D's columns in
+    E2.  Sorted by pivot column its rows are X2^{-1} in the I part, and
+    Theta is each row's D bits on P plus its C bits on E2.  Peeling those
+    layers and H1 off every row, each kept as i^e X^x Z^z, leaves (0|K) at
+    the bottom, where K = X2 makes X2^{-1} the CX stage, and (K^{-T}|T) at
+    the top, where K^T T fixes the first P mask and CZ pattern; K^T is read
+    off the tableau's own columns.  The remaining peels map the bottom rows
+    to (0|I) and leave their signs alone, so they run on the top rows only,
+    which must come out as the identity bits; the signs left over are the
     leading Z mask (top rows) and X mask (bottom rows).
 
     The peels check that s is symplectic.  Each multiplies the rows on the
@@ -213,16 +219,23 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     z = [v >> n for v in rows]
     e = [2 * (t.ph >> r & 1) + (a & b).bit_count() for r, (a, b) in enumerate(zip(x, z))]
 
-    c, d = x[n:], z[n:]
-    _, pivots = rank_and_pivots(BitMatrix(n, n, c))
-    e2 = full ^ sum(1 << q for q in pivots)
-    x2 = [u & ~e2 | v & e2 for u, v in zip(c, d)]
-    z2 = [v & ~e2 | u & e2 for u, v in zip(c, d)]
-    try:
-        r_cx = mat_inverse(BitMatrix(n, n, x2))  # basis matrix of the CX stage
-    except SingularMatrixError:
-        raise ValueError("tableau is not symplectic") from None
-    theta = mat_mul(r_cx, BitMatrix(n, n, z2)).ints
+    # rows below C's rank are zero on C, so pivoting them on D's columns in
+    # E2 leaves the first phase's echelon form on C in place
+    ech, p_cols = gauss_jordan([v | 1 << (2 * n + i) for i, v in enumerate(rows[n:])], range(n))
+    e2 = full ^ sum(1 << q for q in p_cols)
+    ech, d_cols = gauss_jordan(ech, [n + q for q in set_bits(e2)], len(p_cols))
+    if len(p_cols) + len(d_cols) < n:  # X2 is singular
+        raise ValueError("tableau is not symplectic")
+    by_col = [0] * n  # row q of R [C|D] has its one X2 bit in column q
+    for v, q in zip(ech, p_cols + [j - n for j in d_cols]):
+        by_col[q] = v
+    r_cx = BitMatrix(n, n, [v >> 2 * n for v in by_col])  # X2^{-1}, the CX stage's basis matrix
+    p_mask = full ^ e2
+    theta = [v >> n & p_mask | v & e2 for v in by_col]
+    x2 = [u & p_mask | v & e2 for u, v in zip(x[n:], z[n:])]
+    # column q of X2 is the bottom half of the tableau's column q of X, or of Z on E2
+    k_t = BitMatrix(n, n, [(zq if e2 >> q & 1 else xq) >> n
+                           for q, (xq, zq) in enumerate(zip(t.X, t.Z))])
     # on E2 the columns of C are sums of pivot columns, which X2 keeps in
     # place, so theta vanishes on E2 x E2 and d2 lies outside E2
     d2 = sum(v & 1 << q for q, v in enumerate(theta))
@@ -240,24 +253,24 @@ def decompose_tableau(t: CliffordTableau) -> CliffordLayers:
     _peel_h(x, z, e, e1)
     if any(x[n:]) or z[n:] != x2:
         raise ValueError("tableau is not symplectic")
-    k = BitMatrix(n, n, x2)
-    k_t = k.transpose()
 
     # the top rows are (K^{-T} | T) with K^T T = K^T diag(d1) K + Gamma1;
     # d1 = R^T diag(q1), the xor of the rows of R that diag(q1) selects,
     # hits the diagonal and the first CZ pattern absorbs the remainder
     q1 = mat_mul(k_t, BitMatrix(n, n, z[:n])).ints
     d1 = reduce(int.__xor__, (v for j, v in enumerate(r_cx.ints) if q1[j] >> j & 1), 0)
-    kdk = mat_mul(BitMatrix(n, n, [v & d1 for v in k_t.ints]), k)
+    kdk = mat_mul(BitMatrix(n, n, [v & d1 for v in k_t.ints]), BitMatrix(n, n, x2))
     gamma1 = [u ^ v for u, v in zip(q1, kdk.ints)]
 
-    # peel CZ1, the CX stage (no phase) and P1; what remains is the leading
-    # X/Z masks, identity bits whose signs are the masks
+    # peel CZ1, the CX stage (no phase) and P1 off the top rows (the peels
+    # update e[r] for row r only); what remains is the leading X/Z masks,
+    # identity bits whose signs are the masks
+    x, z = x[:n], z[:n]
     _peel_cz(x, z, e, gamma1)
-    x = mat_mul(BitMatrix(2 * n, n, x), k_t).ints
-    z = mat_mul(BitMatrix(2 * n, n, z), r_cx).ints
+    x = mat_mul(BitMatrix(n, n, x), k_t).ints
+    z = mat_mul(BitMatrix(n, n, z), r_cx).ints
     _peel_p(x, z, e, d1)
-    if any(u | v << n != 1 << r for r, (u, v) in enumerate(zip(x, z))):
+    if any(u != 1 << r or v for r, (u, v) in enumerate(zip(x, z))):
         raise ValueError("tableau is not symplectic")
     try:  # CzSpec refuses an asymmetric Theta or Gamma1: a CZ peel that was not symplectic
         cz1, cz2 = (CzSpec.from_bitmatrix(BitMatrix(n, n, g)) for g in (gamma1, gamma2))

@@ -8,14 +8,16 @@ text formats share one grammar, kept here: ``numbered_lines``, strict
 integer fields (``int_fields``) and 0/1 rows as int rows
 (``parse_bit_rows``).  The product takes and returns int rows but computes
 on uint64 word rows: it combines rows of the right factor eight at a time
-through lookup tables (the method of four Russians).  Inverse, solve and
-rank share one Gauss-Jordan elimination on int rows, LU eliminates on the
+through lookup tables (the method of four Russians).  Inverse, solve,
+rank and the Clifford decomposition share one Gauss-Jordan elimination on
+int rows, which pivots on given bit columns, LU eliminates on the
 same rows, and a unitriangular system is solved by back-substitution.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from itertools import compress, count
 
 import numpy as np
@@ -186,19 +188,22 @@ class SingularMatrixError(ValueError):
     """Raised when an inverse or solve hits a rank-deficient matrix."""
 
 
-def _gauss_jordan(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form over columns 0..ncols-1, and its pivot columns.
+def gauss_jordan(rows: list[int], cols: Iterable[int],
+                 start: int = 0) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over the bit columns cols, in order, and its pivot columns.
 
-    Higher bits ride along with their rows, so an augmented block comes
-    out transformed by the same row operations.
+    The k-th pivot lands in row start + k; rows above start are cleared of
+    each pivot column but never pivot.  Other bits ride along with their
+    rows, so an augmented block comes out transformed by the same row
+    operations.
     """
     rows = list(rows)
     pivots: list[int] = []
-    for j in range(ncols):
-        if len(pivots) == len(rows):
+    r = start
+    for j in cols:
+        if r == len(rows):
             break
         bit = 1 << j
-        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if piv is None:
             continue
@@ -207,6 +212,7 @@ def _gauss_jordan(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         rows = [v ^ p if v & bit else v for v in rows]
         rows[r] = p
         pivots.append(j)
+        r += 1
     return rows, pivots
 
 
@@ -217,7 +223,7 @@ def solve_right(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     n = a.rows
-    rows, pivots = _gauss_jordan([u | v << n for u, v in zip(a.ints, b.ints)], n)
+    rows, pivots = gauss_jordan([u | v << n for u, v in zip(a.ints, b.ints)], range(n))
     if len(pivots) < n:
         j = next(j for j, p in enumerate(pivots + [n]) if j != p)
         raise SingularMatrixError(f"matrix is singular (no pivot in column {j})")
@@ -259,7 +265,7 @@ def mat_inverse(a: BitMatrix) -> BitMatrix:
 
 def rank_and_pivots(a: BitMatrix) -> tuple[int, list[int]]:
     """Rank and pivot-column indices from row reduction."""
-    _, pivots = _gauss_jordan(a.ints, a.cols)
+    _, pivots = gauss_jordan(a.ints, range(a.cols))
     return len(pivots), pivots
 
 

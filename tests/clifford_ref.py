@@ -1,14 +1,22 @@
 """Reference code for the Clifford tests: a literal recomposition of the
-layers and a row-wise tableau product (test helper).
+layers, a row-wise tableau product and the two-elimination decomposition
+(test helper).
 
-Both build their result gate by gate or Pauli by Pauli, so they share no
-code with the signed peel in ``cliffdepth.clifford.decompose_tableau``.
+The first two build their result gate by gate or Pauli by Pauli, so they
+share no code with the signed peel in ``cliffdepth.clifford.decompose_tableau``.
+The third is the decomposition as it stood before one elimination replaced
+its rank search, inverse and Theta product, kept as a pin on the layers.
 """
+
+import dataclasses
+from functools import reduce
 
 import numpy as np
 
 from cliffdepth.circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
-from cliffdepth.clifford import CliffordLayers, CliffordTableau
+from cliffdepth.clifford import CliffordLayers, CliffordTableau, _peel_cz, _peel_h, _peel_p
+from cliffdepth.cz import CzSpec
+from cliffdepth.gf2 import BitMatrix, SingularMatrixError, mat_inverse, mat_mul, rank_and_pivots
 
 
 # i-exponent of the single-qubit product P1 * P2, encoding I=(0,0), X=(1,0),
@@ -96,3 +104,72 @@ def recompose_layers(layers: CliffordLayers) -> Circuit:
     gates += [h(q) for q in np.nonzero(layers.h_mask2)[0]]
     gates += [p(q) for q in np.nonzero(layers.p2_mask)[0]]
     return Circuit(n, gates)
+
+
+def decompose_tableau_two_pass(t: CliffordTableau) -> CliffordLayers:
+    """The layers by rank_and_pivots for E2, then mat_inverse for X2^{-1},
+    then Theta = X2^{-1} Z2 as one more product, peeling all 2n rows."""
+    rows = t.rows()
+    n = t.n
+    full = (1 << n) - 1
+    x = [v & full for v in rows]
+    z = [v >> n for v in rows]
+    e = [2 * (t.ph >> r & 1) + (a & b).bit_count() for r, (a, b) in enumerate(zip(x, z))]
+
+    c, d = x[n:], z[n:]
+    _, pivots = rank_and_pivots(BitMatrix(n, n, c))
+    e2 = full ^ sum(1 << q for q in pivots)
+    x2 = [u & ~e2 | v & e2 for u, v in zip(c, d)]
+    z2 = [v & ~e2 | u & e2 for u, v in zip(c, d)]
+    try:
+        r_cx = mat_inverse(BitMatrix(n, n, x2))
+    except SingularMatrixError:
+        raise ValueError("tableau is not symplectic") from None
+    theta = mat_mul(r_cx, BitMatrix(n, n, z2)).ints
+    d2 = sum(v & 1 << q for q, v in enumerate(theta))
+    gamma2 = [v & ~(1 << q) for q, v in enumerate(theta)]
+    cancel = sum(1 << q for q in range(n) if e2 >> q & 1 and not theta[q])
+    e1, e2 = full ^ cancel, e2 ^ cancel
+
+    _peel_p(x, z, e, d2)
+    _peel_h(x, z, e, e2)
+    _peel_cz(x, z, e, gamma2)
+    _peel_h(x, z, e, e1)
+    if any(x[n:]) or z[n:] != x2:
+        raise ValueError("tableau is not symplectic")
+    k = BitMatrix(n, n, x2)
+    k_t = k.transpose()
+    q1 = mat_mul(k_t, BitMatrix(n, n, z[:n])).ints
+    d1 = reduce(int.__xor__, (v for j, v in enumerate(r_cx.ints) if q1[j] >> j & 1), 0)
+    kdk = mat_mul(BitMatrix(n, n, [v & d1 for v in k_t.ints]), k)
+    gamma1 = [u ^ v for u, v in zip(q1, kdk.ints)]
+
+    _peel_cz(x, z, e, gamma1)
+    x = mat_mul(BitMatrix(2 * n, n, x), k_t).ints
+    z = mat_mul(BitMatrix(2 * n, n, z), r_cx).ints
+    _peel_p(x, z, e, d1)
+    if any(u | v << n != 1 << r for r, (u, v) in enumerate(zip(x, z))):
+        raise ValueError("tableau is not symplectic")
+    try:
+        cz1, cz2 = (CzSpec.from_bitmatrix(BitMatrix(n, n, g)) for g in (gamma1, gamma2))
+    except ValueError:
+        raise ValueError("tableau is not symplectic") from None
+    masks = BitMatrix(4, n, [d1, e1, e2, d2]).to_dense()
+    signs = np.array([v >> 1 & 1 for v in e], dtype=np.uint8)
+    return CliffordLayers(x_mask=signs[n:], z_mask=signs[:n], p1_mask=masks[0], cx=r_cx,
+                          cz1=cz1, cz2=cz2, h_mask1=masks[1], h_mask2=masks[2],
+                          p2_mask=masks[3])
+
+
+def layers_key(layers: CliffordLayers) -> tuple:
+    """Every field of the layers as comparable data: int rows, or dtype, shape and bytes."""
+    out = []
+    for f in dataclasses.fields(layers):
+        v = getattr(layers, f.name)
+        if isinstance(v, CzSpec):
+            v = v.mat
+        if isinstance(v, BitMatrix):
+            out.append((f.name, v.rows, v.cols, tuple(v.ints)))
+        else:
+            out.append((f.name, v.dtype.str, v.shape, v.tobytes()))
+    return tuple(out)

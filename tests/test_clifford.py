@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cliffdepth import bounds, gf2, verify
+from cliffdepth import clifford as clifford_mod
 from cliffdepth.circuit import H, Circuit, cnot, cz, h, p, x, z
 from cliffdepth.clifford import (
     CliffordTableau,
@@ -17,9 +18,10 @@ from cliffdepth.clifford import (
     tableau_of_circuit,
 )
 from cliffdepth.cnot import synth_linear
+from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import tableaux_equal
 
-from clifford_ref import recompose_layers, tableau_product
+from clifford_ref import decompose_tableau_two_pass, layers_key, recompose_layers, tableau_product
 from sv_oracle import tableau_matches_unitary
 
 
@@ -164,24 +166,100 @@ def test_decompose_reads_the_rows_once(monkeypatch):
         assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
 
 
-def test_decompose_runs_two_eliminations(monkeypatch):
-    """One Gauss-Jordan elimination finds the Hadamard set E2 and one inverts X2,
-    which is also the CX stage's K: no third solve."""
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads(monkeypatch):
+    """perfbench/workloads.py as a module, for its dense layered tableaux."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _rank_c(t: CliffordTableau) -> int:
+    """Rank of C, the x-part of the bottom rows."""
+    n = t.n
+    return gf2.rank_and_pivots(BitMatrix(n, n, [v & (1 << n) - 1 for v in t.rows()[n:]]))[0]
+
+
+@pytest.mark.parametrize("case", ["full rank", "rank-deficient", "zero"])
+def test_decompose_runs_one_elimination(monkeypatch, case):
+    """One Gauss-Jordan elimination of [C | D | I], in two phases whose pivots
+    total n, finds E2, X2^{-1} and Theta: no rank search, inverse or solve, on
+    C of full rank, of lower rank and zero."""
+    layered = _load_workloads(monkeypatch).layered_tableau
+    linear = synth_linear(gf2.random_invertible(np.random.default_rng(55), 40))
+    tableaux = {
+        "full rank": [layered(np.random.default_rng(7), 6), layered(np.random.default_rng(0), 16),
+                      tableau_of_circuit(Circuit(40, [h(q) for q in range(40)]))],
+        "rank-deficient": [random_tableau(np.random.default_rng(53), n) for n in (2, 6, 40)],
+        "zero": [CliffordTableau.identity(1), CliffordTableau.identity(6),
+                 tableau_of_circuit(linear)],
+    }[case]
+    ranks = [_rank_c(t) for t in tableaux]
+    if case == "full rank":
+        assert ranks == [t.n for t in tableaux]
+    elif case == "zero":
+        assert ranks == [0, 0, 0]
+    else:
+        assert all(0 < r < t.n for t, r in zip(tableaux, ranks))
+
+    def refuse(*args):
+        raise AssertionError("second elimination")
+
+    for name in ("rank_and_pivots", "mat_inverse", "solve_right"):
+        orig = getattr(gf2, name)
+        for mod in (gf2, clifford_mod):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, refuse)
     calls = []
-    eliminate = gf2._gauss_jordan
+    eliminate = clifford_mod.gauss_jordan
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return eliminate(rows, ncols)
+    def counted(rows, cols, start=0):
+        out = eliminate(rows, cols, start)
+        calls.append((start, len(out[1])))
+        return out
 
-    monkeypatch.setattr(gf2, "_gauss_jordan", counted)
-    rng = np.random.default_rng(53)
-    for n in (1, 6, 40):
-        t = random_tableau(rng, n)
+    monkeypatch.setattr(clifford_mod, "gauss_jordan", counted)
+    for t, rank in zip(tableaux, ranks):
         calls.clear()
         layers = decompose_tableau(t)
-        assert calls == [n, n]
+        assert calls == [(0, rank), (rank, t.n - rank)]
         assert tableaux_equal(tableau_of_circuit(recompose_layers(layers)), t)
+
+
+def _symplectic_matrices(n: int) -> np.ndarray:
+    """Every 2n x 2n 0/1 matrix s with s Omega s^T = Omega (n <= 2)."""
+    k = 2 * n
+    bits = np.arange(1 << k * k)[:, None] >> np.arange(k * k) & 1
+    s = bits.reshape(-1, k, k)
+    omega = np.roll(np.eye(k, dtype=np.int64), n, axis=1)
+    keep = ((s @ omega @ s.transpose(0, 2, 1)) % 2 == omega).all(axis=(1, 2))
+    return s[keep].astype(np.uint8)
+
+
+def test_decompose_matches_two_pass_reference(monkeypatch):
+    """The one elimination gives the layers of the two-elimination path: on every
+    symplectic matrix at n = 1 (all four sign patterns) and n = 2 (a random
+    pattern and its complement), and on seeded layered and random tableaux at
+    n = 64 and 128."""
+    rng = np.random.default_rng(56)
+    cases = []
+    for n in (1, 2):
+        mats = _symplectic_matrices(n)
+        assert len(mats) == (6, 720)[n - 1]
+        for s in mats:
+            pats = range(4) if n == 1 else [v := int(rng.integers(0, 16)), v ^ 15]
+            cases += [CliffordTableau.from_dense(s, np.array([v >> r & 1 for r in range(2 * n)]))
+                      for v in pats]
+    layered = _load_workloads(monkeypatch).layered_tableau
+    cases += [f(np.random.default_rng(seed), n) for n in (64, 128) for seed in (3, 4)
+              for f in (layered, random_tableau)]
+    for t in cases:
+        assert layers_key(decompose_tableau(t)) == layers_key(decompose_tableau_two_pass(t))
 
 
 def test_synth_clifford_exact_small():
@@ -277,7 +355,7 @@ def _adversarial_tableaux(n: int) -> dict[str, CliffordTableau]:
     linear = synth_linear(gf2.random_invertible(np.random.default_rng(n), n))
     circuits = {
         "identity": Circuit(n),
-        "H on every qubit": Circuit(n, all_h),  # C = 0, so E2 is every qubit
+        "H on every qubit": Circuit(n, all_h),  # C = I, so E2 is empty and H1 every qubit
         "P on every qubit": Circuit(n, [p(q) for q in range(n)]),
         "all H, then the all-ones CZ pattern": Circuit(n, all_h + all_cz),
         "the all-ones CZ pattern, then all H": Circuit(n, all_cz + all_h),
@@ -303,19 +381,11 @@ def test_value_errors(call, message):
         call()
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
 def test_synth_clifford_hadamards_are_the_two_layers(monkeypatch):
     """The CX stage emits only CNOTs, so the circuit's H gates are those of the
     decomposition's two Hadamard layers: on the benchmark's dense layered
     tableau at n = 256, some CX blocks take the CZ form."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class body runs
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    t = workloads.layered_tableau(np.random.default_rng(3), 256)
+    t = _load_workloads(monkeypatch).layered_tableau(np.random.default_rng(3), 256)
     layers = decompose_tableau(t)
     c = synth_clifford(t)
     assert int((c.array[:, 0] == H).sum()) == layers.h_mask1.sum() + layers.h_mask2.sum()
