@@ -247,16 +247,20 @@ FORMULAS = {
 }
 
 
+def _depth(family: str, a: int, b: int) -> np.ndarray:
+    """Construction depth at sizes a..b - 1: the table's slice, for CNOT 2 d + 6 of it."""
+    d = get_table(family)[a:b]
+    if family == CNOT:
+        d = d * 2  # then in place: one int32 copy of the slice
+        d += 6
+    return d
+
+
 def construction_depth(family: str) -> np.ndarray:
-    """Depth our construction certifies at each n = 0..N_MAX, per family."""
+    """Depth our construction certifies at each n = 0..N_MAX, per family (for CNOT, a copy)."""
     if family not in FORMULAS:
         raise ValueError(f"unknown family {family!r}")
-    d = get_table(family)
-    if family != CNOT:
-        return d
-    d = d * 2  # then in place: one int32 copy
-    d += 6
-    return d
+    return _depth(family, 0, N_MAX + 1)
 
 
 def _cnot_prior_internal(n):
@@ -283,7 +287,6 @@ def prior_art_bound(family: str, n: int) -> int:
 class _Tally:
     """Slack of a family's closed form against its construction."""
 
-    depth: np.ndarray
     last: int  # the last violating size; lo - 1 while there is none
     violations: list = field(default_factory=list)  # the first 100
     count: int = 0
@@ -362,11 +365,11 @@ def _scan(starts: dict[str, int]) -> dict[str, _Tally]:
     """Tally each family's closed-form slack from its start size through N_MAX.
 
     The floored closed form is read off the steps of _steps in int32, next
-    to the int32 construction depth; the sizes _guarded finds take
-    BoundFormula._exact.  The sizes are walked in runs cut at multiples of
-    _RUN, in int arithmetic.
+    to the int32 construction depth, which _depth reads run by run; the
+    sizes _guarded finds take BoundFormula._exact.  The sizes are walked in
+    runs cut at multiples of _RUN, in int arithmetic.
     """
-    tallies = {fam: _Tally(construction_depth(fam), lo - 1) for fam, lo in starts.items()}
+    tallies = {fam: _Tally(lo - 1) for fam, lo in starts.items()}
     forms = {}
     for fam, (k, rises) in _steps(starts).items():
         exact = _guarded(fam, starts[fam], rises)
@@ -388,7 +391,7 @@ def _scan(starts: dict[str, int]) -> dict[str, _Tally]:
             t += ramp[: b - i]
             if shift:
                 t >>= shift
-            depth = tally.depth[i:b]
+            depth = _depth(family, i, b)
             t -= depth
             for n, floor in exact.items():
                 if i <= n < b:
@@ -429,13 +432,13 @@ def _first(a: int, mask: np.ndarray) -> int | None:
     return a + int(hits[0]) if hits.size else None
 
 
-def cnot_crossovers(depth: np.ndarray) -> dict:
-    """Where a CNOT construction depth over 0..N_MAX wins over prior art from
-    on (isolated earlier wins exist, e.g. around n = 56..64), and where the
-    prior internal bound, rounded and asymptotic, first beats 2n."""
+def cnot_crossovers() -> dict:
+    """Where the CNOT construction depth wins over prior art from on (isolated
+    earlier wins exist, e.g. around n = 56..64), and where the prior internal
+    bound, rounded and asymptotic, first beats 2n; the depth is read run by run."""
     out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
     for a, b in _cuts(2):
-        ours = depth[a:b]
+        ours = _depth(CNOT, a, b)
         # both prior bounds are at least (4a) // 3 on the run: once the two
         # first sizes are found, a run below that cannot lose
         if None not in out.values() and ours.max() < 4 * a // 3:
@@ -459,9 +462,8 @@ def crossover_scan() -> dict:
     A family's range start is the first n from which its closed form holds
     through N_MAX.
     """
-    tallies = _scan(dict.fromkeys(FORMULAS, 2))
-    out = cnot_crossovers(tallies[CNOT].depth)
-    for fam, t in tallies.items():
+    out = cnot_crossovers()
+    for fam, t in _scan(dict.fromkeys(FORMULAS, 2)).items():
         out[fam.replace("-", "_") + "_range_start"] = t.last + 1
     return out
 
@@ -473,12 +475,11 @@ def emit_comparison_csv(family: str, lo: int, hi: int) -> str:
     if not 2 <= lo <= hi <= N_MAX:
         raise ValueError(f"range must satisfy 2 <= from <= to <= {N_MAX}, got {lo}..{hi}")
     formula = FORMULAS[family]
-    depth = construction_depth(family)
     lines = ["n,prior,closed_form,construction"]
     if family == CLIFFORD:
         lines.insert(0, "# prior column reconstructs a baseline from prior CZ/CNOT bounds applied per stage; no directly published prior Clifford depth curve is used")
-    for n in range(lo, hi + 1):
+    for n, depth in zip(range(lo, hi + 1), _depth(family, lo, hi + 1).tolist()):
         prior = prior_art_bound(family if family != CZ_BASIC else CZ, n)
         cf = formula.value(n) if n >= formula.lo else ""
-        lines.append(f"{n},{prior},{cf},{int(depth[n])}")
+        lines.append(f"{n},{prior},{cf},{depth}")
     return "\n".join(lines) + "\n"

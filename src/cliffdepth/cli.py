@@ -180,8 +180,7 @@ def _cmd_bounds(args) -> int:
             print(f"{rep['family']}: range {rep['range'][0]}..{rep['range'][1]} "
                   f"{status} (min slack {rep['min_slack']}, "
                   f"near-integer {rep['near_integer_flags']})")
-        scan = bounds.cnot_crossovers(bounds.construction_depth(bounds.CNOT))
-        print(f"cnot crossover vs prior art: n={scan['cnot_crossover']}")
+        print(f"cnot crossover vs prior art: n={bounds.cnot_crossovers()['cnot_crossover']}")
         return 1 if failed else 0
     if args.family is None:
         print("bounds requires --family with --from/--to, or --validate",

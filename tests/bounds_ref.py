@@ -11,8 +11,9 @@ must equal these bit for bit.
 the floors off the closed forms' steps: every formula evaluated in double
 precision at every size, in runs of 2**14 sizes that share n and log2 n.
 It is kept unchanged, except that it reads the package's names at call
-time (so that patches of ``construction_depth`` and ``_exact`` apply) and
-has no per-run hook.  The package's tallies must equal its tallies.
+time (so that patches of ``_depth`` and ``_exact`` apply), has no per-run
+hook, and reads each family's construction depth over 0..N_MAX through
+``_depth`` in one call.  The package's tallies must equal its tallies.
 """
 
 import numpy as np
@@ -146,8 +147,8 @@ def reference_merge_saving(n: int, tables) -> int:
 
 def reference_scan(starts: dict[str, int]) -> dict:
     """Each family's _Tally from its start size through N_MAX, size by size."""
-    tallies = {fam: bounds._Tally(bounds.construction_depth(fam), lo - 1)
-               for fam, lo in starts.items()}
+    tallies = {fam: bounds._Tally(lo - 1) for fam, lo in starts.items()}
+    depths = {fam: bounds._depth(fam, 0, bounds.N_MAX + 1) for fam in starts}
     run, end = bounds._RUN, bounds.N_MAX + 1
     offsets = np.arange(run, dtype=np.float64)
     n_buf, ln_buf, v_buf, t_buf = (np.empty(run) for _ in range(4))
@@ -177,7 +178,7 @@ def reference_scan(starts: dict[str, int]) -> dict:
             for k in near.tolist():
                 v[k] = f._exact(a + i + k)
             tally.near += near.size
-            np.subtract(v, tally.depth[a + i: a + j], out=t)
+            np.subtract(v, depths[family][a + i: a + j], out=t)
             low = t.min()
             if low < 0:
                 bad = np.flatnonzero(np.less(t, 0, out=flags)) + (a + i)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cliffdepth
-from cliffdepth import bounds
+from cliffdepth import bounds, cli
 
 from bounds_ref import (reference_cz_branches, reference_cz_choice, reference_merge_saving,
                         reference_scan, reference_tables)
@@ -294,17 +294,19 @@ BUMPS = {
 
 
 def _bump_depths(monkeypatch):
-    """Raise construction_depth by BIG + n % 7 at the BUMPS sizes."""
-    orig = bounds.construction_depth
+    """Raise the construction depth the scans read by BIG + n % 7 at the BUMPS
+    sizes; return the unbumped depth over 0..N_MAX."""
+    orig = bounds._depth
 
-    def bumped(family):
-        d = orig(family).copy()
+    def bumped(family, a, b):
+        d = orig(family, a, b).copy()
         sizes = np.array(BUMPS[family], dtype=np.int64)
-        d[sizes] += BIG + sizes % 7
+        sizes = sizes[(a <= sizes) & (sizes < b)]
+        d[sizes - a] += BIG + sizes % 7
         return d
 
-    monkeypatch.setattr(bounds, "construction_depth", bumped)
-    return orig
+    monkeypatch.setattr(bounds, "_depth", bumped)
+    return lambda family: orig(family, 0, bounds.N_MAX + 1)
 
 
 def test_scans_report_violations_like_a_scalar_reference(monkeypatch):
@@ -384,20 +386,64 @@ def test_scans_stay_small():
             tracemalloc.stop()
 
 
+def test_scans_read_the_tables_in_place(monkeypatch, capsys):
+    """validate_all(), crossover_scan() and `cliffdepth bounds --validate` never
+    build a full-range construction depth, and on filled tables each scan holds
+    under 2 MiB at once (a full-range int32 copy is 5.1 MiB)."""
+    bounds.validate_all()
+    bounds.crossover_scan()  # fills the tables and loads mpmath
+
+    def refuse(family):
+        raise AssertionError(f"full-range construction_depth({family!r}) built")
+
+    monkeypatch.setattr(bounds, "construction_depth", refuse)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for call, golden in ((bounds.validate_all, GOLDEN_REPORTS),
+                             (bounds.crossover_scan, GOLDEN_SCAN)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert call() == golden
+            assert tracemalloc.get_traced_memory()[1] - held < 2 * 2 ** 20, call.__name__
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert cli.main(["bounds", "--validate"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cz: range 39..1345000 ok (min slack 0, near-integer 2)",
+        "cz-basic: range 43..1345000 ok (min slack 0, near-integer 1)",
+        "cnot: range 70..1345000 ok (min slack 0, near-integer 3)",
+        "clifford: range 43..1345000 ok (min slack 0, near-integer 1)",
+        "cnot crossover vs prior art: n=70",
+    ]
+
+
+def test_construction_depth_is_the_table():
+    """CNOT certifies 2 d + 6 (its reordering stage adds 6); every other family
+    certifies its table, which construction_depth returns without a copy."""
+    cnot = bounds.get_table(bounds.CNOT)
+    assert np.array_equal(bounds.construction_depth(bounds.CNOT), 2 * cnot + 6)
+    for family in (bounds.CZ, bounds.CZ_BASIC, bounds.CLIFFORD):
+        depth, table = bounds.construction_depth(family), bounds.get_table(family)
+        assert np.shares_memory(depth, table) and np.array_equal(depth, table), family
+
+
 @pytest.mark.parametrize("size", [5 * RUN, 5 * RUN + 1, 1_000_003, bounds.N_MAX])
 def test_crossover_finds_a_late_loss(monkeypatch, size):
     """A construction depth equal to prior art at one large size is a loss
     there, and one below it is not, wherever the size sits in its run."""
-    orig = bounds.construction_depth
+    orig = bounds._depth
     prior = bounds.prior_art_bound(bounds.CNOT, size)
     for depth, crossover in ((prior, size + 1), (prior - 1, GOLDEN_SCAN["cnot_crossover"])):
-        def raised(family, depth=depth):
-            d = orig(family).copy()
-            if family == bounds.CNOT:
-                d[size] = depth
+        def raised(family, a, b, depth=depth):
+            d = orig(family, a, b).copy()
+            if family == bounds.CNOT and a <= size < b:
+                d[size - a] = depth
             return d
 
-        monkeypatch.setattr(bounds, "construction_depth", raised)
+        monkeypatch.setattr(bounds, "_depth", raised)
         assert bounds.crossover_scan()["cnot_crossover"] == crossover
 
 

@@ -317,15 +317,15 @@ def test_bounds_validate_scans_each_closed_form_once(capsys, monkeypatch):
 
 
 def test_bounds_validate_violation_exits_1(capsys, monkeypatch):
-    orig = bounds.construction_depth
+    orig = bounds._depth
 
-    def bumped(family):
-        d = orig(family).copy()
-        if family == bounds.CNOT:
-            d[100_000] += 1000
+    def bumped(family, a, b):
+        d = orig(family, a, b).copy()
+        if family == bounds.CNOT and a <= 100_000 < b:
+            d[100_000 - a] += 1000
         return d
 
-    monkeypatch.setattr(bounds, "construction_depth", bumped)
+    monkeypatch.setattr(bounds, "_depth", bumped)
     code, out, _ = run(capsys, "bounds", "--validate")
     assert code == 1
     lines = out.splitlines()

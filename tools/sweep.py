@@ -15,6 +15,11 @@ is the best of ``--repeats`` calls.  The oracle is the linear action for
 CNOT circuits and tableau simulation otherwise.  Each row also records the
 two-qubit depth against the certified table entry and the closed form.
 
+One more fresh process measures the bound tables: the first-call fill time
+of each of the five tables, the best-of-``--repeats`` times of
+``validate_all`` and ``crossover_scan`` on the filled tables, each scan's
+tracemalloc peak after that warm-up, and the process's ``ru_maxrss``.
+
 The point is appended to the file's ``points`` list, so the file keeps one
 point per measured tree, oldest first.
 """
@@ -27,9 +32,11 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +54,8 @@ POINT_KEYS = {
     "numpy": "numpy version",
     "repeats": "calls per timing; each time is the best of them",
     "rows": "one row per size and synthesizer input",
+    "bounds": "the bound tables' costs, measured in one fresh process; null in points "
+              "measured before the sweep recorded them",
 }
 ROW_KEYS = {
     "n": "qubit count",
@@ -59,6 +68,18 @@ ROW_KEYS = {
     "depth": "two-qubit depth of the circuit",
     "table": "depth the recursion table certifies at n",
     "closed_form": "the paper's closed-form bound at n, or null below its range",
+}
+BOUNDS_KEYS = {
+    "fill_s": "seconds of the first get_table call per family, called in the order cz, "
+              "cz-basic, cnot, cnot-first-branch, clifford (the clifford fill composes the "
+              "filled cz and cnot tables)",
+    "validate_all_s": "seconds per validate_all call on the filled tables",
+    "crossover_scan_s": "seconds per crossover_scan call on the filled tables",
+    "validate_all_peak_mib": "tracemalloc peak of one validate_all call after the timed "
+                             "calls, above the memory held before it, in MiB",
+    "crossover_scan_peak_mib": "the same peak for one crossover_scan call, in MiB",
+    "maxrss_mib": "ru_maxrss / 1024 of the process after the timed calls, before "
+                  "tracemalloc starts",
 }
 
 
@@ -129,6 +150,26 @@ def measure(n: int, repeats: int) -> list[dict]:
     return rows
 
 
+def measure_bounds(repeats: int) -> dict:
+    """The point's bound-table costs, measured in this process."""
+    from cliffdepth import bounds
+
+    families = (bounds.CZ, bounds.CZ_BASIC, bounds.CNOT, bounds.CNOT_FIRST, bounds.CLIFFORD)
+    out = {"fill_s": {f: round(_best(lambda: bounds.get_table(f), 1)[0], 6) for f in families}}
+    scans = (bounds.validate_all, bounds.crossover_scan)
+    for scan in scans:
+        out[scan.__name__ + "_s"] = round(_best(scan, repeats)[0], 6)
+    out["maxrss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+    tracemalloc.start()
+    for scan in scans:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        scan()
+        out[scan.__name__ + "_peak_mib"] = round((tracemalloc.get_traced_memory()[1] - held) / 2 ** 20, 3)
+    tracemalloc.stop()
+    return out
+
+
 def _commit(src: Path) -> str | None:
     try:
         out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -141,22 +182,25 @@ def _commit(src: Path) -> str | None:
 def sweep(point: str, sizes, repeats: int, src: Path) -> dict:
     """One point: every size measured in a fresh process importing the package from src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    rows = []
-    for n in sizes:
-        cmd = [sys.executable, __file__, "--worker", str(n), "--repeats", str(repeats)]
+
+    def worker(*args):
+        cmd = [sys.executable, __file__, *args, "--repeats", str(repeats)]
         out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-        rows += json.loads(out.stdout)
+        return json.loads(out.stdout)
+
+    rows = [row for n in sizes for row in worker("--worker", str(n))]
     return {
         "point": point, "commit": _commit(src),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
         "numpy": np.__version__, "repeats": repeats, "rows": rows,
+        "bounds": worker("--bounds-worker"),
     }
 
 
 def append_point(path: Path, point: dict) -> None:
     data = json.loads(path.read_text()) if path.exists() else {"points": []}
-    data["keys"] = {"point": POINT_KEYS, "row": ROW_KEYS}
+    data["keys"] = {"point": POINT_KEYS, "row": ROW_KEYS, "bounds": BOUNDS_KEYS}
     data["points"].append(point)
     path.write_text(json.dumps(data, indent=1) + "\n")
 
@@ -169,11 +213,15 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="package source tree to measure")
     ap.add_argument("--worker", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--bounds-worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.repeats < 1 or min(args.sizes) < 2:
         ap.error("--repeats must be positive and every size at least 2")
     if args.worker is not None:
         print(json.dumps(measure(args.worker, args.repeats)))
+        return 0
+    if args.bounds_worker:
+        print(json.dumps(measure_bounds(args.repeats)))
         return 0
     if not args.point:
         ap.error("--point is required")
@@ -183,6 +231,10 @@ def main(argv=None) -> int:
         dec = "" if r["decompose_s"] is None else f"  decompose {r['decompose_s']:.4f} s"
         print(f"n={r['n']:5d} {r['synth']:15s} {r['input']:25s} call {r['call_s']:8.4f} s  "
               f"check {r['check_s']:7.4f} s  depth {r['depth']:5d} / {r['table']}{dec}")
+    b = point["bounds"]
+    print(f"bounds: fill {sum(b['fill_s'].values()):.4f} s  validate_all {b['validate_all_s']:.4f} s "
+          f"(peak {b['validate_all_peak_mib']} MiB)  crossover_scan {b['crossover_scan_s']:.4f} s "
+          f"(peak {b['crossover_scan_peak_mib']} MiB)  maxrss {b['maxrss_mib']} MiB")
     return 0
 
 
