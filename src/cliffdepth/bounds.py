@@ -4,9 +4,10 @@ Tables are flat int32 arrays over n = 0..N_MAX = 1,345,000 (no entry
 exceeds 2.7M), each filled once per process, bottom-up in runs of
 h = ceil(n / 2), with one int ceil(log2 h) per run.  For n >= 4 the
 recursions read n only through h (ceil(log2 n) = ceil(log2 h) + 1), so
-sizes 2h - 1 and 2h share an entry, and the Clifford merge saving (the
+sizes 2h - 1 and 2h share an entry.  The Clifford merge saving (the
 depth of the trees either recursive CZ branch opens with) is
-ceil(log2 n) - 2.
+ceil(log2 n) - 2 where a recursive branch beats coloring, which is where
+d_CZ[n] < (n - 1) | 1, coloring's depth 2h - 1 (ties go to coloring).
 Closed forms are evaluated in double precision with a near-integer guard:
 values within 1e-6 of an integer are re-evaluated in high precision before
 flooring.  The full-range scans read each floored closed form off its
@@ -33,13 +34,13 @@ CNOT_FIRST = "cnot-first-branch"
 CLIFFORD = "clifford"
 
 COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
-# CZ branches in tie-break order; argmin arrays hold indices into this
+# CZ branches in tie-break order: cz_choice takes the first at the minimum
 BRANCHES = (COLORING, ONESTEP, TWOSTEP)
 
 _RUN = 1 << 14  # values per run of a table fill or scan; its buffers stay in cache
 
-# family -> (table, the CZ argmin for CZ, else None), filled on first use
-_tables: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
+# family -> its table, filled on first use
+_tables: dict[str, np.ndarray] = {}
 
 
 def ceil_log2(n):
@@ -97,21 +98,16 @@ def _base(d3: int) -> np.ndarray:
     return d
 
 
-def _fill_cz(with_twostep: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """CZ depth table, and with the two-step branch the argmin branch per size."""
+def _fill_cz(with_twostep: bool) -> np.ndarray:
+    """CZ depth table: the least branch value at each size."""
     d = _base(3)
-    argmin = np.zeros(len(d), dtype=np.int8) if with_twostep else None
     for h, c in _runs():
         branches = _cz_branch_values(h, d, c)
-        coloring, onestep = next(branches), next(branches)
-        best = np.minimum(coloring, onestep)
+        best = np.minimum(next(branches), next(branches))
         if with_twostep:
-            twostep = next(branches)
-            # strict < keeps the first branch at the minimum
-            _store(argmin, h, np.maximum(onestep < coloring, (twostep < best) * np.int8(2)))
-            np.minimum(best, twostep, out=best)
+            np.minimum(best, next(branches), out=best)
         _store(d, h, best)
-    return d, argmin
+    return d
 
 
 def _fill_cnot(first_branch_only: bool) -> np.ndarray:
@@ -128,18 +124,12 @@ def get_table(family: str) -> np.ndarray:
         if family in (CZ, CZ_BASIC):
             _tables[family] = _fill_cz(with_twostep=family == CZ)
         elif family in (CNOT, CNOT_FIRST):
-            _tables[family] = _fill_cnot(first_branch_only=family == CNOT_FIRST), None
+            _tables[family] = _fill_cnot(first_branch_only=family == CNOT_FIRST)
         elif family == CLIFFORD:
-            _tables[family] = _clifford_composed(), None
+            _tables[family] = _clifford_composed()
         else:
             raise ValueError(f"unknown family {family!r}")
-    return _tables[family][0]
-
-
-def cz_argmin() -> np.ndarray:
-    """Index into BRANCHES of the CZ branch chosen at each size 0..N_MAX."""
-    get_table(CZ)
-    return _tables[CZ][1]
+    return _tables[family]
 
 
 def _check_range(n: int) -> None:
@@ -159,29 +149,30 @@ def cz_branches(n: int) -> tuple[int, int | None, int | None]:
 
 
 def cz_choice(n: int) -> str:
-    """Argmin branch at size n; ties break coloring, then onestep."""
-    if n < 2:
-        raise ValueError("branches defined for n >= 2")
-    _check_range(n)
-    return BRANCHES[cz_argmin()[n]]
+    """The first branch at the minimum of cz_branches(n): ties break coloring, then onestep."""
+    values = cz_branches(n)
+    return BRANCHES[values.index(min(v for v in values if v is not None))]
 
 
 def merge_saving(n: int) -> int:
-    """Depth saved by folding the top CZ stage's leading trees into -CX-."""
-    if n < 4 or cz_choice(n) == COLORING:
+    """Depth saved by folding the top CZ stage's leading trees into -CX-: for
+    n >= 4, ceil(log2 n) - 2 where a recursive branch beats coloring's (n - 1) | 1."""
+    _check_range(n)
+    if n < 4 or get_table(CZ)[n] >= (n - 1) | 1:
         return 0
     return ceil_log2(n) - 2
 
 
 def _clifford_composed() -> np.ndarray:
     """Composed 11-stage depth: 2*cz + (2*cnot + 6) - merge saving."""
-    out = get_table(CZ) + get_table(CNOT)
+    dcz = get_table(CZ)
+    out = dcz + get_table(CNOT)
     out *= 2
     out += 6
-    argmin = cz_argmin()
-    for h, c in _runs():  # a recursive branch saves ceil(log2 n) - 2 = c - 1
-        a, b = 2 * h[0] - 1, 2 * h[-1] + 1
-        out[a:b] -= (argmin[a:b] != 0) * (c - 1)
+    for h, c in _runs():
+        even = slice(2 * h[0], 2 * h[-1] + 1, 2)  # sizes 2h; 2h - 1 shares every entry
+        # a recursive branch beats coloring's 2h - 1 and saves ceil(log2 n) - 2 = c - 1
+        _store(out, h, out[even] - (dcz[even] < 2 * h - 1) * (c - 1))
     out[:2] = 0
     return out
 

@@ -47,7 +47,7 @@ def _bound(family: str, n: int) -> int:
     formula = bounds.FORMULAS[family]
     if n >= formula.lo:
         return formula.value(n)
-    return int(bounds.construction_depth(family)[n])
+    return int(bounds._depth(family, n, n + 1)[0])
 
 
 def _cz_tableau(spec: CzSpec) -> CliffordTableau:

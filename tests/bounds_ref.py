@@ -4,8 +4,9 @@ The fill that ``cliffdepth.bounds`` used before it ran over h = ceil(n / 2):
 runs of n inside the blocks (m, 2m], the branch values in n, the argmin by
 ``np.select`` and the merge saving as two terms.  The code is kept unchanged,
 except that ``_clifford_composed`` takes its tables as arguments and the
-scalar helpers read ``reference_tables``.  The package's tables and argmin
-must equal these bit for bit.
+scalar helpers read ``reference_tables``.  The package's tables must equal
+these bit for bit.  The package keeps no argmin: its branch choice and merge
+saving must agree with this one, which the tests read as "cz-argmin".
 
 ``reference_scan`` is ``cliffdepth.bounds._scan`` as it was before it read
 the floors off the closed forms' steps: every formula evaluated in double

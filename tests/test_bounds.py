@@ -91,7 +91,8 @@ def test_merge_saving_formula():
 
 
 def test_merge_saving_arr_agrees_with_scalar():
-    # the Clifford table takes its merge saving from the cached argmin array
+    # the Clifford table tests a run of CZ table entries against coloring's
+    # 2h - 1, merge_saving one entry against (n - 1) | 1
     dcz = bounds.get_table(bounds.CZ)
     dcx = bounds.get_table(bounds.CNOT)
     dcl = bounds.get_table(bounds.CLIFFORD)
@@ -152,13 +153,15 @@ TABLE_FAMILIES = (bounds.CZ, bounds.CZ_BASIC, bounds.CNOT, bounds.CNOT_FIRST, bo
 
 def test_tables_match_reference_fill():
     want = reference_tables(bounds.N_MAX)
-    got = {fam: bounds.get_table(fam) for fam in TABLE_FAMILIES}
-    got["cz-argmin"] = bounds.cz_argmin()
-    assert got.keys() == want.keys()
-    for key, table in got.items():
-        # the tables are int32 (no entry exceeds 2.7M); the argmin keeps int8
-        assert table.dtype == (want[key].dtype if key == "cz-argmin" else np.int32), key
-        assert np.array_equal(table, want[key]), key
+    argmin = want.pop("cz-argmin")
+    assert want.keys() == set(TABLE_FAMILIES)
+    for family in TABLE_FAMILIES:
+        table = bounds.get_table(family)
+        assert table.dtype == np.int32, family  # no entry exceeds 2.7M
+        assert np.array_equal(table, want[family]), family
+    # for n >= 4 a recursive branch wins exactly where the table is below coloring's (n - 1) | 1
+    n = np.arange(4, bounds.N_MAX + 1)
+    assert np.array_equal(bounds.get_table(bounds.CZ)[4:] < (n - 1) | 1, argmin[4:] != 0)
 
 
 def test_each_table_is_filled_once(monkeypatch):
@@ -188,8 +191,8 @@ def test_scalar_helpers_match_reference():
 
 
 def test_tables_agree_at_both_sizes_of_each_half():
-    """For h >= 3, sizes 2h - 1 and 2h share every table entry and the argmin."""
-    for table in (*(bounds.get_table(fam) for fam in TABLE_FAMILIES), bounds.cz_argmin()):
+    """For h >= 3, sizes 2h - 1 and 2h share every table entry."""
+    for table in map(bounds.get_table, TABLE_FAMILIES):
         odd, even = table[5::2], table[6::2]
         assert np.array_equal(odd[: len(even)], even)
 
@@ -197,12 +200,15 @@ def test_tables_agree_at_both_sizes_of_each_half():
 def test_merge_saving_is_one_term():
     """For n >= 4 the saving is ceil(log2 n) - 2 under either recursive branch."""
     n = np.arange(4, bounds.N_MAX + 1, dtype=np.int64)
-    saving = (bounds.cz_argmin()[4:] != 0) * (bounds.ceil_log2(n) - 2)
+    argmin = reference_tables(bounds.N_MAX)["cz-argmin"]
+    saving = (argmin[4:] != 0) * (bounds.ceil_log2(n) - 2)
     dcz, dcx = bounds.get_table(bounds.CZ)[4:], bounds.get_table(bounds.CNOT)[4:]
     assert np.array_equal(bounds.get_table(bounds.CLIFFORD)[4:], 2 * dcz + 2 * dcx + 6 - saving)
     sampled = np.random.default_rng(26).integers(3000, bounds.N_MAX + 1, 500).tolist()
     for k in [*range(4, 3000), *sampled]:
-        expect = (bounds.cz_choice(k) != bounds.COLORING) * (bounds.ceil_log2(k) - 2)
+        choice = bounds.cz_choice(k)
+        assert choice == bounds.BRANCHES[argmin[k]]
+        expect = (choice != bounds.COLORING) * (bounds.ceil_log2(k) - 2)
         assert bounds.merge_saving(k) == expect == saving[k - 4]
 
 
@@ -479,6 +485,7 @@ def test_import_leaves_mpmath_unloaded():
     (lambda: bounds.cz_choice(1), "branches defined for n >= 2"),
     *((lambda f=f: f(bounds.N_MAX + 1), f"n out of range [1..{bounds.N_MAX}]")
       for f in (bounds.cz_branches, bounds.cz_choice, bounds.merge_saving)),
+    *((lambda n=n: bounds.merge_saving(n), f"n out of range [1..{bounds.N_MAX}]") for n in (0, -3)),
 ])
 def test_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,25 @@ def test_synth_cnot_exact_and_perm(capsys, tmp_path):
         assert json.loads(out)["verified"] is True
     assert "perm " in (tmp_path / "perm.circ").read_text()
     assert "perm " not in (tmp_path / "exact.circ").read_text()
+
+
+def test_synth_cnot_reads_one_table_entry(capsys, tmp_path):
+    """Below the closed form's start size the bound is one entry of the filled
+    CNOT table: no 5.1 MiB copy of the construction depth is built."""
+    mat = gen(capsys, tmp_path, "linear", 16, 3, "r.mat")
+    argv = ("synth-cnot", "--input", str(mat), "--out", str(tmp_path / "r.circ"))
+    assert run(capsys, *argv)[0] == 0  # fills the table
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert run(capsys, *argv)[0] == 0
+        assert tracemalloc.get_traced_memory()[1] - held < 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def test_verify_honours_perm(capsys, tmp_path):

@@ -24,6 +24,7 @@ from cliffdepth.cnot import EXACT, REORDER, synth_linear
 from cliffdepth.cz import CzSpec, synth_cz
 from cliffdepth.gf2 import BitMatrix, random_invertible
 from cliffdepth.patterns import synth_m01
+from bounds_ref import reference_tables
 from patterns_ref import edge_color_classes
 
 
@@ -242,10 +243,14 @@ def test_cz_auto_choice_by_size():
 
     One-step is never the argmin; it runs only when forced
     (``synth_cz(spec, strategy="onestep")``, the cz-basic construction).
+    The whole range is read off the reference fill's argmin.
     """
-    argmin = bounds.cz_argmin()
+    argmin = reference_tables(bounds.N_MAX)["cz-argmin"]
     assert len(argmin) == bounds.N_MAX + 1
     assert (argmin[4:39] == bounds.BRANCHES.index(bounds.COLORING)).all()
     assert (argmin[39:] == bounds.BRANCHES.index(bounds.TWOSTEP)).all()
+    # the package's rule: a recursive branch wins where d_CZ[n] < (n - 1) | 1
+    sizes = np.arange(4, bounds.N_MAX + 1)
+    assert np.array_equal(bounds.get_table(bounds.CZ)[4:] < (sizes - 1) | 1, sizes >= 39)
     for n in (4, 38, 39, 40, 1000, bounds.N_MAX):
         assert bounds.cz_choice(n) == (bounds.COLORING if n <= 38 else bounds.TWOSTEP)

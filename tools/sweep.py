@@ -144,7 +144,7 @@ def measure(n: int, repeats: int) -> list[dict]:
             "call_s": round(call_s, 6), "check_s": round(check_s, 6),
             "decompose_s": None if decompose_s is None else round(decompose_s, 6),
             "ok": bool(ok), "depth": c.two_qubit_depth(),
-            "table": int(bounds.construction_depth(family)[n]),
+            "table": int(bounds._depth(family, n, n + 1)[0]),
             "closed_form": formula.value(n) if n >= formula.lo else None,
         })
     return rows
