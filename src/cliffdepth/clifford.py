@@ -5,6 +5,8 @@ is the image of X_r, row n + r the image of Z_r, each a Pauli written as
 2n bits (x-part, then z-part) plus a sign bit.  On the bit level a
 circuit acts on row vectors (x|z) by right multiplication with a binary
 symplectic matrix, which is what the decomposition below manipulates.
+Simulating a circuit carries each row's sign as the exponent e of
+i^e X^x Z^z (Y = iXZ) and converts it back to a sign bit at the end.
 
 Every tableau factors as the layer sequence
 
@@ -39,8 +41,10 @@ class CliffordTableau:
 
     Bit r of ``X[q]`` (``Z[q]``) is the x (z) bit of qubit q in tableau
     row r, for the 2n rows; bit r of ``ph`` is the sign of row r.  A gate
-    updates every row at once with a few int operations (the rules of
-    Aaronson and Gottesman, arXiv:quant-ph/0406196).
+    updates every row at once with a few int operations.  ``apply`` runs
+    the gates on rows written i^e X^x Z^z (Dehaene and De Moor, PRA 68,
+    042318, 2003), where CNOT changes no sign and CZ flips it with one
+    AND; it converts to and from the stored sign bits once per call.
     """
 
     __slots__ = ("n", "X", "Z", "ph")
@@ -59,30 +63,55 @@ class CliffordTableau:
         return CliffordTableau(self.n, list(self.X), list(self.Z), self.ph)
 
     def apply(self, c: Circuit) -> None:
-        """Append the circuit's gates to the tableau, in place."""
+        """Append the circuit's gates to the tableau, in place.
+
+        While the gates run, row r is carried as i^e X^x Z^z (Y = iXZ), its
+        exponent e held as bit r of two ints e0, e1.  A stored sign bit s
+        means e = 2s + |x & z| mod 4, converted once on entry and once on
+        exit.  In this form CNOT changes no e and CZ, H, X and Z flip only
+        e1; P adds the x bit to e.  Gates are dispatched per run of one
+        kind.
+        """
         if c.n != self.n:
             raise ValueError("qubit counts differ")
-        xs, zs, ph = self.X, self.Z, self.ph
-        for kind, a, b in zip(*c.array.T.tolist()):
-            if kind == CNOT:
-                ph ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
-                xs[b] ^= xs[a]
-                zs[a] ^= zs[b]
-            elif kind == CZ:
-                ph ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
-                zs[a] ^= xs[b]
-                zs[b] ^= xs[a]
-            elif kind == H:
-                ph ^= xs[a] & zs[a]
-                xs[a], zs[a] = zs[a], xs[a]
-            elif kind == P:
-                ph ^= xs[a] & zs[a]
-                zs[a] ^= xs[a]
-            elif kind == X:
-                ph ^= zs[a]
-            else:  # Z
-                ph ^= xs[a]
-        self.ph = ph
+        xs, zs = self.X, self.Z
+        e0, e1 = _y_count(xs, zs)
+        e1 ^= self.ph
+        kinds, qa, qb = c.array.T
+        starts = np.flatnonzero(np.diff(kinds, prepend=-1))
+        qa, qb = qa.tolist(), qb.tolist()
+        for kind, lo, hi in zip(kinds[starts].tolist(), starts.tolist(),
+                                [*starts[1:].tolist(), len(kinds)]):
+            if kind == CNOT:  # X_a -> X_a X_b, Z_b -> Z_a Z_b
+                for a, b in zip(qa[lo:hi], qb[lo:hi]):
+                    xs[b] ^= xs[a]
+                    zs[a] ^= zs[b]
+            elif kind == CZ:  # X_a X_b -> X_a Z_b X_b Z_a = -X_a X_b Z_a Z_b
+                for a, b in zip(qa[lo:hi], qb[lo:hi]):
+                    xa, xb = xs[a], xs[b]
+                    e1 ^= xa & xb
+                    zs[a] ^= xb
+                    zs[b] ^= xa
+            elif kind == H:  # XZ -> ZX = -XZ
+                for a in qa[lo:hi]:
+                    xa, za = xs[a], zs[a]
+                    e1 ^= xa & za
+                    xs[a], zs[a] = za, xa
+            elif kind == P:  # X -> iXZ
+                for a in qa[lo:hi]:
+                    xa = xs[a]
+                    e1 ^= e0 & xa
+                    e0 ^= xa
+                    zs[a] ^= xa
+            elif kind == X:  # Z -> -Z
+                for a in qa[lo:hi]:
+                    e1 ^= zs[a]
+            else:  # Z: X -> -X
+                for a in qa[lo:hi]:
+                    e1 ^= xs[a]
+        c0, c1 = _y_count(xs, zs)
+        assert e0 == c0  # conjugation keeps every row Hermitian
+        self.ph = e1 ^ c1
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,6 +130,11 @@ class CliffordTableau:
 
     @classmethod
     def from_dense(cls, s: np.ndarray, phases: np.ndarray) -> "CliffordTableau":
+        """Inverse of ``to_dense``: a (2n, 2n) 0/1 matrix and 2n sign bits."""
+        s, phases = np.asarray(s), np.asarray(phases)
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or phases.shape != s.shape[:1]:
+            raise ValueError(f"expected a (2n, 2n) matrix and 2n phases, got shapes "
+                             f"{s.shape} and {phases.shape}")
         n = s.shape[0] // 2
         cols = BitMatrix.from_dense(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])).ints
         return cls(n, cols[:n], cols[n: 2 * n], cols[2 * n])
@@ -139,7 +173,23 @@ class CliffordTableau:
         return cls(n, cols[:n], cols[n:], rows[-1])
 
 
+def _y_count(xs: list[int], zs: list[int]) -> tuple[int, int]:
+    """Bit-planes (c0, c1) of |x & z| mod 4 per row: the number of Y factors."""
+    c0 = c1 = 0
+    for u, v in zip(xs, zs):
+        y = u & v
+        c1 ^= c0 & y
+        c0 ^= y
+    return c0, c1
+
+
 def tableau_of_circuit(c: Circuit) -> CliffordTableau:
+    """Tableau of the circuit's gates applied to the identity.
+
+    The circuit's ``perm`` (the output qubit reordering that synthesis up
+    to reordering reports) is not applied: this is the tableau of the gates
+    only.
+    """
     t = CliffordTableau.identity(c.n)
     t.apply(c)
     return t

@@ -25,7 +25,9 @@ import numpy as np
 
 def _rows_from_dense(dense: np.ndarray) -> list[int]:
     """Each row of a 2-D 0/1 array as one int, bit j holding column j."""
-    packed = np.packbits(dense, axis=-1, bitorder="little")
+    # packbits along the rows of a Fortran-ordered array (a transpose, or a
+    # vstack of one) is about 5x slower than copying it to C order first
+    packed = np.packbits(np.ascontiguousarray(dense), axis=-1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

@@ -1,11 +1,13 @@
 """Reference code for the Clifford tests: a literal recomposition of the
-layers, a row-wise tableau product and the two-elimination decomposition
-(test helper).
+layers, a row-wise tableau product, the two-elimination decomposition and
+the sign-bit tableau simulator (test helper).
 
 The first two build their result gate by gate or Pauli by Pauli, so they
 share no code with the signed peel in ``cliffdepth.clifford.decompose_tableau``.
 The third is the decomposition as it stood before one elimination replaced
 its rank search, inverse and Theta product, kept as a pin on the layers.
+The fourth is ``CliffordTableau.apply`` as it stood before it carried signs
+in the i^e X^x Z^z form: it updates the sign bit on every gate.
 """
 
 import dataclasses
@@ -13,7 +15,8 @@ from functools import reduce
 
 import numpy as np
 
-from cliffdepth.circuit import Circuit, Gate, cnot, cz as cz_gate, h, p, x as x_gate, z as z_gate
+from cliffdepth.circuit import (CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, h, p,
+                               x as x_gate, z as z_gate)
 from cliffdepth.clifford import CliffordLayers, CliffordTableau, _peel_cz, _peel_h, _peel_p
 from cliffdepth.cz import CzSpec
 from cliffdepth.gf2 import BitMatrix, SingularMatrixError, mat_inverse, mat_mul, rank_and_pivots
@@ -71,6 +74,35 @@ def tableau_product(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
         out[r, n:] = acc[1]
         out_ph[r] = e // 2
     return CliffordTableau.from_dense(out, out_ph)
+
+
+def apply_aaronson_gottesman(self: CliffordTableau, c: Circuit) -> None:
+    """Append the circuit's gates to the tableau, in place, updating the sign
+    bit on every gate (the rules of Aaronson and Gottesman,
+    arXiv:quant-ph/0406196)."""
+    if c.n != self.n:
+        raise ValueError("qubit counts differ")
+    xs, zs, ph = self.X, self.Z, self.ph
+    for kind, a, b in zip(*c.array.T.tolist()):
+        if kind == CNOT:
+            ph ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+            xs[b] ^= xs[a]
+            zs[a] ^= zs[b]
+        elif kind == CZ:
+            ph ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+            zs[a] ^= xs[b]
+            zs[b] ^= xs[a]
+        elif kind == H:
+            ph ^= xs[a] & zs[a]
+            xs[a], zs[a] = zs[a], xs[a]
+        elif kind == P:
+            ph ^= xs[a] & zs[a]
+            zs[a] ^= xs[a]
+        elif kind == X:
+            ph ^= zs[a]
+        else:  # Z
+            ph ^= xs[a]
+    self.ph = ph
 
 
 def _gauss_cnot_gates(r: np.ndarray) -> list[Gate]:

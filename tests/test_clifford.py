@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -18,10 +19,12 @@ from cliffdepth.clifford import (
     tableau_of_circuit,
 )
 from cliffdepth.cnot import synth_linear
+from cliffdepth.cz import CzSpec, synth_cz
 from cliffdepth.gf2 import BitMatrix
 from cliffdepth.verify import tableaux_equal
 
-from clifford_ref import decompose_tableau_two_pass, layers_key, recompose_layers, tableau_product
+from clifford_ref import (apply_aaronson_gottesman, decompose_tableau_two_pass, layers_key,
+                          recompose_layers, tableau_product)
 from sv_oracle import tableau_matches_unitary
 
 
@@ -60,6 +63,47 @@ def test_cz_rule_matches_h_cnot_h():
             emulated.apply(Circuit(n, [h(b), cnot(a, b), h(b)]))
             assert direct == emulated
             t = direct
+
+
+def _run_both(t: CliffordTableau, c: Circuit) -> None:
+    """c applied to copies of t by the simulator and by the sign-bit reference agree."""
+    got, want = t.copy(), t.copy()
+    got.apply(c)
+    apply_aaronson_gottesman(want, c)
+    assert (got.X, got.Z, got.ph) == (want.X, want.Z, want.ph)
+
+
+def test_apply_matches_aaronson_gottesman(monkeypatch):
+    """The i^e X^x Z^z simulator gives the sign-bit rules' columns and signs:
+    random circuits on random start tableaux (signs included), a synthesized
+    layered Clifford circuit at n = 64 and a CZ circuit at n = 100."""
+    rng = np.random.default_rng(49)
+    for i in range(320):
+        n = 1 + i % 8
+        t = random_tableau(rng, n)
+        t.ph ^= _random_signs(rng, n)
+        _run_both(t, random_clifford_circuit(rng, n))
+    layered = _load_workloads(monkeypatch).layered_tableau(np.random.default_rng(50), 64)
+    cz_spec = CzSpec.random(np.random.default_rng(51), 100)
+    for c in (synth_clifford(layered), synth_cz(cz_spec)):
+        _run_both(CliffordTableau.identity(c.n), c)
+        _run_both(random_tableau(rng, c.n), c)
+    _run_both(CliffordTableau.identity(3), Circuit(3))
+
+
+def test_apply_splits_at_any_gate():
+    """c2 applied to the tableau of c1 (nonzero start signs) is the tableau of
+    c1 then c2, and matches the unitary at n <= 4."""
+    rng = np.random.default_rng(52)
+    for i in range(60):
+        n = 1 + i % 6
+        c1, c2 = random_clifford_circuit(rng, n), random_clifford_circuit(rng, n)
+        t = tableau_of_circuit(c1)
+        t.apply(c2)
+        both = Circuit(n, c1.gates + c2.gates)
+        assert t == tableau_of_circuit(both)
+        if n <= 4:
+            assert tableau_matches_unitary(t, both)
 
 
 def test_copy_is_independent():
@@ -375,6 +419,10 @@ def test_adversarial_tableaux_verify_within_table(n):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: CliffordTableau.identity(3).apply(Circuit(2, [h(0)])), "qubit counts differ"),
+    *((lambda shape=shape, k=k: CliffordTableau.from_dense(np.eye(*shape, dtype=np.uint8),
+                                                           np.zeros(k, dtype=np.uint8)),
+       re.escape(f"expected a (2n, 2n) matrix and 2n phases, got shapes {shape} and ({k},)"))
+      for shape, k in [((4, 6), 4), ((3, 3), 3), ((6, 4), 6), ((4, 4), 3)]),
 ])
 def test_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
