@@ -34,7 +34,7 @@ CNOT_FIRST = "cnot-first-branch"
 CLIFFORD = "clifford"
 
 COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
-# CZ branches in tie-break order: cz_choice takes the first at the minimum
+# CZ branches, in the order cz_branches gives their values
 BRANCHES = (COLORING, ONESTEP, TWOSTEP)
 
 _RUN = 1 << 14  # values per run of a table fill or scan; its buffers stay in cache
@@ -149,18 +149,19 @@ def cz_branches(n: int) -> tuple[int, int | None, int | None]:
 
 
 def cz_choice(n: int) -> str:
-    """The first branch at the minimum of cz_branches(n): ties break coloring, then onestep."""
-    values = cz_branches(n)
-    return BRANCHES[values.index(min(v for v in values if v is not None))]
+    """The first minimum of cz_branches(n): two-step where the CZ table beats coloring's
+    (n - 1) | 1, else coloring (one-step ties the minimum only at n = 31 and 32)."""
+    if n < 2:
+        raise ValueError("branches defined for n >= 2")
+    _check_range(n)
+    return TWOSTEP if get_table(CZ)[n] < (n - 1) | 1 else COLORING
 
 
 def merge_saving(n: int) -> int:
-    """Depth saved by folding the top CZ stage's leading trees into -CX-: for
-    n >= 4, ceil(log2 n) - 2 where a recursive branch beats coloring's (n - 1) | 1."""
+    """Depth saved by folding the top CZ stage's leading trees into -CX-:
+    ceil(log2 n) - 2 where a recursive branch beats coloring, else 0."""
     _check_range(n)
-    if n < 4 or get_table(CZ)[n] >= (n - 1) | 1:
-        return 0
-    return ceil_log2(n) - 2
+    return ceil_log2(n) - 2 if n >= 4 and cz_choice(n) == TWOSTEP else 0
 
 
 def _clifford_composed() -> np.ndarray:

@@ -5,7 +5,7 @@ holds the kind code, an index into ``KINDS``, and columns 1 and 2 the
 qubits a and b, with b = -1 for a one-qubit gate.  Synthesis builds these
 arrays block by block, joined once, and ``from_text`` one row per line;
 ``Circuit``'s check validates both.  ``Circuit.gates`` is a view that
-builds a fresh list of ``Gate`` tuples, for tests and the command line.
+builds a fresh list of ``Gate`` tuples, for tests and the benchmark.
 
 Only two-qubit gates occupy schedule steps; single-qubit gates are free.
 Depth is computed by an ASAP scan over per-qubit counters, so synthesis
@@ -158,6 +158,8 @@ class Circuit:
 
     ``gates`` may be a gate array, which is kept as it is and must not be
     changed afterwards, or an iterable of ``Gate`` tuples, converted once.
+    A CZ's ends are held, and named in errors, in ascending order, as ``cz`` orders
+    them (a gate array with a descending CZ is copied).  Equality compares ``perm`` too.
     """
 
     __slots__ = ("n", "array", "perm")
@@ -175,6 +177,9 @@ class Circuit:
             arr = gates.astype(np.int64, copy=False)
         else:
             arr = gate_array(gates)
+        if (desc := (arr[:, 0] == CZ) & (arr[:, 1] > arr[:, 2])).any():
+            arr = arr.copy()
+            arr[desc, 1:] = arr[desc, :0:-1]  # cz() order
         if (bad := _check(arr, n)) is not None:
             raise ValueError(bad[1])
         self.array = arr
@@ -191,7 +196,7 @@ class Circuit:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Circuit) and self.n == other.n
-                and np.array_equal(self.array, other.array))
+                and np.array_equal(self.array, other.array) and self.perm == other.perm)
 
     def __repr__(self) -> str:
         return f"Circuit(n={self.n}, gates={len(self.array)})"
@@ -278,7 +283,6 @@ def from_text(text: str) -> Circuit:
         for no, ln in body:
             int_fields(no, ln.split()[1:])
         raise
-    arr[:, 1:] = np.where(arr[:, :1] == CZ, np.sort(arr[:, 1:], axis=1), arr[:, 1:])  # cz() order
     try:
         return Circuit(n, arr, perm=perm)
     except ValueError as e:  # the qubit count, or a bad gate: row i is body line i

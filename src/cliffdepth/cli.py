@@ -172,6 +172,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.validate:
+        flags = {"--family": args.family, "--from": args.from_, "--to": args.to, "--csv": args.csv}
+        if given := [flag for flag, v in flags.items() if v is not None]:
+            raise ValueError(f"--validate checks every family's full range; it takes no {', '.join(given)}")
         reports = bounds.validate_all()
         failed = False
         for rep in reports:

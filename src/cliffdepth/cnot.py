@@ -2,13 +2,16 @@
 
 Convention: ``CNOT c t`` maps x_t ^= x_c, so a CNOT circuit acts on the
 state labels as x -> R x for an invertible 0/1 matrix R.  Triangular
-matrices are synthesized by a halving recursion, with base cases up to
-4 x 4; a general invertible matrix is split as permutation * lower *
-upper via LU decomposition.
+matrices are synthesized by a halving recursion.  A triangle of at most
+4 qubits takes gates cached per matrix: the 3 x 3 ones from a depth-2
+table, the others from one run of the halving step.  A general
+invertible matrix is split as permutation * lower * upper via LU
+decomposition.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -30,16 +33,6 @@ _BASE3 = {
     (0, 1, 1): [(2, 0), (2, 1)],
     (1, 1, 1): [(2, 1), (1, 0)],
 }
-
-# the direct form's (row, column) pairs of each 2x2 block C, indexed by
-# C[0] | C[1] << 2: bipartite_edge_color's (rows, cols) arrays, zipped
-_BASE4 = (
-    (), ((0, 0),), ((0, 1),), ((0, 0), (0, 1)),
-    ((1, 0),), ((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 0), (0, 0)),
-    ((1, 1),), ((0, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 0), (1, 1), (0, 1)),
-    ((1, 0), (1, 1)), ((1, 0), (0, 0), (1, 1)), ((0, 1), (1, 0), (1, 1)),
-    ((0, 1), (1, 0), (0, 0), (1, 1)),
-)
 
 
 def _direct_gates(a: list[int], b: list[int], p: BitMatrix, delta: int | None = None) -> np.ndarray:
@@ -102,31 +95,16 @@ def _block_add_gates(a: list[int], b: list[int], p: BitMatrix) -> np.ndarray:
 
 def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
     """Append the gate blocks for the upper unitriangular matrix with int rows r
-    on these qubits to out; a base case appends its few gates as a list of rows."""
+    on these qubits to out; a triangle of at most 4 qubits appends one list of rows."""
+    if len(qubits) > 4:
+        _halving_step(qubits, r, out)
+    elif pairs := _small_tri(tuple(r)):
+        out.append([(CNOT, qubits[c], qubits[t]) for c, t in pairs])
+
+
+def _halving_step(qubits: list[int], r: list[int], out: list) -> None:
+    """Append x_A += C x_B, the block C that clears R's top-right block, then the halves."""
     k = len(qubits)
-    if k <= 1:
-        return
-    if k == 2:
-        if r[0] >> 1 & 1:
-            out.append([(CNOT, qubits[1], qubits[0])])
-        return
-    if k == 3:
-        key = (r[0] >> 1 & 1, r[0] >> 2 & 1, r[1] >> 2 & 1)
-        if key != (0, 0, 0):
-            out.append([(CNOT, qubits[c], qubits[t]) for (c, t) in _BASE3[key]])
-        return
-    if k == 4:
-        # the recursion's 2x2 block C = T^-1 X always takes the direct form,
-        # then come the two halves' k = 2 CNOTs
-        t01, x1 = r[0] >> 1 & 1, r[1] >> 2
-        gates = [(CNOT, qubits[2 + j], qubits[i]) for i, j in _BASE4[(r[0] >> 2 ^ x1 * t01) | x1 << 2]]
-        if t01:
-            gates.append((CNOT, qubits[1], qubits[0]))
-        if r[2] >> 3 & 1:
-            gates.append((CNOT, qubits[3], qubits[2]))
-        if gates:
-            out.append(gates)
-        return
     h_ = (k + 1) // 2
     a, b = qubits[:h_], qubits[h_:]
     top = [v & ((1 << h_) - 1) for v in r[:h_]]
@@ -135,6 +113,19 @@ def _tri_gates(qubits: list[int], r: list[int], out: list) -> None:
     out.append(_block_add_gates(a, b, BitMatrix(h_, k - h_, c)))
     _tri_gates(a, top, out)
     _tri_gates(b, [v >> h_ for v in r[h_:]], out)
+
+
+@lru_cache(maxsize=None)
+def _small_tri(r: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(control, target) positions of the gates for the upper unitriangular matrix
+    with int rows r of at most 4 qubits: _BASE3's at k = 3, shallower than the
+    halving step, else the halving step's on qubits 0..k-1."""
+    if len(r) == 3:
+        return tuple(_BASE3[r[0] >> 1 & 1, r[0] >> 2 & 1, r[1] >> 2 & 1])
+    out: list = []
+    if len(r) > 1:
+        _halving_step(list(range(len(r))), r, out)
+    return tuple((c, t) for _, c, t in join(out).tolist())
 
 
 def synth_triangular(r: BitMatrix) -> Circuit:

@@ -91,6 +91,29 @@ def test_text_roundtrip_with_perm():
     assert back.gates == c.gates
 
 
+def test_equality_compares_the_perm():
+    """Circuits with the same gates but different perms realize different maps."""
+    assert Circuit(2, perm=Permutation([1, 0])) != Circuit(2)
+    assert Circuit(2) != Circuit(2, perm=Permutation([1, 0]))
+    assert Circuit(2, perm=Permutation([1, 0])) != Circuit(2, perm=Permutation([0, 1]))
+    assert Circuit(2, [cnot(0, 1)], perm=Permutation([1, 0])) == Circuit(
+        2, [cnot(0, 1)], perm=Permutation([1, 0]))
+
+
+def test_a_cz_has_one_array_form():
+    """A CZ given with descending ends, as a Gate or as an array row, is held as
+    cz orders it, so the circuit equals its cz() form and round-trips as text;
+    the caller's array is not changed."""
+    want = Circuit(3, [cz(1, 0), cnot(2, 0), h(1), cz(0, 2)])
+    arr = np.array([[0, 1, 0], [1, 2, 0], [2, 1, -1], [0, 2, 0]], dtype=np.int64)
+    for c in (Circuit(3, [Gate("CZ", 1, 0), cnot(2, 0), h(1), Gate("CZ", 2, 0)]),
+              Circuit(3, arr)):
+        assert c == want
+        assert from_text(to_text(c)) == c
+    assert arr[:, 1].tolist() == [1, 2, 1, 2]
+    assert Circuit(3, want.array).array is want.array  # no copy when every CZ ascends
+
+
 def test_perm_of_another_length_is_refused():
     """A perm must cover the n qubits, as from_text requires of the file."""
     with pytest.raises(ValueError, match="perm of 2 qubits"):

@@ -327,6 +327,18 @@ def test_bounds_validate(capsys):
     ]
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (("--family", "cz"), "--family"), (("--from", "5"), "--from"),
+    (("--to", "9"), "--to"), (("--csv", "out.csv"), "--csv"),
+])
+def test_bounds_validate_refuses_range_flags(capsys, extra, flag):
+    """--validate checks every family over its full range, so a flag choosing
+    a family, a range or a CSV file is a usage error naming the flag."""
+    code, out, err = run(capsys, "bounds", "--validate", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_bounds_validate_scans_each_closed_form_once(capsys, monkeypatch):
     """The crossover line comes from the prior-art pass alone, not a second scan."""
     starts = []

@@ -12,7 +12,6 @@ from cliffdepth.clifford import random_tableau, synth_clifford, tableau_of_circu
 from cliffdepth.cnot import (
     EXACT,
     REORDER,
-    _BASE4,
     _block_add_gates,
     _tri_gates,
     remove_hadamards,
@@ -252,26 +251,30 @@ def test_block_add_degree_two_is_direct_without_halving(monkeypatch):
         assert gate_list(_block_add_gates(a, b, BitMatrix.from_dense(c))) == want
 
 
-def test_base4_table_is_the_edge_coloring():
-    """Each of the 16 2x2 blocks' pairs are the edge coloring's, in class order."""
-    assert len(_BASE4) == 16
-    for key, pairs in enumerate(_BASE4):
-        p = BitMatrix(2, 2, [key & 3, key >> 2])
-        assert list(pairs) == [pair for cl in edge_color_classes(p) for pair in cl]
+def _unitriangular_rows(k):
+    """The int rows of every upper unitriangular k x k matrix."""
+    for mask in range(1 << k * (k - 1) // 2):
+        u = np.eye(k, dtype=np.uint8)
+        u[np.triu_indices(k, 1)] = (mask >> np.arange(k * (k - 1) // 2)) & 1
+        yield mask, BitMatrix.from_dense(u).ints
 
 
 def test_tri_gates_base4_matches_the_recursion():
-    """The k = 4 base case gives the gates of halving into a 2x2 block and two
-    k = 2 triangles, on all 64 upper unitriangular 4x4 matrices."""
+    """The cached base case gives the gates of halving into a 2x2 block and two
+    k = 2 triangles, on all 64 upper unitriangular 4x4 matrices, and the
+    recursion's gates on every 2x2 and 3x3 one, on non-consecutive qubits."""
     qubits = [1, 4, 5, 9]
-    for mask in range(64):
-        u = np.eye(4, dtype=np.uint8)
-        u[np.triu_indices(4, 1)] = (mask >> np.arange(6)) & 1
-        r = BitMatrix.from_dense(u).ints
+    for mask, r in _unitriangular_rows(4):
         got, want = [], []
         _tri_gates(qubits, r, got)
         reference_tri_gates(qubits, r, want)
         assert gate_list(join(got)) == gate_list(join(want)), mask
+    for k in (2, 3):
+        for mask, r in _unitriangular_rows(k):
+            got, want = [], []
+            _tri_gates(qubits[:k], r, got)
+            reference_tri_gates(qubits[:k], r, want)
+            assert gate_list(join(got)) == gate_list(join(want)), (k, mask)
 
 
 def test_synth_linear_builds_no_block_candidates(monkeypatch):
@@ -280,6 +283,9 @@ def test_synth_linear_builds_no_block_candidates(monkeypatch):
     import cliffdepth.cnot as cnot_mod
     import cliffdepth.patterns as patterns_mod
 
+    for k in (2, 3, 4):  # fill the small-triangle table, whichever tests ran before
+        for _, r in _unitriangular_rows(k):
+            _tri_gates(list(range(k)), r, [])
     counts = {"circuits": 0, "colorings": 0, "blocks": 0}
     monkeypatch.setattr(Circuit, "__init__", _counting(counts, "circuits", Circuit.__init__))
     for mod in (cnot_mod, patterns_mod):
