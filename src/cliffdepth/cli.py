@@ -24,6 +24,11 @@ from .verify import (PHASE_MAX_QUBITS, NotDiagonalError, NotLinearError, cz_patt
                      linear_action, phase_oracle, tableaux_equal)
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -122,7 +127,7 @@ def _matches(circ: Circuit, ref, oracle: str) -> bool:
 
 
 def _cmd_synth(args) -> int:
-    text = open(args.input).read()
+    text = _read(args.input)
     if args.family == bounds.CZ:
         ref = CzSpec.from_bitmatrix(BitMatrix.from_text(text))
         circ = synth_cz(ref, strategy=args.strategy)
@@ -149,8 +154,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    circ = from_text(open(args.circuit).read())
-    text = open(args.against).read()
+    circ = from_text(_read(args.circuit))
+    text = _read(args.against)
     if args.against.endswith(".tab"):
         ref = CliffordTableau.from_text(text)
         if not ref.is_symplectic():  # as synth-clifford rejects it

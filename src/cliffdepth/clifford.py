@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuit import CNOT, CZ, H, P, X, Z, Circuit, Gate, cnot, cz as cz_gate, gate_block, join
+from .circuit import CNOT, CZ, H, P, X, Z, Circuit, gate_block, join
 from .cnot import EXACT, _linear_gates
 from .cz import CzSpec, _synth_gates
 from .gf2 import (BitMatrix, gauss_jordan, int_fields, mat_mul, numbered_lines, parse_bit_rows,
@@ -136,7 +136,7 @@ class CliffordTableau:
             raise ValueError(f"expected a (2n, 2n) matrix and 2n phases, got shapes "
                              f"{s.shape} and {phases.shape}")
         n = s.shape[0] // 2
-        cols = BitMatrix.from_dense(np.vstack([s.T, np.asarray(phases, dtype=np.uint8)])).ints
+        cols = BitMatrix.from_dense(np.vstack([s.T, phases])).ints
         return cls(n, cols[:n], cols[n: 2 * n], cols[2 * n])
 
     def rows(self) -> list[int]:
@@ -195,7 +195,7 @@ def tableau_of_circuit(c: Circuit) -> CliffordTableau:
     return t
 
 
-_GATE_KINDS = ("H", "P", "CNOT", "CZ", "X", "Z")
+_GATE_KINDS = (H, P, CNOT, CZ, X, Z)  # random_clifford_circuit's draw order
 
 
 def random_tableau(rng: np.random.Generator, n: int) -> CliffordTableau:
@@ -204,15 +204,16 @@ def random_tableau(rng: np.random.Generator, n: int) -> CliffordTableau:
 
 
 def random_clifford_circuit(rng: np.random.Generator, n: int) -> Circuit:
-    gates: list[Gate] = []
+    """10n gates of uniformly drawn kinds on uniformly drawn qubits; a two-qubit
+    kind on one qubit becomes an H."""
+    rows = []
     for _ in range(10 * n):
         kind = _GATE_KINDS[rng.integers(0, len(_GATE_KINDS))]
-        if kind in ("CNOT", "CZ") and n >= 2:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(cnot(int(a), int(b)) if kind == "CNOT" else cz_gate(int(a), int(b)))
+        if kind in (CNOT, CZ) and n >= 2:
+            rows.append((kind, *rng.choice(n, size=2, replace=False)))
         else:
-            gates.append(Gate(kind if kind not in ("CNOT", "CZ") else "H", int(rng.integers(0, n))))
-    return Circuit(n, gates)
+            rows.append((H if kind in (CNOT, CZ) else kind, rng.integers(0, n), -1))
+    return Circuit(n, np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ instance size, the cheapest of three constructions:
 
 Each schedule is built in the form it is emitted: the round-robin as two
 read-only index arrays per size, class after class, and the two-step's
-correction stage as one ``rectangle_gates`` schedule (the 16 sets' parity
-trees, the CZs between their representatives, the trees reversed).
+correction stage as one ``rectangle_gates`` schedule (one parity tree per
+atom, a class of positions that every halving treats alike, then the CZs
+between the atoms' representatives, then the trees reversed).
 
 The cheapest is coloring for n <= 38 and two-step for every larger n, so
 one-step runs only when forced; it is the construction behind the
@@ -31,13 +32,14 @@ the round-robin pairs it marks.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
 from . import bounds
 from .circuit import Circuit, cz_block, join
 from .gf2 import BitMatrix, set_bits
-from .patterns import cz_layers, halve_weights, m01_gates
+from .patterns import _halving_sides, cz_layers, halve_weights, m01_gates
 from .rectangles import rectangle_gates, tree_layers
 
 
@@ -52,10 +54,7 @@ class CzSpec:
     __slots__ = ("mat",)
 
     def __init__(self, n: int, bits) -> None:
-        dense = np.asarray(bits)
-        if not np.isin(dense, (0, 1)).all():
-            raise ValueError("pattern entries must be 0 or 1")
-        self.mat = _checked(n, BitMatrix.from_dense(dense))
+        self.mat = _checked(n, BitMatrix.from_dense(bits))
 
     @classmethod
     def from_bitmatrix(cls, mat: BitMatrix) -> "CzSpec":
@@ -165,81 +164,64 @@ def _bipartite_cz(left: list[int], right: list[int]) -> list[tuple[int, int]]:
     return [(q, right[(i + r) % t]) for r in range(t) for i, q in enumerate(left)]
 
 
-def _onestep_gates(qubits: list[int], rows: list[int], out: list) -> None:
-    k = len(qubits)
-    h = (k + 1) // 2
-    out.append(m01_gates(qubits[:h], qubits[h:], halve_weights(BitMatrix(h, k - h, _block(rows, 0, h, h, k)))))
-    _synth_gates(qubits[:h], _block(rows, 0, h, 0, h), out)
-    _synth_gates(qubits[h:], _block(rows, h, k, h, k), out)
+def _twostep_stage(qubits: list[int], rows: list[int], cuts: tuple[int, ...]) -> list[np.ndarray]:
+    """The gate blocks of a two-step node's halving stage, for the cuts (0, qa, h, qb, k).
 
+    It halves the halves' cross block, then each half's.  Their six
+    rectangles share one pool of parity trees, one per atom in key order: an
+    atom is the positions that share one key, whose bits are (second half,
+    kept by level 1, second quarter of its half, kept by level 2).  A
+    rectangle's middle is the complete bipartite CZ between the
+    representatives of the atoms on its two sides.  The reduced blocks'
+    colored layers follow.
+    """
+    _, qa, h, qb, k = cuts
+    # each block is rows r0..c0-1 x columns c0..c1-1, halved
+    blocks = [(r0, c0, c1, halve_weights(BitMatrix(c0 - r0, c1 - c0, _block(rows, r0, c0, c0, c1))))
+              for r0, c0, c1 in ((0, h, k), (0, qa, h), (h, qb, k))]
+    flips = [{r0 + i for i in hr.row_flips} | {c0 + j for j in hr.col_flips} for r0, c0, _, hr in blocks]
+    flip1, flip2 = flips[0], flips[1] | flips[2]
+    key = [8 * (pos >= h) + 4 * (pos not in flip1) + 2 * (qa <= pos < h or qb <= pos)
+           + (pos not in flip2) for pos in range(k)]
+    atoms: dict[int, list[int]] = {}
+    for a, q in zip(key, qubits):
+        atoms.setdefault(a, []).append(q)
 
-def _twostep_gates(qubits: list[int], rows: list[int], out: list) -> None:
-    k = len(qubits)
-    h = (k + 1) // 2
-    m = k - h
-    hr1 = halve_weights(BitMatrix(h, m, _block(rows, 0, h, h, k)))
-    flip1 = set(hr1.row_flips) | {h + j for j in hr1.col_flips}
+    def reps(offset: int, side: list[int]) -> list[int]:
+        return [atoms[a][-1] for a in sorted({key[offset + i] for i in side})]
 
-    qa = (h + 1) // 2
-    qb = (m + 1) // 2
-    hr2a = halve_weights(BitMatrix(qa, h - qa, _block(rows, 0, qa, qa, h)))
-    hr2b = halve_weights(BitMatrix(qb, m - qb, _block(rows, h, h + qb, h + qb, k)))
-    flip2 = (set(hr2a.row_flips) | {qa + j for j in hr2a.col_flips}
-             | {h + i for i in hr2b.row_flips} | {h + qb + j for j in hr2b.col_flips})
-
-    # classify every position: side (0=A, 1=B), level-1 flip membership
-    # (0=in flip set), level-2 quadrant class
-    #   0: first level-2 half, flipped    1: first half, unflipped
-    #   2: second level-2 half, flipped   3: second half, unflipped
-    sets = {(s, j, c): [] for s in (0, 1) for j in (0, 1) for c in range(4)}
-    for pos, q in enumerate(qubits):
-        side = int(pos >= h)
-        second = pos >= (h + qb if side else qa)
-        sets[(side, int(pos not in flip1), 2 * second + (pos not in flip2))].append(q)
-
-    # one rectangle schedule: every set's parity tree folds it into its last
-    # qubit, the representatives' CZs run, and the trees are uncomputed
-    trees = [pair for s in sets.values() for layer in tree_layers(s) for pair in layer]
-    rep = {key: s[-1] for key, s in sets.items() if s}
-
-    def live(side: int, j: int, cs) -> list[int]:
-        return [rep[(side, j, c)] for c in cs if (side, j, c) in rep]
-
-    # level-1 corrections: A' x (B \ B') and (A \ A') x B', as complete
-    # bipartite CZ between at most 4 representatives per side
-    pairs = _bipartite_cz(live(0, 0, range(4)), live(1, 1, range(4)))
-    pairs += _bipartite_cz(live(0, 1, range(4)), live(1, 0, range(4)))
-    # level-2 corrections inside each half, at most 2x2 each
-    for side in (0, 1):
-        pairs += _bipartite_cz(live(side, 0, (0,)) + live(side, 1, (0,)),
-                               live(side, 0, (3,)) + live(side, 1, (3,)))
-        pairs += _bipartite_cz(live(side, 0, (1,)) + live(side, 1, (1,)),
-                               live(side, 0, (2,)) + live(side, 1, (2,)))
-    out.append(rectangle_gates([(trees, pairs)]))
-
-    # reduced patterns as colored matching layers on the actual qubits
-    out.append(cz_layers(qubits[:h], qubits[h:], hr1.reduced))
-    out.append(cz_layers(qubits[:qa], qubits[qa:h], hr2a.reduced))
-    out.append(cz_layers(qubits[h:h + qb], qubits[h + qb:], hr2b.reduced))
-
-    # recurse on the four quarters in parallel
-    for lo, hi in ((0, qa), (qa, h), (h, h + qb), (h + qb, k)):
-        _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi), out)
+    trees = [pair for a in sorted(atoms) for layer in tree_layers(atoms[a]) for pair in layer]
+    pairs = [pair for r0, c0, _, hr in blocks for s, u in _halving_sides(hr)
+             for pair in _bipartite_cz(reps(r0, s), reps(c0, u))]
+    return [rectangle_gates([(trees, pairs)])] + [
+        cz_layers(qubits[r0:c0], qubits[c0:c1], hr.reduced) for r0, c0, c1, hr in blocks]
 
 
 def _synth_gates(qubits: list[int], rows: list[int], out: list, strategy: str | None = None) -> None:
     """Append the gate blocks for the pattern with these int rows (bit j of
-    rows[i] pairs qubits[i] with qubits[j]) to out."""
+    rows[i] pairs qubits[i] with qubits[j]) to out.
+
+    A node is a coloring leaf, or one halving stage clearing the blocks off
+    the diagonal between its cut points, followed by each diagonal block's
+    own node: one-step cuts at (0, h, k), two-step at (0, qa, h, qb, k).
+    """
     k = len(qubits)
     if k <= 1 or not any(rows):
         return
     choice = strategy or bounds.cz_choice(k)
     if choice == bounds.COLORING:
         out.append(_coloring_gates(qubits, rows))
-    elif choice == bounds.ONESTEP:
-        _onestep_gates(qubits, rows, out)
+        return
+    h = (k + 1) // 2
+    if choice == bounds.ONESTEP:
+        cuts = (0, h, k)
+        hr = halve_weights(BitMatrix(h, k - h, _block(rows, 0, h, h, k)))
+        out.append(m01_gates(qubits[:h], qubits[h:], hr))
     else:
-        _twostep_gates(qubits, rows, out)
+        cuts = (0, (h + 1) // 2, h, h + (k - h + 1) // 2, k)
+        out += _twostep_stage(qubits, rows, cuts)
+    for lo, hi in pairwise(cuts):
+        _synth_gates(qubits[lo:hi], _block(rows, lo, hi, lo, hi), out)
 
 
 def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
@@ -248,9 +230,9 @@ def synth_cz(spec: CzSpec, strategy: str = "auto") -> Circuit:
     The strategy argument forces the top-level construction only; inner
     recursions always pick the per-size argmin.
     """
-    forced = None if strategy == "auto" else strategy
-    if forced not in (None, bounds.COLORING, bounds.ONESTEP, bounds.TWOSTEP):
+    if strategy not in ("auto", *bounds.BRANCHES):
         raise ValueError(f"unknown strategy {strategy!r}")
+    forced = None if strategy == "auto" else strategy
     if forced in (bounds.ONESTEP, bounds.TWOSTEP) and spec.n < 4:
         forced = bounds.COLORING
     out: list = []

@@ -383,6 +383,22 @@ def test_python_m_runs_the_cli(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_cli_closes_the_files_it_reads(capsys, tmp_path):
+    """synth-cz and verify close their input files: under ``-X dev`` an open
+    file left to the garbage collector prints a ResourceWarning, here an error."""
+    gen(capsys, tmp_path, "cz", 8, 1, "p.mat")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (("synth-cz", "--input", "p.mat", "--out", "p.circ"),
+                 ("verify", "--circuit", "p.circ", "--against", "p.mat")):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-m", "cliffdepth", *argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "synth-cz", "--input", str(tmp_path / "no.mat"))
     assert code == 2

@@ -429,6 +429,17 @@ def test_value_errors(call, message):
         call()
 
 
+@pytest.mark.parametrize("s, phases", [
+    (np.eye(2, dtype=np.uint8), [2, 3]),
+    (np.eye(2, dtype=np.uint8), [-1, 0]),
+    (2 * np.eye(2, dtype=np.uint8), [0, 0]),
+])
+def test_from_dense_refuses_entries_other_than_0_and_1(s, phases):
+    """A sign of 2 or 3 is not read as its parity, and 2 * I is not the zero tableau."""
+    with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+        CliffordTableau.from_dense(s, phases)
+
+
 def test_synth_clifford_hadamards_are_the_two_layers(monkeypatch):
     """The CX stage emits only CNOTs, so the circuit's H gates are those of the
     decomposition's two Hadamard layers: on the benchmark's dense layered

@@ -120,8 +120,9 @@ def test_synth_cz_phases_exhaustive(strategy):
 
 
 def test_synth_cz_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        synth_cz(CzSpec.all_ones(4), strategy="magic")
+    for strategy in ("magic", None):
+        with pytest.raises(ValueError):
+            synth_cz(CzSpec.all_ones(4), strategy=strategy)
 
 
 def test_auto_depth_within_table_random():

@@ -330,6 +330,24 @@ def test_value_errors(call, message):
         call()
 
 
+@pytest.mark.parametrize("dense", [
+    [[2]], [[0.6]], [[np.nan]], np.array([[-1]], dtype=np.int64), [[3, -1]], [[256]],
+    np.array([[1, 2]], dtype=np.uint8),
+])
+def test_from_dense_refuses_entries_other_than_0_and_1(dense):
+    """Every entry other than 0 and 1 is refused, rather than read by its parity
+    or wrapped into uint8."""
+    with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+        BitMatrix.from_dense(dense)
+
+
+def test_from_dense_takes_any_dtype_of_0_and_1():
+    want = BitMatrix(2, 2, [1, 3])
+    for dense in ([[1, 0], [1, 1]], [[1.0, 0.0], [1.0, 1.0]], np.array([[1, 0], [1, 1]], dtype=bool),
+                  np.asfortranarray([[1, 0], [1, 1]], dtype=np.uint8)):
+        assert BitMatrix.from_dense(dense) == want
+
+
 @pytest.mark.parametrize("ints, message", [
     ([1], "expected 2 matrix rows, got 1"),
     ([1, 2, 0], "expected 2 matrix rows, got 3"),
