@@ -10,7 +10,9 @@ builds a fresh list of ``Gate`` tuples, for tests and the benchmark.
 Only two-qubit gates occupy schedule steps; single-qubit gates are free.
 Depth is computed by an ASAP scan over per-qubit counters, so synthesis
 code is responsible for emitting gates in an order that realizes the
-claimed parallelism.
+claimed parallelism.  The scan, like the linear oracle's CNOT replay,
+tests the kinds once in numpy and then reads only the two qubit columns
+as lists.
 """
 
 from __future__ import annotations
@@ -217,8 +219,10 @@ def asap_finish(gates: np.ndarray, d) -> None:
     d maps every qubit the gates touch to the step it is busy until; the
     schedule length is max(d) afterwards.
     """
-    two = gates[gates[:, 0] < 2]
-    for a, b in zip(two[:, 1].tolist(), two[:, 2].tolist()):
+    qa, qb = gates[:, 1], gates[:, 2]
+    if not (two := gates[:, 0] < 2).all():  # drop the free one-qubit gates, column by column
+        qa, qb = qa[two], qb[two]
+    for a, b in zip(qa.tolist(), qb.tolist()):
         x = d[a]
         y = d[b]
         d[a] = d[b] = (x if x > y else y) + 1

@@ -32,10 +32,10 @@ def linear_action(c: Circuit) -> BitMatrix:
     undo what an H or CZ does.  A circuit that is not linear raises
     NotLinearError (a ValueError).
     """
+    if (c.array[:, 0] != CNOT).any():
+        return _linear_action_from_tableau(c)
     rows = [1 << i for i in range(c.n)]  # bit j of rows[i] = R[i, j]
-    for kind, a, b in zip(*c.array.T.tolist()):
-        if kind != CNOT:
-            return _linear_action_from_tableau(c)
+    for a, b in zip(c.array[:, 1].tolist(), c.array[:, 2].tolist()):
         rows[b] ^= rows[a]
     return BitMatrix(c.n, c.n, rows)
 

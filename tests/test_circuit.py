@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdepth.circuit import (
+    TWO_QUBIT,
     Circuit,
     Gate,
+    asap_finish,
     cnot,
     compose,
     cz,
@@ -252,6 +254,26 @@ def test_depth_matches_reference_asap():
         n = int(rng.integers(1, 12))
         c = random_circuit(rng, n, int(rng.integers(0, 120)))
         assert c.two_qubit_depth() == reference_depth(c)
+
+
+@pytest.mark.parametrize("kinds", ["two-qubit", "mixed", "empty"])
+def test_asap_finish_matches_reference_depth_from_a_list_or_a_dict(kinds):
+    """asap_finish reads an all-two-qubit array's qubit columns as they are and
+    masks them when a one-qubit gate is present; d may be a list or a dict."""
+    rng = np.random.default_rng(38)
+    for _ in range(60):
+        n = int(rng.integers(2, 12))
+        gates = random_circuit(rng, n, int(rng.integers(0, 120))).gates
+        two = [g for g in gates if g.kind in TWO_QUBIT]
+        c = Circuit(n, {"two-qubit": two + [cnot(n - 1, 0)],
+                        "mixed": gates + [h(0), cz(0, n - 1)],
+                        "empty": []}[kinds])
+        assert (c.array[:, 0] < 2).all() == (kinds != "mixed")
+        d, e = [0] * n, dict.fromkeys(range(n), 0)
+        asap_finish(c.array, d)
+        asap_finish(c.array, e)
+        assert list(e.values()) == d
+        assert max(d) == c.two_qubit_depth() == reference_depth(c)
 
 
 @pytest.mark.parametrize("gate", [

@@ -680,6 +680,16 @@ def test_verify_qubit_count_mismatch_is_a_usage_error(capsys, tmp_path, oracle, 
     assert code == 2 and message in err and "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("oracle", ["auto", "linear", "phase", "tableau"])
+def test_verify_two_empty_registers_match_under_every_oracle(capsys, tmp_path, oracle):
+    """Two 0-qubit circuits verify, whichever oracle reads them."""
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits 0\n")
+    code, out, err = run(capsys, "verify", "--circuit", str(circ), "--against", str(circ),
+                         "--oracle", oracle)
+    assert (code, out, err) == (0, "verified\n", "")
+
+
 def test_verify_circuit_against_circuit_uses_the_tableau(capsys, tmp_path):
     """The README's circuit-against-circuit check, under auto and --oracle tableau."""
     mat = gen(capsys, tmp_path, "cz", 9, 4, "p.mat")

@@ -75,6 +75,48 @@ def test_linear_action_reads_circuits_outside_the_replayed_form():
                     linear_action(Circuit(n, gates[:at] + pair[1:] + gates[at:]))
 
 
+def replay(n, pairs):
+    """R of CNOTs on (control, target) pairs, gate by gate on the rows of a 0/1 identity."""
+    r = np.eye(n, dtype=np.uint8)
+    for a, b in pairs:
+        r[b] ^= r[a]
+    return r
+
+
+def test_linear_action_of_cnot_circuits_matches_a_per_gate_replay():
+    rng = np.random.default_rng(38)
+    for n in (1, 2, 3, 7, 16, 40):
+        for _ in range(5):
+            pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                     for _ in range(int(rng.integers(0, 300))) if n > 1]
+            c = Circuit(n, [cnot(a, b) for a, b in pairs])
+            assert np.array_equal(linear_action(c).to_dense(), replay(n, pairs))
+
+
+def test_linear_action_of_cnots_then_other_gates_reads_the_tableau():
+    """Other gates only at the end, the last row among them, take the tableau path.
+
+    One such gate alone is never linear; a cancelling run leaves the CNOTs'
+    matrix, and an H frame around a CZ adds a CNOT.
+    """
+    rng = np.random.default_rng(39)
+    for n in (2, 5, 13):
+        for _ in range(6):
+            pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                     for _ in range(int(rng.integers(0, 60)))]
+            body = [cnot(a, b) for a, b in pairs]
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            for last in (cz(i, j), h(i), p(i), x(i), z(i)):
+                with pytest.raises(NotLinearError):
+                    linear_action(Circuit(n, body + [last]))
+            want = replay(n, pairs)
+            for tail in ([z(i)] * 2, [x(i)] * 2, [p(i)] * 4, [cz(i, j)] * 2, [h(i)] * 2):
+                c = Circuit(n, body + tail)
+                assert np.array_equal(linear_action(c).to_dense(), want)
+            c = Circuit(n, body + [h(j), cz(i, j), h(j)])
+            assert np.array_equal(linear_action(c).to_dense(), replay(n, pairs + [(i, j)]))
+
+
 def test_phase_oracle_single_cz():
     ph = phase_oracle(Circuit(2, [cz(0, 1)]))
     assert list(ph) == [0, 0, 0, 1]
