@@ -9,12 +9,14 @@ depth of the trees either recursive CZ branch opens with) is
 ceil(log2 n) - 2 where a recursive branch beats coloring, which is where
 d_CZ[n] < (n - 1) | 1, coloring's depth 2h - 1 (ties go to coloring).
 Closed forms are evaluated in double precision with a near-integer guard:
-values within 1e-6 of an integer are re-evaluated in high precision before
-flooring.  The full-range scans read each floored closed form off its
-steps: linear * n plus a log part whose floor rises a few hundred to a
-few thousand times up to N_MAX, found by bisection; only the sizes at a
-rise can trip the guard, and the slack is int arithmetic.  The prior-art
-crossover is a separate pass over the CNOT construction depth.
+values within 1e-6 of an integer are re-evaluated at 50 digits in decimal
+(imported only when the guard fires) before flooring.  The full-range scans
+read each floored closed form off its steps: linear * n plus a log part
+whose floor rises a few hundred to a few thousand times up to N_MAX, found
+by bisection; only the sizes at a rise can trip the guard, and the slack is
+int arithmetic.  The prior-art crossover is a separate pass over the CNOT
+construction depth, after a direct search for the first sizes where the
+prior internal bound beats 2n.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ COLORING, ONESTEP, TWOSTEP = "coloring", "onestep", "twostep"
 BRANCHES = (COLORING, ONESTEP, TWOSTEP)
 
 _RUN = 1 << 14  # values per run of a table fill or scan; its buffers stay in cache
+_LN2 = "0.69314718055994530941723212145817656807550013436026"  # ln 2 to 50 digits, for _exact
 
 # family -> its table, filled on first use
 _tables: dict[str, np.ndarray] = {}
@@ -210,17 +213,13 @@ class BoundFormula:
         return math.floor(v)
 
     def _exact(self, n: int) -> int:
-        import mpmath  # loaded only when the near-integer guard fires
+        from decimal import Context, Decimal, localcontext  # loaded only when the guard fires
 
-        with mpmath.workdps(50):
-            ln = mpmath.log(n, 2)
-            v = (
-                mpmath.mpf(repr(self.linear)) * n
-                + mpmath.mpf(repr(self.log2sq)) * ln * ln
-                + mpmath.mpf(repr(self.log)) * ln
-                + mpmath.mpf(repr(self.const))
-            )
-            return int(mpmath.floor(v))
+        with localcontext(Context(prec=50)):
+            ln = Decimal(n).ln() / Decimal(_LN2)
+            linear, log2sq, log, const = (Decimal(repr(x)) for x in
+                                          (self.linear, self.log2sq, self.log, self.const))
+            return math.floor(linear * n + log2sq * ln * ln + log * ln + const)
 
 
 CZ_BOUND = BoundFormula(0.5, 0.4993, 3.0191, -10.9139, 39)
@@ -418,34 +417,24 @@ def validate_all() -> list[dict]:
     return _validate(FORMULAS)
 
 
-def _first(a: int, mask: np.ndarray) -> int | None:
-    """a plus the index of the first true entry of mask, or None."""
-    hits = np.flatnonzero(mask)
-    return a + int(hits[0]) if hits.size else None
-
-
 def cnot_crossovers() -> dict:
     """Where the CNOT construction depth wins over prior art from on (isolated
-    earlier wins exist, e.g. around n = 56..64), and where the prior internal
-    bound, rounded and asymptotic, first beats 2n; the depth is read run by run."""
-    out = {"cnot_crossover": 2, "prior_internal_rounded": None, "prior_internal_asymptotic": None}
+    earlier wins exist, e.g. around n = 56..64), read run by run, and where the
+    prior internal bound, rounded and asymptotic, first beats 2n."""
+    rounded = next(n for n in range(2, N_MAX) if _cnot_prior_internal(n) < 2 * n)
+    asymptotic = next(n for n in range(2, N_MAX) if 4.0 * n / 3.0 + 8.0 * math.log2(n) < 2.0 * n)
+    last_loss = 1
     for a, b in _cuts(2):
         ours = _depth(CNOT, a, b)
-        # both prior bounds are at least (4a) // 3 on the run: once the two
-        # first sizes are found, a run below that cannot lose
-        if None not in out.values() and ours.max() < 4 * a // 3:
+        # both prior bounds are at least (4a) // 3 on the run: a run below that cannot lose
+        if ours.max() < 4 * a // 3:
             continue
         m = np.arange(a, b, dtype=np.int32)
-        internal = _cnot_prior_internal(m)
-        lose = np.flatnonzero(ours >= np.minimum(2 * m, internal))
+        lose = np.flatnonzero(ours >= np.minimum(2 * m, _cnot_prior_internal(m)))
         if lose.size:
-            out["cnot_crossover"] = a + int(lose[-1]) + 1
-        if out["prior_internal_rounded"] is None:
-            out["prior_internal_rounded"] = _first(a, internal < 2 * m)
-        if out["prior_internal_asymptotic"] is None:
-            n = m.astype(np.float64)
-            out["prior_internal_asymptotic"] = _first(a, 4.0 * n / 3.0 + 8.0 * np.log2(n) < 2.0 * n)
-    return out
+            last_loss = a + int(lose[-1])
+    return {"cnot_crossover": last_loss + 1, "prior_internal_rounded": rounded,
+            "prior_internal_asymptotic": asymptotic}
 
 
 def crossover_scan() -> dict:

@@ -25,8 +25,11 @@ from .verify import (PHASE_MAX_QUBITS, NotDiagonalError, NotLinearError, cz_patt
 
 
 def _read(path: str) -> str:
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -209,6 +212,8 @@ def _cmd_gen(args) -> int:
     if args.n > bounds.N_MAX:
         raise ValueError(f"--n must be at most {bounds.N_MAX} (the bound tables' range), "
                          f"got {args.n}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "cz":
         text = CzSpec.random(rng, args.n).mat.to_text()

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import re
@@ -377,7 +378,7 @@ def test_floor_steps_are_far_apart():
 def test_scans_stay_small():
     """On filled tables, neither full-range call holds more than 8 MiB at once."""
     bounds.validate_all()
-    bounds.crossover_scan()  # fills the tables and loads mpmath
+    bounds.crossover_scan()  # fills the tables and loads decimal
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -397,7 +398,7 @@ def test_scans_read_the_tables_in_place(monkeypatch, capsys):
     build a full-range construction depth, and on filled tables each scan holds
     under 2 MiB at once (a full-range int32 copy is 5.1 MiB)."""
     bounds.validate_all()
-    bounds.crossover_scan()  # fills the tables and loads mpmath
+    bounds.crossover_scan()  # fills the tables and loads decimal
 
     def refuse(family):
         raise AssertionError(f"full-range construction_depth({family!r}) built")
@@ -459,17 +460,26 @@ def test_validate_closed_form_rejects_unknown_family():
             bounds.validate_closed_form(family)
 
 
-def test_import_leaves_mpmath_unloaded():
-    """mpmath loads only when the near-integer guard needs it."""
+def test_exact_loads_decimal_only_when_the_guard_fires():
+    """Importing the package, filling every table and running both scans never
+    load mpmath; decimal is loaded by the first _exact call, not before it."""
     code = (
         "import sys\n"
         "import cliffdepth\n"
         "from cliffdepth import bounds\n"
         "for family in ('cz', 'cz-basic', 'cnot', 'cnot-first-branch', 'clifford'):\n"
         "    bounds.get_table(family)\n"
-        "assert 'mpmath' not in sys.modules\n"
+        "assert 'decimal' not in sys.modules\n"
+        "exact, calls = bounds.BoundFormula._exact, []\n"
+        "def guarded(self, n):\n"
+        "    calls.append('decimal' in sys.modules)\n"
+        "    return exact(self, n)\n"
+        "bounds.BoundFormula._exact = guarded\n"
+        "bounds.validate_all()\n"
+        "bounds.crossover_scan()\n"
+        "assert calls[0] is False and all(calls[1:]) and len(calls) == 14, calls\n"
         "assert bounds.CZ_BOUND._exact(768944) == 384710\n"
-        "assert 'mpmath' in sys.modules\n"
+        "assert 'decimal' in sys.modules and 'mpmath' not in sys.modules\n"
     )
     src = str(Path(cliffdepth.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -477,6 +487,21 @@ def test_import_leaves_mpmath_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_is_the_floor_away_from_integers():
+    """Where the double lies at least 1e-3 from an integer, _exact's 50-digit
+    floor is the double's; its ln 2 is decimal's own to 50 digits."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        assert decimal.Decimal(bounds._LN2) == decimal.Decimal(2).ln()
+    rng = np.random.default_rng(39)
+    for family, f in bounds.FORMULAS.items():
+        n = rng.integers(f.lo, bounds.N_MAX + 1, 2500)
+        v = bounds._doubles(n.astype(np.float64), f.linear, f.log2sq, f.log, f.const)
+        far = np.abs(v - np.rint(v)) >= 1e-3
+        assert far.sum() >= 2000, family
+        for size, double in list(zip(n[far].tolist(), v[far].tolist()))[:2000]:
+            assert f._exact(size) == math.floor(double), (family, size)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -103,6 +103,16 @@ def test_gen_rejects_nonpositive_n(capsys, tmp_path, kind, n):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind", ["cz", "linear", "tableau"])
+def test_gen_rejects_negative_seed(capsys, tmp_path, kind):
+    path = tmp_path / "out.txt"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--n", "3", "--seed", "-1",
+                       "--out", str(path))
+    assert code == 2
+    assert "--seed" in err and "-1" in err
+    assert not path.exists()
+
+
 def test_cz_tableau_is_literal_circuit_tableau():
     rng = np.random.default_rng(48)
     for n in (1, 2, 5, 31, 33, 40):
@@ -403,6 +413,16 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "synth-cz", "--input", str(tmp_path / "no.mat"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [["synth-cz", "--input"],
+                                  ["verify", "--against", "x.mat", "--circuit"]])
+def test_non_utf8_file_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "x.mat"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "UTF-8" in err
 
 
 def test_bad_flag_is_usage_error(capsys):

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location("sweep_tool", ROOT / "tools" / "sweep.py")
 sweep = importlib.util.module_from_spec(SPEC)
@@ -46,6 +48,20 @@ def test_sweep_small_sizes(tmp_path):
     assert costs["validate_all_s"] > 0 and costs["crossover_scan_s"] > 0
     assert 0 < costs["validate_all_peak_mib"] < 2 and 0 < costs["crossover_scan_peak_mib"] < 2
     assert costs["maxrss_mib"] > 0
+
+
+def test_rows_take_the_median_time_of_their_processes():
+    def row(call_s, depth=5, decompose_s=None):
+        return {"n": 8, "synth": "synth_cz", "input": "x", "call_s": call_s, "check_s": 2 * call_s,
+                "decompose_s": decompose_s, "ok": True, "depth": depth, "table": 7,
+                "closed_form": None}
+
+    runs = [[row(3.0), row(1.0, decompose_s=4.0)], [row(1.0), row(2.0, decompose_s=6.0)],
+            [row(2.0), row(3.0, decompose_s=5.0)]]
+    assert sweep.median_rows(runs) == [row(2.0), row(2.0, decompose_s=5.0)]
+    assert list(sweep.median_rows(runs)[0]) == list(sweep.ROW_KEYS)
+    with pytest.raises(RuntimeError, match="disagree at n=8"):
+        sweep.median_rows([[row(1.0)], [row(1.0, depth=6)], [row(1.0)]])
 
 
 def test_committed_bench_files_have_the_documented_keys():

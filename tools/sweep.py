@@ -6,14 +6,16 @@ Run from the repository root:
     python3 tools/sweep.py --point parent --src ../other-checkout/src
     python3 tools/sweep.py --point smoke --sizes 16 32 --repeats 1 --out /tmp/BENCH_smoke.json
 
-Each size runs in a fresh Python process, with the package imported from
-``--src`` (this checkout's ``src`` by default).  At every size it times
-``synth_cz`` on ``CzSpec.random`` (seed 11), ``synth_linear`` on
-``gf2.random_invertible`` (seed 1) and ``synth_clifford`` on the benchmark's
-``layered_tableau`` (seed 3) and on ``random_tableau`` (seed 1).  Every time
-is the best of ``--repeats`` calls.  The oracle is the linear action for
-CNOT circuits and tableau simulation otherwise.  Each row also records the
-two-qubit depth against the certified table entry and the closed form.
+Each size runs in 3 fresh Python processes, one after another, with the
+package imported from ``--src`` (this checkout's ``src`` by default).  At
+every size it times ``synth_cz`` on ``CzSpec.random`` (seed 11),
+``synth_linear`` on ``gf2.random_invertible`` (seed 1) and ``synth_clifford``
+on the benchmark's ``layered_tableau`` (seed 3) and on ``random_tableau``
+(seed 1).  Each process takes the best of ``--repeats`` calls, and a row's
+time is the median of its processes' times; every other field of a row must
+agree across them.  The oracle is the linear action for CNOT circuits and
+tableau simulation otherwise.  Each row also records the two-qubit depth
+against the certified table entry and the closed form.
 
 One more fresh process measures the bound tables: the first-call fill time
 of each of the five tables, the best-of-``--repeats`` times of
@@ -33,6 +35,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +46,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (128, 256, 512, 1024)
+PROCESSES = 3  # fresh processes per size
+TIMES = ("call_s", "check_s", "decompose_s")  # a row's fields that are medians over them
 
 # Documented keys, written into the file next to its points.
 POINT_KEYS = {
@@ -52,7 +57,7 @@ POINT_KEYS = {
     "nproc": "CPUs this process may run on",
     "python": "Python version",
     "numpy": "numpy version",
-    "repeats": "calls per timing; each time is the best of them",
+    "repeats": "calls per timing in each process; each process's time is the best of them",
     "rows": "one row per size and synthesizer input",
     "bounds": "the bound tables' costs, measured in one fresh process; null in points "
               "measured before the sweep recorded them",
@@ -61,9 +66,11 @@ ROW_KEYS = {
     "n": "qubit count",
     "synth": "synthesizer called: synth_cz, synth_linear or synth_clifford",
     "input": "input generator, with its seed",
-    "call_s": "seconds per synthesizer call",
-    "check_s": "seconds per oracle check of the circuit",
-    "decompose_s": "seconds per decompose_tableau call (Clifford rows), else null",
+    "call_s": "seconds per synthesizer call: the median over 3 fresh processes of each "
+              "one's best time (one process in points dated before 2026-10-22)",
+    "check_s": "seconds per oracle check of the circuit, taken as call_s is",
+    "decompose_s": "seconds per decompose_tableau call (Clifford rows), taken as call_s "
+                   "is, else null",
     "ok": "the oracle accepted the circuit",
     "depth": "two-qubit depth of the circuit",
     "table": "depth the recursion table certifies at n",
@@ -170,6 +177,19 @@ def measure_bounds(repeats: int) -> dict:
     return out
 
 
+def median_rows(runs: list[list[dict]]) -> list[dict]:
+    """One size's rows from the rows of each of its processes: each time the
+    median over the processes, every other field the same in all of them."""
+    rows = []
+    for same in zip(*runs, strict=True):
+        fixed = [{k: v for k, v in r.items() if k not in TIMES} for r in same]
+        if any(f != fixed[0] for f in fixed):
+            raise RuntimeError(f"processes disagree at n={same[0]['n']}: {fixed}")
+        rows.append({**same[0], **{k: None if same[0][k] is None
+                                   else statistics.median(r[k] for r in same) for k in TIMES}})
+    return rows
+
+
 def _commit(src: Path) -> str | None:
     try:
         out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
@@ -180,7 +200,7 @@ def _commit(src: Path) -> str | None:
 
 
 def sweep(point: str, sizes, repeats: int, src: Path) -> dict:
-    """One point: every size measured in a fresh process importing the package from src."""
+    """One point: each size measured in PROCESSES fresh processes that import src's package."""
     env = {**os.environ, "PYTHONPATH": str(src)}
 
     def worker(*args):
@@ -188,7 +208,8 @@ def sweep(point: str, sizes, repeats: int, src: Path) -> dict:
         out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
         return json.loads(out.stdout)
 
-    rows = [row for n in sizes for row in worker("--worker", str(n))]
+    rows = [row for n in sizes
+            for row in median_rows([worker("--worker", str(n)) for _ in range(PROCESSES)])]
     return {
         "point": point, "commit": _commit(src),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
