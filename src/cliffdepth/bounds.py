@@ -12,17 +12,16 @@ Closed forms are evaluated in double precision with a near-integer guard:
 values within 1e-6 of an integer are re-evaluated at 50 digits in decimal
 (imported only when the guard fires) before flooring.  The full-range scans
 read each floored closed form off its steps: linear * n plus a log part
-whose floor rises a few hundred to a few thousand times up to N_MAX, found
-by bisection; only the sizes at a rise can trip the guard, and the slack is
-int arithmetic.  The prior-art crossover is a separate pass over the CNOT
-construction depth, after a direct search for the first sizes where the
-prior internal bound beats 2n.
+whose floor rises a few hundred to a few thousand times up to N_MAX, at
+the roots of a quadratic in log2 n; only the sizes at a rise can trip the
+guard, and the slack is int arithmetic.  The prior-art crossover is a
+separate pass over the CNOT construction depth, after a direct search for
+the first sizes where the prior internal bound beats 2n.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,7 +215,8 @@ class BoundFormula:
         from decimal import Context, Decimal, localcontext  # loaded only when the guard fires
 
         with localcontext(Context(prec=50)):
-            ln = Decimal(n).ln() / Decimal(_LN2)
+            n = Decimal(int(n) if isinstance(n, np.integer) else n)  # decimal takes no numpy ints
+            ln = n.ln() / Decimal(_LN2)
             linear, log2sq, log, const = (Decimal(repr(x)) for x in
                                           (self.linear, self.log2sq, self.log, self.const))
             return math.floor(linear * n + log2sq * ln * ln + log * ln + const)
@@ -298,52 +298,35 @@ def _scale(f: BoundFormula) -> int:
     return 2 if f.linear == 0.5 else 1
 
 
-def _steps(starts: dict[str, int]) -> dict[str, tuple[int, list[int]]]:
-    """Each family's K at its start size, and the sizes where K rises.
+def _steps(starts: dict[str, int]) -> dict[str, tuple[int, np.ndarray, dict[int, int]]]:
+    """Each family's K at its start size, the sizes where K rises, and the
+    sizes whose double trips the near-integer guard, with _exact's floor there.
 
     K(n) = floor(s * (v - linear * n)), with v the double of
     BoundFormula.value and s = _scale(f); every formula has linear in
-    {1/2, 1, 2}, so its floor is (s * linear * n + K) >> (s - 1).  log2sq
-    and log are positive, so K never decreases; a size where it rises by
-    j is listed j times.  One vectorized bisection over n, on the doubles
-    of _doubles, finds every family's rises at once.
+    {1/2, 1, 2}, so its floor is (s * linear * n + K) >> (s - 1).  Above
+    linear * n, v is log2sq * L**2 + log * L + const in L = log2 n, with
+    log2sq and log positive, so K never decreases and rises to m at
+    ceil(2**L), L the positive root of that quadratic at m / s; a size
+    where K rises by j is listed j times.  A guarded double puts
+    s * (v - linear * n) within 2e-6 of an integer, and that grows by at
+    least 5e-5 per size (CZ at N_MAX), so only a rise, the size before one
+    and the two ends can trip the guard; only those are evaluated.
     """
-    forms = [FORMULAS[fam] for fam in starts]
-    lo = np.array(list(starts.values()), dtype=np.float64)
-    coef = np.array([(f.linear, f.log2sq, f.log, f.const, _scale(f)) for f in forms]).T
-
-    def k_at(n, c):  # K at sizes n, under the columns c of coef
-        return np.floor(c[4] * (_doubles(n, *c[:4]) - c[0] * n))
-
-    k_lo = k_at(lo, coef)
-    rises = (k_at(np.full_like(lo, N_MAX), coef) - k_lo).astype(np.int64)
-    fam = np.repeat(np.arange(len(forms)), rises)
-    # the r-th rise of family i (r from 1) is the first size where K reaches k_lo[i] + r
-    want = k_lo[fam] + np.arange(1, fam.size + 1) - np.repeat(np.cumsum(rises) - rises, rises)
-    c = coef[:, fam]
-    left, right = lo[fam], np.full(fam.size, float(N_MAX))  # K(left) < want <= K(right)
-    while (right - left > 1).any():
-        mid = np.floor((left + right) / 2)
-        up = k_at(mid, c) >= want
-        np.copyto(right, mid, where=up)
-        np.copyto(left, mid, where=~up)
-    return {f: (int(k_lo[i]), right[fam == i].astype(np.int64).tolist())
-            for i, f in enumerate(starts)}
-
-
-def _guarded(family: str, lo: int, rises: list[int]) -> dict[int, int]:
-    """_exact's floor at each size of lo..N_MAX whose double lies within 1e-6
-    of an integer.
-
-    Such a double puts s * (v - linear * n) within 2e-6 of an integer, and
-    that grows by at least 5e-5 per size (CZ at N_MAX), so only a rise of
-    K, the size before one and the two ends of the range can be such a
-    size.  Only those are evaluated, in BoundFormula.value's operation order.
-    """
-    f = FORMULAS[family]
-    sizes = np.unique([lo, N_MAX, *rises, *(r - 1 for r in rises)])
-    v = _doubles(sizes.astype(np.float64), f.linear, f.log2sq, f.log, f.const)
-    return {n: f._exact(n) for n in sizes[np.abs(np.rint(v) - v) < 1e-6].tolist()}
+    out = {}
+    for fam, lo in starts.items():
+        f = FORMULAS[fam]
+        s, terms = _scale(f), (f.linear, f.log2sq, f.log, f.const)
+        ends = np.array([lo, N_MAX], dtype=np.float64)
+        k_lo, k_hi = np.floor(s * (_doubles(ends, *terms) - f.linear * ends)).astype(np.int64).tolist()
+        c = f.const - np.arange(k_lo + 1, k_hi + 1) / s
+        root = (np.sqrt(f.log * f.log - 4 * f.log2sq * c) - f.log) / (2 * f.log2sq)
+        rises = np.ceil(np.exp2(root)).astype(np.int64)
+        sizes = np.concatenate(([lo, N_MAX], rises, rises - 1))
+        v = _doubles(sizes.astype(np.float64), *terms)
+        near = set(sizes[np.abs(np.rint(v) - v) < 1e-6].tolist())  # a rise can also precede one
+        out[fam] = k_lo, rises, {n: f._exact(n) for n in near}
+    return out
 
 
 def _cuts(start: int):
@@ -357,13 +340,12 @@ def _scan(starts: dict[str, int]) -> dict[str, _Tally]:
 
     The floored closed form is read off the steps of _steps in int32, next
     to the int32 construction depth, which _depth reads run by run; the
-    sizes _guarded finds take BoundFormula._exact.  The sizes are walked in
-    runs cut at multiples of _RUN, in int arithmetic.
+    guarded sizes _steps finds take BoundFormula._exact.  The sizes are
+    walked in runs cut at multiples of _RUN, in int arithmetic.
     """
     tallies = {fam: _Tally(lo - 1) for fam, lo in starts.items()}
     forms = {}
-    for fam, (k, rises) in _steps(starts).items():
-        exact = _guarded(fam, starts[fam], rises)
+    for fam, (k, rises, exact) in _steps(starts).items():
         tallies[fam].near = len(exact)
         s = _scale(FORMULAS[fam])
         mul = int(s * FORMULAS[fam].linear)
@@ -374,8 +356,8 @@ def _scan(starts: dict[str, int]) -> dict[str, _Tally]:
             if i >= b:
                 continue
             k, rises, exact, mul, shift, ramp = forms[family]
-            j, top = bisect_right(rises, i), bisect_right(rises, b - 1)
-            ends = np.array([i, *rises[j:top], b])
+            j, top = rises.searchsorted((i, b - 1), "right").tolist()
+            ends = np.concatenate(([i], rises[j:top], [b]))
             # s * linear * n + K: K + s * linear * i on each step, plus s * linear * (n - i)
             t = np.repeat(np.arange(k + j, k + top + 1, dtype=np.int32) + mul * i,
                           ends[1:] - ends[:-1])

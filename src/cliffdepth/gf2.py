@@ -344,31 +344,19 @@ def perm_to_transposition_layers(p: Permutation) -> list[list[tuple[int, int]]]:
     swaps v_i with v_{k-1-i}, layer two swaps v_j with v_{k-j}; applying
     layer one then layer two maps v_i to v_{i+1 mod k}.
     """
-    n = len(p.map)
-    seen = [False] * n
+    seen = [False] * len(p.map)
     layer1: list[tuple[int, int]] = []
     layer2: list[tuple[int, int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = int(p.map[start])
-        while cur != start:
-            cyc.append(cur)
+    for start in range(len(p.map)):
+        c, cur = [], start
+        while not seen[cur]:
             seen[cur] = True
+            c.append(cur)
             cur = int(p.map[cur])
-        k = len(cyc)
-        if k == 1:
-            continue
-        for i in range(k):
-            if i < k - 1 - i:
-                layer1.append((cyc[i], cyc[k - 1 - i]))
-        for j in range(1, k):
-            if j < k - j:
-                layer2.append((cyc[j], cyc[k - j]))
-    layers = [ly for ly in (layer1, layer2) if ly]
-    return layers
+        k = len(c)
+        layer1 += ((c[i], c[k - 1 - i]) for i in range(k // 2))
+        layer2 += ((c[j], c[k - j]) for j in range(1, (k + 1) // 2))
+    return [ly for ly in (layer1, layer2) if ly]
 
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> BitMatrix:

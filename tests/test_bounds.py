@@ -290,6 +290,31 @@ def test_near_integer_sizes_take_the_exact_value(monkeypatch):
         assert scan[key] == max(NEAR_INTEGER[family]) + 1
 
 
+def test_value_takes_numpy_ints_at_the_guarded_sizes():
+    for family, points in NEAR_INTEGER.items():
+        formula = bounds.FORMULAS[family]
+        for n, floor in points.items():
+            assert formula.value(np.int64(n)) == formula.value(np.int32(n)) == formula.value(n) == floor
+
+
+@pytest.mark.parametrize("start", ["lo", 2])
+def test_steps_match_k_at_every_size(start):
+    """_steps gives K at the start size, each size where K rises once per unit
+    of the rise, and _exact's floor at exactly the sizes whose double lies
+    within 1e-6 of an integer, against K and the double at every size."""
+    starts = {fam: f.lo if start == "lo" else 2 for fam, f in bounds.FORMULAS.items()}
+    for family, (k, rises, exact) in bounds._steps(starts).items():
+        f = bounds.FORMULAS[family]
+        sizes = np.arange(starts[family], bounds.N_MAX + 1)
+        n = sizes.astype(np.float64)
+        v = bounds._doubles(n, f.linear, f.log2sq, f.log, f.const)
+        K = np.floor(bounds._scale(f) * (v - f.linear * n)).astype(np.int64)
+        assert k == K[0], family
+        np.testing.assert_array_equal(rises, np.repeat(sizes[1:], np.diff(K)), err_msg=family)
+        assert sorted(exact) == sizes[np.abs(np.rint(v) - v) < 1e-6].tolist(), family
+        assert exact == {m: fl for m, fl in NEAR_INTEGER[family].items() if m >= starts[family]}
+
+
 RUN = 1 << 14  # the scans cut their runs at multiples of this
 BIG = 1000  # larger than any slack
 BUMPS = {
@@ -362,7 +387,7 @@ def test_scan_matches_reference_scan(monkeypatch, condition):
 
 
 def test_floor_steps_are_far_apart():
-    """_guarded evaluates only rises of K and the sizes before them.  That needs
+    """_steps guards only rises of K, the sizes before them and the two ends.  That needs
     linear in {1/2, 1, 2} and positive log terms (K never decreases), and
     s * (v - linear * n) to grow by more than the guard's 2e-6 at every
     size; the least growth is at N_MAX."""

@@ -27,14 +27,22 @@ def _assert_keys(data: dict) -> None:
                 "cz", "cz-basic", "cnot", "cnot-first-branch", "clifford"]
 
 
+def _untimed(point: dict) -> dict:
+    """A point without its label, its bound-table costs and its rows' times."""
+    rows = [{k: v for k, v in r.items() if k not in sweep.TIMES} for r in point["rows"]]
+    return {**{k: v for k, v in point.items() if k not in ("point", "bounds")}, "rows": rows}
+
+
 def test_sweep_small_sizes(tmp_path):
     out = tmp_path / "BENCH_test.json"
-    for sizes in (["16"], ["16", "32"]):  # the second point is appended to the first
+    # the second call measures --src as the parent, then this checkout; both are appended
+    for sizes, src in ((["16"], []), (["16", "32"], ["--src", str(ROOT / "src")])):
         assert sweep.main(["--point", "test", "--sizes", *sizes, "--repeats", "1",
-                           "--out", str(out)]) == 0
+                           "--out", str(out), *src]) == 0
     data = json.loads(out.read_text())
     _assert_keys(data)
-    assert len(data["points"]) == 2
+    assert [p["point"] for p in data["points"]] == ["test", "parent of test", "test"]
+    assert _untimed(data["points"][1]) == _untimed(data["points"][2])
     rows = data["points"][-1]["rows"]
     assert [(r["n"], r["synth"]) for r in rows] == [
         (n, s) for n in (16, 32)

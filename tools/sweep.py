@@ -3,11 +3,13 @@
 Run from the repository root:
 
     python3 tools/sweep.py --point "what this tree changes"
-    python3 tools/sweep.py --point parent --src ../other-checkout/src
+    python3 tools/sweep.py --point "what this tree changes" --src ../parent-checkout/src
     python3 tools/sweep.py --point smoke --sizes 16 32 --repeats 1 --out /tmp/BENCH_smoke.json
 
-Each size runs in 3 fresh Python processes, one after another, with the
-package imported from ``--src`` (this checkout's ``src`` by default).  At
+Each size runs in 3 fresh Python processes, one after another, that import
+the package from this checkout's ``src``.  With ``--src OTHER``, OTHER is
+measured in the same invocation: each size runs 3 rounds of one process per
+tree, and the tree that runs first alternates by round and by size.  At
 every size it times ``synth_cz`` on ``CzSpec.random`` (seed 11),
 ``synth_linear`` on ``gf2.random_invertible`` (seed 1) and ``synth_clifford``
 on the benchmark's ``layered_tableau`` (seed 3) and on ``random_tableau``
@@ -17,13 +19,14 @@ agree across them.  The oracle is the linear action for CNOT circuits and
 tableau simulation otherwise.  Each row also records the two-qubit depth
 against the certified table entry and the closed form.
 
-One more fresh process measures the bound tables: the first-call fill time
-of each of the five tables, the best-of-``--repeats`` times of
+One more fresh process per tree measures the bound tables: the first-call
+fill time of each of the five tables, the best-of-``--repeats`` times of
 ``validate_all`` and ``crossover_scan`` on the filled tables, each scan's
 tracemalloc peak after that warm-up, and the process's ``ru_maxrss``.
 
 The point is appended to the file's ``points`` list, so the file keeps one
-point per measured tree, oldest first.
+point per measured tree, oldest first; with ``--src OTHER``, OTHER's point,
+labelled ``parent of`` the ``--point`` text, goes before this tree's.
 """
 
 from __future__ import annotations
@@ -199,30 +202,41 @@ def _commit(src: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def sweep(point: str, sizes, repeats: int, src: Path) -> dict:
-    """One point: each size measured in PROCESSES fresh processes that import src's package."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def worker(*args):
+def sweep(point: str, sizes, repeats: int, srcs: list[Path]) -> list[dict]:
+    """One point per source tree in srcs, each measured in fresh processes that
+    import that tree's package.  Each size runs PROCESSES rounds of one process
+    per tree; the tree that runs first alternates by round and by size, and the
+    one bounds-worker round continues the alternation."""
+    def worker(src, *args):
         cmd = [sys.executable, __file__, *args, "--repeats", str(repeats)]
+        env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
         return json.loads(out.stdout)
 
-    rows = [row for n in sizes
-            for row in median_rows([worker("--worker", str(n)) for _ in range(PROCESSES)])]
-    return {
-        "point": point, "commit": _commit(src),
-        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    def rounds(k, count, *args):  # each tree's outputs; round r runs srcs reversed if k + r is odd
+        outs = [[] for _ in srcs]
+        order = list(enumerate(srcs))
+        for r in range(count):
+            for i, src in order[::-1] if (k + r) % 2 else order:
+                outs[i].append(worker(src, *args))
+        return outs
+
+    runs = [rounds(k, PROCESSES, "--worker", str(n)) for k, n in enumerate(sizes)]
+    costs = rounds(len(sizes), 1, "--bounds-worker")
+    date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    labels = [f"parent of {point}"] * (len(srcs) - 1) + [point]
+    return [{
+        "point": label, "commit": _commit(src), "date": date,
         "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-        "numpy": np.__version__, "repeats": repeats, "rows": rows,
-        "bounds": worker("--bounds-worker"),
-    }
+        "numpy": np.__version__, "repeats": repeats,
+        "rows": [row for size in runs for row in median_rows(size[i])], "bounds": costs[i][0],
+    } for i, (label, src) in enumerate(zip(labels, srcs))]
 
 
-def append_point(path: Path, point: dict) -> None:
+def append_points(path: Path, points: list[dict]) -> None:
     data = json.loads(path.read_text()) if path.exists() else {"points": []}
     data["keys"] = {"point": POINT_KEYS, "row": ROW_KEYS, "bounds": BOUNDS_KEYS}
-    data["points"].append(point)
+    data["points"] += points
     path.write_text(json.dumps(data, indent=1) + "\n")
 
 
@@ -232,7 +246,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sweep.json", help="file to append to")
     ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="package source tree to measure")
+    ap.add_argument("--src", type=Path, help="another package source tree, measured as the "
+                    "parent of --point next to this checkout's")
     ap.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--bounds-worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -246,16 +261,19 @@ def main(argv=None) -> int:
         return 0
     if not args.point:
         ap.error("--point is required")
-    point = sweep(args.point, args.sizes, args.repeats, args.src.resolve())
-    append_point(args.out, point)
-    for r in point["rows"]:
-        dec = "" if r["decompose_s"] is None else f"  decompose {r['decompose_s']:.4f} s"
-        print(f"n={r['n']:5d} {r['synth']:15s} {r['input']:25s} call {r['call_s']:8.4f} s  "
-              f"check {r['check_s']:7.4f} s  depth {r['depth']:5d} / {r['table']}{dec}")
-    b = point["bounds"]
-    print(f"bounds: fill {sum(b['fill_s'].values()):.4f} s  validate_all {b['validate_all_s']:.4f} s "
-          f"(peak {b['validate_all_peak_mib']} MiB)  crossover_scan {b['crossover_scan_s']:.4f} s "
-          f"(peak {b['crossover_scan_peak_mib']} MiB)  maxrss {b['maxrss_mib']} MiB")
+    srcs = [args.src.resolve()] if args.src else []
+    points = sweep(args.point, args.sizes, args.repeats, [*srcs, ROOT / "src"])
+    append_points(args.out, points)
+    for point in points:
+        print(point["point"])
+        for r in point["rows"]:
+            dec = "" if r["decompose_s"] is None else f"  decompose {r['decompose_s']:.4f} s"
+            print(f"n={r['n']:5d} {r['synth']:15s} {r['input']:25s} call {r['call_s']:8.4f} s  "
+                  f"check {r['check_s']:7.4f} s  depth {r['depth']:5d} / {r['table']}{dec}")
+        b = point["bounds"]
+        print(f"bounds: fill {sum(b['fill_s'].values()):.4f} s  validate_all {b['validate_all_s']:.4f} s "
+              f"(peak {b['validate_all_peak_mib']} MiB)  crossover_scan {b['crossover_scan_s']:.4f} s "
+              f"(peak {b['crossover_scan_peak_mib']} MiB)  maxrss {b['maxrss_mib']} MiB")
     return 0
 
 
